@@ -108,6 +108,10 @@ pub struct IoStats {
     /// heap allocation (the MRBG-Store's window/point reads recycle one
     /// persistent buffer; this counts the allocations avoided).
     pub scratch_reuses: u64,
+    /// `sync_all` calls issued: a store commit syncs the data file, then
+    /// the index file; a compaction syncs its reconstructed file, then the
+    /// index. Not a data-volume counter — it is what a group commit saves.
+    pub syncs: u64,
 }
 
 impl IoStats {
@@ -127,6 +131,11 @@ impl IoStats {
     pub fn record_scratch_reuse(&mut self) {
         self.scratch_reuses += 1;
     }
+
+    /// Record one `sync_all`.
+    pub fn record_sync(&mut self) {
+        self.syncs += 1;
+    }
 }
 
 impl AddAssign for IoStats {
@@ -136,6 +145,7 @@ impl AddAssign for IoStats {
         self.writes += rhs.writes;
         self.bytes_written += rhs.bytes_written;
         self.scratch_reuses += rhs.scratch_reuses;
+        self.syncs += rhs.syncs;
     }
 }
 
@@ -314,6 +324,7 @@ impl JobMetrics {
             out.push(format!("{prefix}_writes {}", io.writes));
             out.push(format!("{prefix}_bytes_written {}", io.bytes_written));
             out.push(format!("{prefix}_scratch_reuses {}", io.scratch_reuses));
+            out.push(format!("{prefix}_syncs {}", io.syncs));
         };
         out.push(format!("shuffled_records {shuffled_records}"));
         out.push(format!("shuffled_bytes {shuffled_bytes}"));
@@ -458,8 +469,10 @@ mod tests {
         assert!(lines.contains(&"serve_hits 7".to_string()));
         assert!(lines.contains(&"tuner_clamps 3".to_string()));
         assert!(lines.contains(&"store_io_bytes_read 100".to_string()));
-        // 1 jobs + 4 stages + 2*5 io blocks + 20 scalar counters.
-        assert_eq!(lines.len(), 35);
+        m.store_io.record_sync();
+        assert!(m.report_lines().contains(&"store_io_syncs 1".to_string()));
+        // 1 jobs + 4 stages + 2*6 io blocks + 20 scalar counters.
+        assert_eq!(lines.len(), 37);
     }
 
     #[test]

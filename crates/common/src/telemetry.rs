@@ -295,6 +295,8 @@ pub enum EventKind {
         bytes_written: u64,
         /// Reads served from reused scratch buffers.
         scratch_reuses: u64,
+        /// `sync_all` calls (commits and compactions).
+        syncs: u64,
     },
 }
 
@@ -836,11 +838,13 @@ impl TraceLog {
                         writes,
                         bytes_written,
                         scratch_reuses,
+                        syncs,
                     } => {
                         let _ = write!(
                             out,
                             ",\"reads\":{reads},\"bytes_read\":{bytes_read},\"writes\":{writes},\
-                             \"bytes_written\":{bytes_written},\"scratch_reuses\":{scratch_reuses}"
+                             \"bytes_written\":{bytes_written},\"scratch_reuses\":{scratch_reuses},\
+                             \"syncs\":{syncs}"
                         );
                     }
                 }
@@ -881,13 +885,17 @@ pub fn table4(log: &TraceLog) -> IoStats {
             writes,
             bytes_written,
             scratch_reuses,
+            syncs,
         } = &e.kind
         {
-            io.reads += reads;
-            io.bytes_read += bytes_read;
-            io.writes += writes;
-            io.bytes_written += bytes_written;
-            io.scratch_reuses += scratch_reuses;
+            io += IoStats {
+                reads: *reads,
+                bytes_read: *bytes_read,
+                writes: *writes,
+                bytes_written: *bytes_written,
+                scratch_reuses: *scratch_reuses,
+                syncs: *syncs,
+            };
         }
     }
     io
@@ -945,6 +953,7 @@ pub fn table4_from_jsonl(text: &str) -> IoStats {
         io.writes += jsonl_u64(line, "writes").unwrap_or(0);
         io.bytes_written += jsonl_u64(line, "bytes_written").unwrap_or(0);
         io.scratch_reuses += jsonl_u64(line, "scratch_reuses").unwrap_or(0);
+        io.syncs += jsonl_u64(line, "syncs").unwrap_or(0);
     }
     io
 }
@@ -1252,6 +1261,7 @@ mod tests {
             writes: 2,
             bytes_written: 200,
             scratch_reuses: 1,
+            syncs: 4,
         });
         r.emit_driver(EventKind::StoreIoSample {
             reads: 1,
@@ -1259,6 +1269,7 @@ mod tests {
             writes: 0,
             bytes_written: 0,
             scratch_reuses: 0,
+            syncs: 2,
         });
         let log = r.take();
         let st = fig9(&log);
@@ -1267,8 +1278,8 @@ mod tests {
         let io = table4(&log);
         assert_eq!((io.reads, io.bytes_read), (4, 307));
         assert_eq!(
-            (io.writes, io.bytes_written, io.scratch_reuses),
-            (2, 200, 1)
+            (io.writes, io.bytes_written, io.scratch_reuses, io.syncs),
+            (2, 200, 1, 6)
         );
 
         let jsonl = log.to_jsonl();

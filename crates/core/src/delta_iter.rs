@@ -2,9 +2,8 @@
 //!
 //! [`crate::incr_iter`] refreshes an iterative result by re-running map and
 //! reduce over *changed* inputs, but its data plane is still scheduled
-//! full-width: every partition gets a Map task, every run a Sort task, and
-//! — the dominant cost on low-churn refreshes — every touched shard's merge
-//! rewrites the shard's **full index file** each iteration. This module
+//! full-width: every partition gets a Map task, every run a Sort task and
+//! every shard a merge task, however few keys changed. This module
 //! generalizes the change-propagation idea (paper §5.3) from a post-hoc
 //! threshold filter into real change-propagation *scheduling*, in the
 //! workset/solution-set model of delta iterations:
@@ -18,8 +17,8 @@
 //! Each iteration maps, shuffles, and reduces **only workset keys**: Map
 //! tasks are scheduled only for partitions holding workset entries, Sort
 //! tasks only for non-empty runs, MRBGraph point merges only for touched
-//! shards ([`StoreManager::merge_apply_touched`], with index persistence
-//! deferred to end-of-run settle), and Reduce tasks only for partitions
+//! shards ([`StoreManager::merge_apply_touched`], committed once at
+//! end-of-run settle), and Reduce tasks only for partitions
 //! with merge outcomes. The reduce outputs that survive the CPC judgment
 //! become the next workset; an empty workset **is** the fixed point.
 //!
@@ -407,8 +406,8 @@ impl<'s, S: DeltaIterativeSpec> DeltaIterEngine<'s, S> {
 
             // ---------------- MRBGraph point merge ----------------
             // Only shards whose run (or new-key set) is non-empty get a
-            // StoreMerge task; index persistence is deferred shard-locally
-            // and flushed once at end-of-run settle.
+            // StoreMerge task; the commit is deferred shard-locally and
+            // happens once at end-of-run settle.
             let t = Instant::now();
             let touched: Vec<usize> = (0..n)
                 .filter(|&p| !runs[p].is_empty() || !new_dks[p].is_empty())
@@ -453,10 +452,11 @@ impl<'s, S: DeltaIterativeSpec> DeltaIterEngine<'s, S> {
             let effective_threshold = self.params.effective_threshold();
             let reduce_parts: Vec<usize> =
                 (0..n).filter(|&p| !outcomes_per_p[p].is_empty()).collect();
+            let outcome_cells = crate::incr_iter::outcome_cells(outcomes_per_p);
             let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64, u64)>> = reduce_parts
                 .iter()
                 .map(|&p| {
-                    let outcomes: &[(Vec<u8>, MergeOutcome)] = &outcomes_per_p[p];
+                    let cell = &outcome_cells[p];
                     let state = &state_parts[p];
                     TaskSpec::pinned(
                         TaskId {
@@ -470,7 +470,8 @@ impl<'s, S: DeltaIterativeSpec> DeltaIterEngine<'s, S> {
                             let mut emitted: Vec<(S::DK, S::DV)> = Vec::new();
                             let mut invocations = 0u64;
                             let mut values: Vec<S::V2> = Vec::new();
-                            for (key_bytes, outcome) in outcomes {
+                            let mut slot = cell.lock();
+                            for (key_bytes, outcome) in crate::incr_iter::outcomes_in(&slot)? {
                                 let dk: S::DK = decode_exact(key_bytes)?;
                                 let Ok(idx) = state.binary_search_by(|(k, _)| k.cmp(&dk)) else {
                                     continue;
@@ -496,6 +497,7 @@ impl<'s, S: DeltaIterativeSpec> DeltaIterEngine<'s, S> {
                                     emitted.push((dk, candidate));
                                 }
                             }
+                            *slot = None;
                             Ok((emitted, invocations, cpc.filtered()))
                         },
                     )

@@ -31,7 +31,7 @@ use crate::iterative::{IterParams, IterationStats, IterativeSpec, PreserveMode};
 use crate::trace::{add_stage, emit_checkpoint_restore, emit_checkpoint_save};
 use crate::tuning::EngineTuner;
 use i2mr_common::codec::{decode_exact, encode_to};
-use i2mr_common::error::Result;
+use i2mr_common::error::{Error, Result};
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
 use i2mr_common::telemetry::TraceRecorder;
@@ -44,6 +44,7 @@ use i2mr_mapred::shuffle::{groups, sort_runs_adaptive, transpose_pooled, RunPool
 use i2mr_mapred::types::{Emitter, Values};
 use i2mr_store::merge::{DeltaChunk, DeltaEntry, MergeOutcome};
 use i2mr_store::runtime::StoreManager;
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -171,7 +172,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
     ) -> Result<Self> {
         config.validate()?;
         if config.n_map != config.n_reduce {
-            return Err(i2mr_common::error::Error::config(
+            return Err(Error::config(
                 "incremental iterative engine requires n_map == n_reduce",
             ));
         }
@@ -454,11 +455,11 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
             // ---------------- incremental Reduce ----------------
             let state_parts = &data.state;
             let effective_threshold = self.params.effective_threshold();
-            let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64)>> = outcomes_per_p
+            let outcome_cells = outcome_cells(outcomes_per_p);
+            let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64)>> = outcome_cells
                 .iter()
                 .enumerate()
-                .map(|(p, outcomes)| {
-                    let outcomes: &[(Vec<u8>, MergeOutcome)] = outcomes;
+                .map(|(p, cell)| {
                     let state = &state_parts[p];
                     TaskSpec::pinned(
                         TaskId {
@@ -475,7 +476,8 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                             // The merged chunk owns freshly decoded values,
                             // so this path borrows them as a plain slice;
                             // `values` is reused across groups.
-                            for (key_bytes, outcome) in outcomes {
+                            let mut slot = cell.lock();
+                            for (key_bytes, outcome) in outcomes_in(&slot)? {
                                 let dk: S::DK = decode_exact(key_bytes)?;
                                 // Deleted vertices / dangling targets have no
                                 // state entry: their chunk was maintained but
@@ -498,6 +500,7 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
                                     emitted.push((dk, candidate));
                                 }
                             }
+                            *slot = None;
                             Ok((emitted, invocations))
                         },
                     )
@@ -777,6 +780,31 @@ impl<'s, S: IterativeSpec> IncrIterEngine<'s, S> {
 /// instead and keep it if it carries anything.
 fn settle_store_plane(stores: &StoreManager, report: &mut IncrRunReport) -> Result<()> {
     crate::run::settle_trailing(stores, &mut report.per_iteration)
+}
+
+/// One partition's merge outcomes, handed to its Reduce task through a
+/// one-shot cell.
+pub(crate) type OutcomeCell = Mutex<Option<Vec<(Vec<u8>, MergeOutcome)>>>;
+
+/// Wrap each partition's merge outcomes for its Reduce task. The merged
+/// chunks are the largest per-iteration allocation (every value of every
+/// re-reduced instance); freed by the driver they cost a serial pass over
+/// millions of small allocations *after* the stage timers stopped. Each
+/// Reduce task instead empties its own cell as its last act, so the
+/// partitions are freed on the workers, in parallel, inside the Reduce
+/// stage's wall time.
+pub(crate) fn outcome_cells(per_p: Vec<Vec<(Vec<u8>, MergeOutcome)>>) -> Vec<OutcomeCell> {
+    per_p.into_iter().map(|o| Mutex::new(Some(o))).collect()
+}
+
+/// The outcomes a Reduce attempt works on. The cell is emptied only by an
+/// attempt that *succeeded*, so a retry after a failed attempt still finds
+/// them; an empty cell means a duplicate attempt ran after the winner.
+pub(crate) fn outcomes_in(
+    slot: &Option<Vec<(Vec<u8>, MergeOutcome)>>,
+) -> Result<&[(Vec<u8>, MergeOutcome)]> {
+    slot.as_deref()
+        .ok_or_else(|| Error::corrupt("merge outcomes consumed by an earlier reduce attempt"))
 }
 
 /// Merge a fallback run's report into the incremental report, renumbering

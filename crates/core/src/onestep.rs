@@ -440,12 +440,15 @@ where
         metrics.reduce_invocations = reduce_results.iter().sum();
         self.delta_pool.recycle_all(runs);
 
-        // Fold the store plane's counters into this run's metrics first
+        // The refreshed plane goes back to the caller without a settle:
+        // commit the merged shards (the merge itself is deferred). Then
+        // fold the store plane's counters into this run's metrics first
         // (the drain takes shard write locks and must not queue behind the
         // compactions below), then schedule policy-driven compaction as
         // detached background work — it overlaps whatever the caller does
         // next; the following refresh's merge fences it. Stats of a
         // still-running compaction are drained by the next refresh.
+        self.stores.flush_indexes()?;
         self.stores.drain_metrics(&mut metrics);
         self.stores.schedule_compactions(0)?;
         Ok(metrics)

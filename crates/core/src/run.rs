@@ -21,7 +21,7 @@
 //! [`RunSession::run_initial`], [`RunSession::run_incremental`],
 //! [`RunSession::run_delta`] — plus the serving plane
 //! ([`RunSession::serve`]) and a single [`RunSession::finish`] that settles
-//! the store plane (fence overlapped compactions, flush deferred indexes,
+//! the store plane (fence overlapped compactions, commit dirty shards,
 //! drain trailing counters) exactly once and hands the stores back.
 //!
 //! The legacy constructors remain as `#[deprecated]` shims so downstream
@@ -663,7 +663,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     }
 
     /// Settle the store plane exactly once — fence overlapped compactions,
-    /// flush deferred indexes, drain trailing counters — and hand the
+    /// commit dirty shards, drain trailing counters — and hand the
     /// stores back. This replaces the per-engine end-of-run epilogues as
     /// the *session-level* settle point: individual runs still settle
     /// their own reports (via `settle_trailing`), `finish` catches any

@@ -182,6 +182,9 @@ where
             .collect();
         stores.merge_apply_all(0, |p| Ok(cells[p].lock().take().unwrap_or_default()))?;
         stores.maybe_compact(0)?;
+        // Memos must survive a restart once `run` returns: commit the
+        // (deferred) merges a compaction did not already commit.
+        stores.flush_indexes()?;
         self.persisted = (self.map_memo.len(), self.reduce_memo.len());
         Ok(())
     }

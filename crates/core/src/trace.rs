@@ -5,7 +5,7 @@
 //! recorder, metrics registry, exporters, fig9/table4 extractors); this
 //! module owns the *lifecycle*:
 //!
-//! 1. [`Telemetry::new`] sizes a [`TraceRecorder`] to the session's worker
+//! 1. `Telemetry::new` sizes a [`TraceRecorder`] to the session's worker
 //!    pool (`n_workers` slots plus the driver slot for coordinator /
 //!    store-plane / serving emissions) and allocates the session's
 //!    [`MetricsRegistry`].

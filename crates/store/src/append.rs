@@ -61,18 +61,18 @@ impl AppendBuffer {
         Ok(())
     }
 
-    /// Flush, then `sync_all` — the batch-boundary durability point.
+    /// Flush, then `sync_all` (counted in [`IoStats::syncs`]).
     ///
     /// [`AppendBuffer::flush`] only hands bytes to the page cache; a crash
-    /// after it can still tear the batch. The store calls this once per
-    /// batch (append / merge / compaction), *before* the index that
-    /// references the new chunks is persisted, so an index entry can never
-    /// point at data the kernel might not have written. The fsync is not
-    /// counted in [`IoStats`] — write counters track data volume, and the
-    /// capacity-triggered mid-batch flushes stay cheap.
+    /// after it can still tear the batch. Appends and merges stop there —
+    /// their bytes are synced by the store's next commit, before the index
+    /// that references them is written. Compaction calls this for the
+    /// file it reconstructs, before the rename that makes it the data
+    /// file. The capacity-triggered mid-batch flushes stay cheap.
     pub fn flush_durable(&mut self, file: &mut File, io: &mut IoStats) -> Result<()> {
         self.flush(file, io)?;
         file.sync_all()?;
+        io.record_sync();
         Ok(())
     }
 
@@ -162,6 +162,7 @@ mod tests {
         ab.flush_durable(&mut f, &mut io).unwrap();
         assert_eq!(io.writes, 1, "fsync is not a counted write");
         assert_eq!(io.bytes_written, 10);
+        assert_eq!(io.syncs, 1);
         let mut content = String::new();
         File::open(&p)
             .unwrap()

@@ -60,6 +60,33 @@ pub fn decode_framed(input: &mut &[u8]) -> Result<Chunk> {
     Ok(chunk)
 }
 
+/// Verify one whole frame for `key` on its raw bytes, without decoding it.
+///
+/// `frame` must be exactly one frame (a [`crate::index::ChunkLoc`]'s
+/// `len` bytes). The checksum is recomputed over everything after the
+/// header, and the chunk encoding must open with `key` — the same two
+/// conditions a [`decode_framed`] plus key comparison enforces, so a
+/// consumer that copies verified frames verbatim (compaction) trusts
+/// exactly the bytes a decoding reader would have trusted.
+pub fn verify_frame(frame: &[u8], key: &[u8]) -> Result<()> {
+    if frame.len() < FRAME_OVERHEAD {
+        return Err(Error::codec("chunk frame: truncated checksum"));
+    }
+    let (crc_bytes, body) = frame.split_at(FRAME_OVERHEAD);
+    let expect = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+    if frame_checksum(body) != expect {
+        return Err(Error::corrupt("chunk frame checksum mismatch"));
+    }
+    let mut cur = body;
+    let key_len = read_varint(&mut cur)? as usize;
+    if cur.get(..key_len) != Some(key) {
+        return Err(Error::corrupt(
+            "index points at a chunk for a different key",
+        ));
+    }
+    Ok(())
+}
+
 /// Length in bytes of the valid frame prefix of `tail` — crash salvage.
 ///
 /// Frames are self-delimiting, so a crashed writer's file tail can be
@@ -336,6 +363,31 @@ mod tests {
             // a flipped frame must never decode as the original chunk.
             if let Ok(d) = decode_framed(&mut cur) {
                 assert_ne!(d, c, "bit flip at {i} went undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn verify_frame_rejects_wrong_keys_tears_and_every_bit_flip() {
+        let c = Chunk::new(b"key".to_vec(), vec![entry(1, b"value"), entry(2, b"")]);
+        let mut buf = Vec::new();
+        encode_framed(&c, &mut buf);
+        verify_frame(&buf, b"key").unwrap();
+        assert!(verify_frame(&buf, b"kez").is_err(), "wrong key");
+        assert!(
+            verify_frame(&buf, b"ke").is_err(),
+            "key prefix is not the key"
+        );
+        assert!(verify_frame(&buf[..buf.len() - 1], b"key").is_err(), "torn");
+        assert!(verify_frame(&buf[..3], b"key").is_err(), "torn header");
+        for i in 0..buf.len() {
+            for bit in 0..8 {
+                let mut bad = buf.clone();
+                bad[i] ^= 1 << bit;
+                assert!(
+                    verify_frame(&bad, b"key").is_err(),
+                    "flip of bit {bit} at byte {i} went undetected"
+                );
             }
         }
     }

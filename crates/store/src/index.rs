@@ -41,6 +41,9 @@ pub struct BatchInfo {
 pub struct ChunkIndex {
     map: HashMap<Vec<u8>, ChunkLoc, StableHashBuilder>,
     batches: Vec<BatchInfo>,
+    /// Running sum of `len` over `map` — the compaction policy reads it
+    /// per shard per iteration, so it must not be a scan.
+    live_bytes: u64,
 }
 
 impl ChunkIndex {
@@ -49,6 +52,7 @@ impl ChunkIndex {
         ChunkIndex {
             map: HashMap::with_hasher(StableHashBuilder),
             batches: Vec::new(),
+            live_bytes: 0,
         }
     }
 
@@ -59,12 +63,21 @@ impl ChunkIndex {
 
     /// Point the key at a new latest version.
     pub fn put(&mut self, key: Vec<u8>, loc: ChunkLoc) {
-        self.map.insert(key, loc);
+        self.live_bytes += loc.len as u64;
+        if let Some(old) = self.map.insert(key, loc) {
+            self.live_bytes -= old.len as u64;
+        }
     }
 
     /// Drop a key entirely (its Reduce instance vanished).
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        self.map.remove(key).is_some()
+        match self.map.remove(key) {
+            Some(old) => {
+                self.live_bytes -= old.len as u64;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Number of live keys.
@@ -102,15 +115,36 @@ impl ChunkIndex {
 
     /// Total bytes of live chunks (what compaction would retain).
     pub fn live_bytes(&self) -> u64 {
-        self.map.values().map(|l| l.len as u64).sum()
+        self.live_bytes
     }
 
-    /// Replace all contents (used by compaction).
+    /// Replace all contents (used by export).
     pub fn reset(&mut self, entries: Vec<(Vec<u8>, ChunkLoc)>, batches: Vec<BatchInfo>) {
         self.map.clear();
+        self.live_bytes = 0;
         for (k, l) in entries {
-            self.map.insert(k, l);
+            self.put(k, l);
         }
+        self.batches = batches;
+    }
+
+    /// Live `(key, location)` pairs in canonical (byte-lexicographic key)
+    /// order, locations patchable in place — compaction plans its read
+    /// pass from these and re-points them afterwards without cloning a key
+    /// or touching the hash table. Callers must leave `len` alone (the
+    /// running [`ChunkIndex::live_bytes`] total does not see the write).
+    pub(crate) fn sorted_mut(&mut self) -> Vec<(&[u8], &mut ChunkLoc)> {
+        let mut live: Vec<(&[u8], &mut ChunkLoc)> = self
+            .map
+            .iter_mut()
+            .map(|(k, loc)| (k.as_slice(), loc))
+            .collect();
+        live.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        live
+    }
+
+    /// Replace the batch table (compaction collapses it to one batch).
+    pub(crate) fn set_batches(&mut self, batches: Vec<BatchInfo>) {
         self.batches = batches;
     }
 
@@ -167,7 +201,12 @@ impl ChunkIndex {
         if !cur.is_empty() {
             return Err(Error::codec("index: trailing bytes"));
         }
-        Ok(ChunkIndex { map, batches })
+        let live_bytes = map.values().map(|l| l.len as u64).sum();
+        Ok(ChunkIndex {
+            map,
+            batches,
+            live_bytes,
+        })
     }
 }
 
@@ -244,6 +283,23 @@ mod tests {
         idx.put(b"a".to_vec(), loc(20, 30, 1)); // replaces
         idx.put(b"b".to_vec(), loc(10, 10, 0));
         assert_eq!(idx.live_bytes(), 40);
+    }
+
+    #[test]
+    fn sorted_mut_is_canonical_and_patches_in_place() {
+        let mut idx = ChunkIndex::new();
+        idx.put(b"b".to_vec(), loc(0, 7, 0));
+        idx.put(b"a".to_vec(), loc(7, 5, 1));
+        idx.put(b"ab".to_vec(), loc(12, 3, 1));
+        let mut off = 0;
+        for (_, l) in idx.sorted_mut() {
+            *l = loc(off, l.len, 0);
+            off += l.len as u64;
+        }
+        assert_eq!(idx.get(b"a"), Some(loc(0, 5, 0)));
+        assert_eq!(idx.get(b"ab"), Some(loc(5, 3, 0)));
+        assert_eq!(idx.get(b"b"), Some(loc(8, 7, 0)));
+        assert_eq!(idx.live_bytes(), 15);
     }
 
     #[test]

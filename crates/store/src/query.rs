@@ -15,7 +15,9 @@
 //!
 //! A [`QueryPass`] is created per merge with the full sorted list of keys to
 //! be retrieved; [`QueryPass::get`] must then be called in exactly that
-//! order (the engine's merge loop naturally does).
+//! order (the engine's merge loop naturally does). The windows themselves
+//! live in the [`FramePass`] underneath, which serves raw frame bytes to
+//! consumers that never decode (compaction).
 
 use crate::format::{decode_framed, Chunk};
 use crate::index::{ChunkIndex, ChunkLoc};
@@ -58,16 +60,18 @@ impl Default for QueryStrategy {
 /// Sentinel batch id for the shared single window.
 const SHARED_WINDOW: u32 = u32::MAX;
 
-/// One planned retrieval pass over the MRBGraph file.
-pub struct QueryPass<'a> {
+/// A planned, windowed read over a sequence of chunk locations: the I/O
+/// half of a [`QueryPass`], serving each planned location as its raw frame
+/// bytes. Compaction drives one directly — it copies frames verbatim and
+/// never needs a decoded [`Chunk`].
+pub struct FramePass<'a> {
     file: &'a mut File,
     file_len: u64,
     io: &'a mut IoStats,
     strategy: QueryStrategy,
     cache_capacity: u64,
-    /// Location per planned key (`None` = key not preserved).
+    /// Location per planned position (`None` = nothing preserved there).
     plan: Vec<Option<ChunkLoc>>,
-    keys: Vec<Vec<u8>>,
     next: usize,
     windows: Vec<Window>,
     /// Persistent scratch for index-only reads: one buffer reused across
@@ -75,44 +79,42 @@ pub struct QueryPass<'a> {
     scratch: Vec<u8>,
 }
 
-impl<'a> QueryPass<'a> {
-    /// Plan a pass over `keys` (the engine's merge order).
+impl<'a> FramePass<'a> {
+    /// Plan a pass over `plan`, the locations in query order. Within one
+    /// batch, query order must equal file order (canonical key order does).
     pub fn new(
         file: &'a mut File,
         file_len: u64,
         io: &'a mut IoStats,
-        index: &ChunkIndex,
         strategy: QueryStrategy,
         cache_capacity: u64,
-        keys: Vec<Vec<u8>>,
+        plan: Vec<Option<ChunkLoc>>,
     ) -> Self {
-        let plan = keys.iter().map(|k| index.get(k)).collect();
-        QueryPass {
+        FramePass {
             file,
             file_len,
             io,
             strategy,
             cache_capacity,
             plan,
-            keys,
             next: 0,
             windows: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// Retrieve the next planned chunk. `key` must equal the next planned
-    /// key; returns `None` when the key has no preserved chunk.
+    /// The bytes of the next planned frame, exactly `ChunkLoc::len` of
+    /// them and **unverified** — the caller decodes ([`QueryPass`]) or
+    /// checks ([`crate::format::verify_frame`]) them. `None` when that
+    /// position has no preserved chunk.
     ///
-    /// Chunks are decoded straight out of the window (or scratch) buffer —
+    /// The slice points straight into the window (or scratch) buffer —
     /// retrieval copies each chunk's bytes exactly once, from the kernel
-    /// into the reused window/scratch buffer.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Chunk>> {
+    /// into the reused buffer.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>> {
         let i = self.next;
-        if i >= self.keys.len() || self.keys[i] != key {
-            return Err(Error::corrupt(format!(
-                "query pass called out of plan order at position {i}"
-            )));
+        if i >= self.plan.len() {
+            return Err(Error::corrupt("read pass advanced past its plan"));
         }
         self.next += 1;
         let loc = match self.plan[i] {
@@ -120,7 +122,7 @@ impl<'a> QueryPass<'a> {
             None => return Ok(None),
         };
 
-        let chunk_bytes: &[u8] = match self.strategy {
+        Ok(Some(match self.strategy {
             QueryStrategy::IndexOnly => {
                 let len = loc.len as usize;
                 self.scratch.resize(len, 0);
@@ -146,7 +148,7 @@ impl<'a> QueryPass<'a> {
             QueryStrategy::MultiDynamicWindow { gap_threshold } => {
                 // Plan a window size only on a miss: a hit's size would be
                 // discarded anyway, and the plan scan is O(remaining plan),
-                // so computing it per `get` makes a dense pass (compaction,
+                // so computing it per frame makes a dense pass (compaction,
                 // whole-file merge) quadratic in the live-chunk count.
                 // Sizing at the miss position reads exactly the same bytes.
                 let wi = self.find_window(loc.batch);
@@ -162,29 +164,12 @@ impl<'a> QueryPass<'a> {
                 }
                 self.windows[wi].slice(loc)
             }
-        };
-
-        let mut cur = chunk_bytes;
-        let chunk = decode_framed(&mut cur)?;
-        if chunk.key != key {
-            return Err(Error::corrupt(format!(
-                "index points at a chunk for a different key (wanted {:?})",
-                String::from_utf8_lossy(key)
-            )));
-        }
-        Ok(Some(chunk))
+        }))
     }
 
-    /// The next planned key, if the pass is not exhausted. Drives streaming
-    /// consumers ([`crate::store::MrbgStore::chunks_iter`]) that walk the
-    /// whole plan without holding their own key list.
-    pub fn next_key(&self) -> Option<&[u8]> {
-        self.keys.get(self.next).map(Vec::as_slice)
-    }
-
-    /// Number of planned keys not yet retrieved.
+    /// Number of planned positions not yet retrieved.
     pub fn remaining(&self) -> usize {
-        self.keys.len() - self.next
+        self.plan.len() - self.next
     }
 
     /// Position of the window serving `window_tag` in `self.windows`,
@@ -211,6 +196,81 @@ impl<'a> QueryPass<'a> {
         self.file.read_exact(&mut w.buf[..len])?;
         self.io.record_read(len as u64);
         Ok(())
+    }
+}
+
+/// One planned retrieval pass over the MRBGraph file: a [`FramePass`]
+/// over the planned keys' locations, decoding and key-checking each frame.
+pub struct QueryPass<'a> {
+    frames: FramePass<'a>,
+    keys: Vec<Vec<u8>>,
+}
+
+impl<'a> QueryPass<'a> {
+    /// Plan a pass over `keys` (the engine's merge order).
+    pub fn new(
+        file: &'a mut File,
+        file_len: u64,
+        io: &'a mut IoStats,
+        index: &ChunkIndex,
+        strategy: QueryStrategy,
+        cache_capacity: u64,
+        keys: Vec<Vec<u8>>,
+    ) -> Self {
+        let plan = keys.iter().map(|k| index.get(k)).collect();
+        QueryPass {
+            frames: FramePass::new(file, file_len, io, strategy, cache_capacity, plan),
+            keys,
+        }
+    }
+
+    /// Retrieve the next planned chunk. `key` must equal the next planned
+    /// key; returns `None` when the key has no preserved chunk.
+    pub fn get(&mut self, key: &[u8]) -> Result<Option<Chunk>> {
+        let i = self.frames.next;
+        if self.keys.get(i).map(Vec::as_slice) != Some(key) {
+            return Err(Error::corrupt(format!(
+                "query pass called out of plan order at position {i}"
+            )));
+        }
+        self.decode_next()
+    }
+
+    /// Retrieve the next planned chunk without naming it — streaming
+    /// consumers ([`crate::store::MrbgStore::chunks_iter`]) walk a plan of
+    /// live keys, so a key with no preserved chunk is corruption. `None`
+    /// once the plan is exhausted.
+    pub fn next_chunk(&mut self) -> Option<Result<Chunk>> {
+        if self.remaining() == 0 {
+            return None;
+        }
+        Some(match self.decode_next() {
+            Ok(Some(chunk)) => Ok(chunk),
+            Ok(None) => Err(Error::corrupt("indexed chunk disappeared")),
+            Err(e) => Err(e),
+        })
+    }
+
+    /// Number of planned keys not yet retrieved.
+    pub fn remaining(&self) -> usize {
+        self.frames.remaining()
+    }
+
+    /// Decode the frame at the next planned position and check it holds
+    /// that position's key.
+    fn decode_next(&mut self) -> Result<Option<Chunk>> {
+        let key = &self.keys[self.frames.next];
+        let Some(mut frame) = self.frames.next_frame()? else {
+            return Ok(None);
+        };
+        let chunk = decode_framed(&mut frame)?;
+        if chunk.key != *key {
+            return Err(Error::corrupt(format!(
+                "index points at a chunk for a different key (wanted {:?})",
+                String::from_utf8_lossy(key)
+            )));
+        }
+        Ok(Some(chunk))
     }
 }
 

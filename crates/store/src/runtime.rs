@@ -19,6 +19,11 @@
 //!   [`TaskKind::StoreMerge`] task pinned to the partition's preferred
 //!   worker (the same affinity rule map/reduce/sort tasks use), so merge
 //!   work is scheduled, retried, and timeline-recorded like any other task.
+//! * **Group commit** — merges are *deferred*
+//!   ([`MrbgStore::merge_apply_deferred`]): no shard is fsynced and no
+//!   index file rewritten per merge. [`StoreManager::flush_indexes`]
+//!   commits every dirty shard once — at [`StoreManager::settle_into`],
+//!   or wherever an engine returns a merged plane to its caller.
 //! * **Split read path** — point lookups go through a per-partition
 //!   [`StoreReader`] under a *shared* lock ([`StoreManager::get`]), so
 //!   lookups never serialize on a shard's write lock: reads on different
@@ -117,10 +122,6 @@ struct Shard {
     /// True while a background compaction for this shard is in flight —
     /// keeps the policy from piling up duplicate reconstructions.
     compacting: AtomicBool,
-    /// True when a deferred point merge updated the in-memory index
-    /// without rewriting the index file; cleared by
-    /// [`StoreManager::flush_indexes`].
-    index_dirty: AtomicBool,
     /// True when the shard is fenced off after detected corruption or
     /// retry exhaustion — reads fail fast until
     /// [`StoreManager::rebuild_shard`] restores it from a checkpoint.
@@ -145,7 +146,6 @@ impl Shard {
             store: RwLock::new(store),
             reader: Mutex::new(reader),
             compacting: AtomicBool::new(false),
-            index_dirty: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
             data_version: AtomicU64::new(0),
             policy_override: Mutex::new(None),
@@ -456,7 +456,6 @@ impl StoreManager {
         let dir = store.dir().to_path_buf();
         *store = MrbgStore::import(dir, payload, self.config.store)?;
         *shard.reader.lock() = store.reader()?;
-        shard.index_dirty.store(false, Ordering::Release);
         shard.quarantined.store(false, Ordering::Release);
         shard.bump_version();
         drop(store);
@@ -493,14 +492,10 @@ impl StoreManager {
         self.shards.iter().map(|s| s.store.read().file_len()).sum()
     }
 
-    /// Merge per-partition delta MRBGraphs into their shards, one
-    /// [`TaskKind::StoreMerge`] task per partition (inline loop on the
-    /// serial plane). `deltas_of(p)` builds partition `p`'s delta chunks;
-    /// it may be re-invoked on retry and must be idempotent. A partition
+    /// Merge per-partition delta MRBGraphs into their shards:
+    /// [`StoreManager::merge_apply_touched`] over every shard. A partition
     /// whose delta list is empty is skipped without touching its store —
-    /// no empty batch is appended and its index file is not rewritten.
-    /// Overlapped background compactions are fenced first, so every merge
-    /// observes fully reconstructed shards.
+    /// no empty batch is appended and the shard stays clean.
     /// Returns each partition's `(key, outcome)` list in canonical order.
     pub fn merge_apply_all<F>(
         &self,
@@ -510,81 +505,28 @@ impl StoreManager {
     where
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
-        self.fence_compactions()?;
-        fn merge_one(
-            fp: &FailpointRegistry,
-            shard: &Shard,
-            deltas: Vec<DeltaChunk>,
-        ) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
-            if deltas.is_empty() {
-                return Ok(Vec::new());
-            }
-            // Fire before the write lock: an injected failure leaves the
-            // shard untouched, so the rescheduled attempt merges cleanly.
-            fp.check(FailSite::StoreAppend, "merge")?;
-            let out = shard.store.write().merge_apply(deltas)?;
-            shard.bump_version();
-            Ok(out)
-        }
-        let rec = self.recorder();
-        if !self.config.parallel {
-            return self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(p, shard)| {
-                    let t = Instant::now();
-                    let out = merge_one(&self.failpoints, shard, deltas_of(p)?)?;
-                    emit_store_op(
-                        &rec,
-                        StoreOpKind::Merge,
-                        p,
-                        t.elapsed().as_nanos() as u64,
-                        0,
-                    );
-                    Ok(out)
-                })
-                .collect();
-        }
-        let deltas_of = &deltas_of;
-        let fp = &self.failpoints;
-        let rec = &rec;
-        let tasks: Vec<TaskSpec<'_, Vec<(Vec<u8>, MergeOutcome)>>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(p, shard)| {
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::StoreMerge,
-                        index: p,
-                        iteration,
-                    },
-                    p % self.pool.n_workers(),
-                    move |_| {
-                        let t = Instant::now();
-                        let out = merge_one(fp, shard, deltas_of(p)?)?;
-                        emit_store_op(rec, StoreOpKind::Merge, p, t.elapsed().as_nanos() as u64, 0);
-                        Ok(out)
-                    },
-                )
-            })
-            .collect();
-        self.pool.run_tasks(tasks)
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.merge_apply_touched(iteration, &all, deltas_of)
     }
 
-    /// Workset-scoped point merges: merge delta MRBGraphs into exactly the
-    /// `touched` shards, one [`TaskKind::StoreMerge`] task per *touched*
-    /// partition (inline loop on the serial plane) — untouched shards get
-    /// no task, no lock traffic, and no index rewrite. Index persistence
-    /// is deferred ([`MrbgStore::merge_apply_deferred`]): merged shards
-    /// are flagged dirty and their index files rewritten once, at
-    /// [`StoreManager::flush_indexes`] / [`StoreManager::settle_into`],
-    /// instead of per iteration. Overlapped background compactions are
-    /// fenced first, exactly like [`StoreManager::merge_apply_all`].
+    /// Merge delta MRBGraphs into exactly the `touched` shards, one
+    /// [`TaskKind::StoreMerge`] task per *touched* partition (inline loop
+    /// on the serial plane) — untouched shards get no task and no lock
+    /// traffic. `deltas_of(p)` builds partition `p`'s delta chunks; it may
+    /// be re-invoked on retry and must be idempotent.
+    ///
+    /// The commit is deferred ([`MrbgStore::merge_apply_deferred`]): the
+    /// merged frames reach the page cache, the in-memory index is current
+    /// and every read sees the merge, but nothing is fsynced and no index
+    /// file is rewritten until [`StoreManager::flush_indexes`] /
+    /// [`StoreManager::settle_into`] commits the dirty shards — once per
+    /// refresh instead of once per iteration. A caller that hands the
+    /// merged plane back to user code without a settle must call
+    /// `flush_indexes` itself. Overlapped background compactions are
+    /// fenced first, so every merge observes fully reconstructed shards.
     ///
     /// Returns one `(key, outcome)` list per shard (empty for untouched
-    /// partitions), indexed by partition like `merge_apply_all`'s.
+    /// partitions), indexed by partition.
     pub fn merge_apply_touched<F>(
         &self,
         iteration: u64,
@@ -595,47 +537,41 @@ impl StoreManager {
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
         self.fence_compactions()?;
-        fn merge_one(
-            fp: &FailpointRegistry,
-            shard: &Shard,
-            deltas: Vec<DeltaChunk>,
-        ) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
-            if deltas.is_empty() {
-                return Ok(Vec::new());
+        let rec = self.recorder();
+        let merge_one = |p: usize| -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
+            let t = Instant::now();
+            let deltas = deltas_of(p)?;
+            let mut out = Vec::new();
+            if !deltas.is_empty() {
+                // Fire before the write lock: an injected failure leaves
+                // the shard untouched (and clean), so the rescheduled
+                // attempt merges cleanly.
+                self.failpoints.check(FailSite::StoreAppend, "merge")?;
+                let shard = &self.shards[p];
+                out = shard.store.write().merge_apply_deferred(deltas)?;
+                shard.bump_version();
             }
-            // Fire before the write lock (see merge_apply_all): a failed
-            // attempt must not half-apply, and in particular must not set
-            // the dirty flag without the in-memory index update it covers.
-            fp.check(FailSite::StoreAppend, "merge-touched")?;
-            let out = shard.store.write().merge_apply_deferred(deltas)?;
-            shard.index_dirty.store(true, Ordering::Release);
-            shard.bump_version();
+            emit_store_op(
+                &rec,
+                StoreOpKind::Merge,
+                p,
+                t.elapsed().as_nanos() as u64,
+                0,
+            );
             Ok(out)
-        }
+        };
         let mut out: Vec<Vec<(Vec<u8>, MergeOutcome)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let rec = self.recorder();
         if !self.config.parallel {
             for &p in touched {
-                let t = Instant::now();
-                out[p] = merge_one(&self.failpoints, &self.shards[p], deltas_of(p)?)?;
-                emit_store_op(
-                    &rec,
-                    StoreOpKind::Merge,
-                    p,
-                    t.elapsed().as_nanos() as u64,
-                    0,
-                );
+                out[p] = merge_one(p)?;
             }
             return Ok(out);
         }
-        let deltas_of = &deltas_of;
-        let fp = &self.failpoints;
-        let rec = &rec;
-        let tasks: Vec<TaskSpec<'_, (usize, Vec<(Vec<u8>, MergeOutcome)>)>> = touched
+        let merge_one = &merge_one;
+        let tasks: Vec<TaskSpec<'_, Vec<(Vec<u8>, MergeOutcome)>>> = touched
             .iter()
             .map(|&p| {
-                let shard = &self.shards[p];
                 TaskSpec::pinned(
                     TaskId {
                         kind: TaskKind::StoreMerge,
@@ -643,29 +579,26 @@ impl StoreManager {
                         iteration,
                     },
                     p % self.pool.n_workers(),
-                    move |_| {
-                        let t = Instant::now();
-                        let merged = merge_one(fp, shard, deltas_of(p)?)?;
-                        emit_store_op(rec, StoreOpKind::Merge, p, t.elapsed().as_nanos() as u64, 0);
-                        Ok((p, merged))
-                    },
+                    move |_| merge_one(p),
                 )
             })
             .collect();
-        for (p, merged) in self.pool.run_tasks(tasks)? {
+        for (&p, merged) in touched.iter().zip(self.pool.run_tasks(tasks)?) {
             out[p] = merged;
         }
         Ok(out)
     }
 
-    /// Rewrite the index file of every shard a deferred point merge left
-    /// dirty (once per shard, not once per iteration). Engines running
-    /// point merges call this before returning; it is also folded into
-    /// [`StoreManager::settle_into`] so no settle path can leave a stale
-    /// index file behind.
+    /// Commit every dirty shard ([`MrbgStore::persist_index`]: data
+    /// `sync_all`, then index temp file + `sync_all` + rename) — once per
+    /// shard however many deferred merges it absorbed. Folded into
+    /// [`StoreManager::settle_into`], so no settle path can leave an
+    /// uncommitted shard behind; engines that return a merged plane
+    /// without settling call it before returning. Clean shards are not
+    /// locked for writing.
     pub fn flush_indexes(&self) -> Result<()> {
         for shard in &self.shards {
-            if shard.index_dirty.swap(false, Ordering::AcqRel) {
+            if shard.store.read().is_dirty() {
                 shard.store.write().persist_index()?;
             }
         }
@@ -861,10 +794,10 @@ impl StoreManager {
         }
     }
 
-    /// End-of-run settle: fence outstanding background compactions, then
-    /// fold the plane's trailing counters into `metrics`. The one
-    /// settle discipline every engine shares — change it here, not per
-    /// engine.
+    /// End-of-run settle: fence outstanding background compactions,
+    /// commit every dirty shard, then fold the plane's trailing counters
+    /// into `metrics`. The one settle discipline every engine shares —
+    /// change it here, not per engine.
     pub fn settle_into(&self, metrics: &mut JobMetrics) -> Result<()> {
         self.fence_compactions()?;
         self.flush_indexes()?;
@@ -1010,6 +943,7 @@ impl StoreManager {
                     writes: delta.writes,
                     bytes_written: delta.bytes_written,
                     scratch_reuses: delta.scratch_reuses,
+                    syncs: delta.syncs,
                 });
             }
         }
@@ -1037,8 +971,13 @@ impl Drop for StoreManager {
     /// point has no caller left to report to — callers that must observe
     /// it call [`StoreManager::fence_compactions`] before dropping; the
     /// work itself is never lost either way (executor shutdown drains).
+    /// Then commits whatever deferred merges are still uncommitted, so a
+    /// manager that goes away without a settle (an error return, a test)
+    /// still leaves the state it held on disk; callers that must observe
+    /// a commit error call [`StoreManager::flush_indexes`] themselves.
     fn drop(&mut self) {
         let _ = self.fence_compactions();
+        let _ = self.flush_indexes();
     }
 }
 
@@ -1127,9 +1066,8 @@ mod tests {
 
     #[test]
     fn touched_merge_matches_full_merge_byte_for_byte() {
-        // The workset path (touched shards only, deferred index persist)
-        // must leave every shard byte-identical to the full-fanout eager
-        // path, on both planes.
+        // The workset path (touched shards only) must leave every shard
+        // byte-identical to the full-fanout path, on both planes.
         let pool = WorkerPool::new(2);
         let full =
             StoreManager::create(&pool, scratch("full"), N, StoreRuntimeConfig::default()).unwrap();
@@ -1182,6 +1120,67 @@ mod tests {
         let mgr = StoreManager::open(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
         assert_eq!(
             mgr.get(0, b"k0-3").unwrap().unwrap().entries[0].value,
+            b"v1"
+        );
+    }
+
+    #[test]
+    fn group_commit_is_two_syncs_per_dirty_shard() {
+        let pool = WorkerPool::new(2);
+        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
+            let dir = scratch("group-commit");
+            let mgr = StoreManager::create(&pool, &dir, N, config).unwrap();
+            seed(&mgr);
+            mgr.reset_io_stats();
+            // Three "iterations" of merges over shards 0 and 2: nothing is
+            // synced, however many merges a shard absorbs.
+            for round in 1..=3u64 {
+                mgr.merge_apply_all(round, churn(0, round)).unwrap();
+                mgr.merge_apply_touched(round, &[2], churn(2, round))
+                    .unwrap();
+            }
+            assert_eq!(mgr.io_stats().syncs, 0);
+            // A second manager on the same directory is the last commit.
+            let stale = StoreManager::open(&pool, &dir, N, config).unwrap();
+            assert_eq!(
+                stale.get(0, b"k0-3").unwrap().unwrap().entries[0].value,
+                b"v0"
+            );
+            drop(stale);
+            // One commit: data + index sync for each of the two dirty
+            // shards, none for the clean ones; a second flush is free.
+            mgr.flush_indexes().unwrap();
+            assert_eq!(mgr.io_stats().syncs, 4);
+            mgr.flush_indexes().unwrap();
+            assert_eq!(mgr.io_stats().syncs, 4);
+            let fresh = StoreManager::open(&pool, &dir, N, config).unwrap();
+            for p in [0, 2] {
+                assert_eq!(
+                    fresh
+                        .get(p, format!("k{p}-3").as_bytes())
+                        .unwrap()
+                        .unwrap()
+                        .entries[0]
+                        .value,
+                    b"v3"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_the_manager_commits_dirty_shards() {
+        let pool = WorkerPool::new(2);
+        let dir = scratch("drop-commit");
+        {
+            let mgr = StoreManager::create(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
+            seed(&mgr);
+            mgr.merge_apply_all(1, churn(1, 1)).unwrap();
+            // No settle, no flush: an error return or a test going away.
+        }
+        let mgr = StoreManager::open(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
+        assert_eq!(
+            mgr.get(1, b"k1-3").unwrap().unwrap().entries[0].value,
             b"v1"
         );
     }

@@ -17,27 +17,56 @@
 //! the engine's typed key ordering. (`merge_apply` sorts its input
 //! defensively, so engines may pass deltas in any order.)
 //!
-//! # Crash consistency
+//! # Crash consistency: commit points
 //!
-//! Every chunk is written as a checksummed *frame*
-//! ([`crate::format::encode_framed`]), each batch is fsynced before the
-//! index that references it is persisted ([`AppendBuffer::flush_durable`],
-//! then [`MrbgStore::persist_index`] which fsyncs its temp file before the
-//! atomic rename), and [`MrbgStore::open`] walks the file tail past the
-//! last indexed byte: intact unindexed frames (a deferred merge whose
-//! index flush never happened) are preserved, while a torn frame — a
-//! crash mid-append — is truncated away and counted as salvage
-//! ([`MrbgStore::take_salvaged_bytes`]). The sync ordering makes the
-//! indexed region trustworthy; the frame checksums make any remaining
-//! corruption *detectable* on read, so the runtime layer can quarantine
-//! and rebuild the shard instead of computing on garbage.
+//! The store has one durability protocol. A **commit**
+//! ([`MrbgStore::persist_index`]) makes the in-memory state the on-disk
+//! state in two ordered steps: `sync_all` the data file, then write the
+//! index to a temp file, `sync_all` it and rename it over the index file.
+//! It is the only place either file is synced, which is what enforces the
+//! invariant *an index file never references bytes that were not fsynced
+//! before it*. [`MrbgStore::append_batch`], the eager
+//! [`MrbgStore::merge_apply`] and [`MrbgStore::compact`] end in a commit;
+//! [`MrbgStore::merge_apply_deferred`] does not — it hands its frames to
+//! the page cache, updates the in-memory index, marks the store
+//! [dirty](MrbgStore::is_dirty) and leaves the commit to the caller (the
+//! runtime commits once per refresh, at settle, instead of once per
+//! iteration).
+//!
+//! What is durable when: exactly the state of the last commit. A crash
+//! between commits leaves the last committed index file plus a data file
+//! whose tail, past the last indexed byte, is whatever the kernel got
+//! around to writing. [`MrbgStore::open`] walks that tail frame by frame
+//! ([`crate::format::valid_frame_prefix`]): intact frames are kept (they
+//! are unreferenced, so harmless, and the next compaction drops them), the
+//! first torn or corrupt frame and everything after it is truncated away
+//! and counted ([`MrbgStore::take_salvaged_bytes`]). Either way the
+//! reopened store *is* the last commit — deferred merges since then are
+//! gone. (The engines commit at refresh boundaries, the only point they
+//! could resume from anyway: their iterating state lives in memory, and a
+//! mid-refresh resume goes through their own checkpoints.) Every chunk
+//! is a checksummed *frame* ([`crate::format::encode_framed`]) verified on
+//! every read, so corruption inside the committed region is *detectable*
+//! and the runtime can quarantine and rebuild the shard instead of
+//! computing on garbage.
+//!
+//! Compaction is a commit of its own because it *replaces* the data file:
+//! the reconstruction is written to a temp file and synced, renamed over
+//! the data file, and then the re-pointed index is committed. It never
+//! needs the old file synced (every byte it keeps was just rewritten and
+//! synced), so compacting a dirty store commits it. The two renames are
+//! not atomic together: a crash between them leaves the old index over the
+//! new file, which the frame checksums turn into detected corruption
+//! (quarantine and rebuild), never into wrong data.
+//! [`MrbgStore::import`] is *not* a commit — it restores from a
+//! checkpoint, which stays the durable copy.
 
 use crate::append::{AppendBuffer, DEFAULT_APPEND_CAPACITY};
 use crate::compact::CompactionStats;
-use crate::format::{decode_framed, encode_framed, valid_frame_prefix, Chunk};
+use crate::format::{decode_framed, encode_framed, valid_frame_prefix, verify_frame, Chunk};
 use crate::index::{BatchInfo, ChunkIndex, ChunkLoc};
 use crate::merge::{apply_delta_owned, DeltaChunk, MergeOutcome};
-use crate::query::{QueryPass, QueryStrategy};
+use crate::query::{FramePass, QueryPass, QueryStrategy};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
 use std::fs::File;
@@ -85,6 +114,11 @@ pub struct MrbgStore {
     /// Torn-tail bytes truncated by crash salvage on open; drained into
     /// [`i2mr_common::metrics::JobMetrics::salvaged_bytes`] by the runtime.
     salvaged: u64,
+    /// The data file holds appended bytes no `sync_all` has covered yet.
+    data_unsynced: bool,
+    /// The in-memory index is ahead of the index file: the store is
+    /// *dirty* until the next commit.
+    index_stale: bool,
 }
 
 /// A detached read handle for the split read path.
@@ -129,12 +163,7 @@ impl Iterator for ChunksIter<'_> {
     type Item = Result<Chunk>;
 
     fn next(&mut self) -> Option<Result<Chunk>> {
-        let key = self.pass.next_key()?.to_vec();
-        match self.pass.get(&key) {
-            Ok(Some(chunk)) => Some(Ok(chunk)),
-            Ok(None) => Some(Err(Error::corrupt("indexed chunk disappeared"))),
-            Err(e) => Some(Err(e)),
-        }
+        self.pass.next_chunk()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -162,7 +191,7 @@ impl MrbgStore {
             .write(true)
             .truncate(true)
             .open(Self::data_path(&dir))?;
-        let store = MrbgStore {
+        let mut store = MrbgStore {
             dir,
             file,
             file_len: 0,
@@ -172,6 +201,8 @@ impl MrbgStore {
             read_scratch: Vec::new(),
             generation: 0,
             salvaged: 0,
+            data_unsynced: false,
+            index_stale: true,
         };
         store.persist_index()?;
         Ok(store)
@@ -180,13 +211,14 @@ impl MrbgStore {
     /// Open an existing store, preloading its index file into memory
     /// (paper §3.4: the index is preloaded before Reduce computation).
     ///
-    /// Crash salvage: any bytes past the last indexed batch are walked
-    /// frame by frame. Intact frames are kept — they are durable appends a
-    /// deferred index flush has not described yet, and a later
-    /// [`MrbgStore::persist_index`] may still reference them. The first
+    /// Crash salvage: any bytes past the last indexed batch — appends no
+    /// commit described — are walked frame by frame. Intact frames are
+    /// kept (unreferenced, so harmless; a still-running writer of the same
+    /// directory may yet commit an index that references them). The first
     /// torn or corrupt frame and everything after it is truncated away;
     /// the discarded byte count is reported by
-    /// [`MrbgStore::take_salvaged_bytes`].
+    /// [`MrbgStore::take_salvaged_bytes`]. The result is the state of the
+    /// last commit.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let mut file = File::options()
@@ -199,6 +231,7 @@ impl MrbgStore {
         let index = ChunkIndex::from_bytes(&index_bytes)?;
         let indexed_end = index.batches().iter().map(|b| b.end).max().unwrap_or(0);
         let mut salvaged = 0;
+        let mut io = IoStats::default();
         if file_len > indexed_end {
             let mut tail = vec![0u8; (file_len - indexed_end) as usize];
             file.seek(SeekFrom::Start(indexed_end))?;
@@ -208,6 +241,7 @@ impl MrbgStore {
                 salvaged = tail.len() as u64 - keep;
                 file.set_len(indexed_end + keep)?;
                 file.sync_all()?;
+                io.record_sync();
                 file_len = indexed_end + keep;
             }
         }
@@ -217,10 +251,12 @@ impl MrbgStore {
             file_len,
             index,
             config,
-            io: IoStats::default(),
+            io,
             read_scratch: Vec::new(),
             generation: 0,
             salvaged,
+            data_unsynced: false,
+            index_stale: false,
         })
     }
 
@@ -274,26 +310,44 @@ impl MrbgStore {
         self.io = IoStats::default();
     }
 
-    /// Persist the in-memory index to the index file (atomic rename). The
-    /// temp file is fsynced before the rename: a crash can leave the old
-    /// index or the new one, never a torn one — and because every batch is
-    /// fsynced before its index entries land here, an index on disk never
-    /// references data the kernel might not have written.
-    pub fn persist_index(&self) -> Result<()> {
+    /// True when the in-memory state is ahead of the last commit (a
+    /// deferred merge has run since). Reads are unaffected — every read
+    /// path consults only the in-memory index; only a reopen would observe
+    /// the older committed state.
+    pub fn is_dirty(&self) -> bool {
+        self.index_stale
+    }
+
+    /// **Commit**: make the in-memory state the durable state (see the
+    /// module docs). Data first — `sync_all` the data file if it holds
+    /// unsynced appends — then the index: temp file, `sync_all`, atomic
+    /// rename. A crash can leave the old index or the new one, never a
+    /// torn one, and because this is the only place an index file is
+    /// written, an index on disk never references data the kernel might
+    /// not have written. Each flag is cleared only once its step
+    /// succeeded, so a failed commit can simply be retried.
+    pub fn persist_index(&mut self) -> Result<()> {
+        if self.data_unsynced {
+            self.file.sync_all()?;
+            self.io.record_sync();
+            self.data_unsynced = false;
+        }
         let tmp = Self::index_path(&self.dir).with_extension("tmp");
         {
             let mut f = File::create(&tmp)?;
             std::io::Write::write_all(&mut f, &self.index.to_bytes())?;
             f.sync_all()?;
+            self.io.record_sync();
         }
         std::fs::rename(&tmp, Self::index_path(&self.dir))?;
+        self.index_stale = false;
         Ok(())
     }
 
     /// Append `chunks` as one new batch (initial MRBGraph preservation).
     ///
     /// Chunks are written in canonical (lexicographic key) order; the index
-    /// is updated and persisted.
+    /// is updated and the batch committed.
     pub fn append_batch(&mut self, mut chunks: Vec<Chunk>) -> Result<()> {
         chunks.sort_by(|a, b| a.key.cmp(&b.key));
         // Canonical batch order (paper §3.4): one chunk per Reduce
@@ -324,7 +378,9 @@ impl MrbgStore {
                 },
             ));
         }
-        append.flush_durable(&mut self.file, &mut self.io)?;
+        append.flush(&mut self.file, &mut self.io)?;
+        self.data_unsynced = true;
+        self.index_stale = true;
         self.file_len = append.next_offset();
         self.index.push_batch(BatchInfo {
             start,
@@ -333,8 +389,7 @@ impl MrbgStore {
         for (key, loc) in locs {
             self.index.put(key, loc);
         }
-        self.persist_index()?;
-        Ok(())
+        self.persist_index()
     }
 
     /// Merge a delta MRBGraph into the store (paper §3.3–3.4).
@@ -343,30 +398,27 @@ impl MrbgStore {
     /// configured strategy, apply deletions then insertions, and append the
     /// up-to-date chunk to a new batch. Returns `(key, outcome)` pairs in
     /// canonical key order — the outcomes carry the merged Reduce inputs.
+    /// Eager: the merge is committed before this returns.
     pub fn merge_apply(&mut self, deltas: Vec<DeltaChunk>) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
-        self.merge_apply_inner(deltas, true)
+        let outcomes = self.merge_apply_deferred(deltas)?;
+        self.persist_index()?;
+        Ok(outcomes)
     }
 
-    /// [`MrbgStore::merge_apply`] with index persistence deferred.
+    /// [`MrbgStore::merge_apply`] with the commit deferred.
     ///
-    /// The in-memory index is fully updated but the index *file* is not
-    /// rewritten — correct for every read path (`get`, `get_with`,
-    /// `chunks_iter`, `export` all consult only the in-memory index); only
-    /// a reopen would observe the stale file. Point-merge-heavy engines
-    /// (delta iteration) call this per iteration and flush once at settle
-    /// via [`MrbgStore::persist_index`], turning an O(all keys) index
-    /// rewrite per touched shard per iteration into one per run.
+    /// The appended frames go to the page cache without a `sync_all`, the
+    /// in-memory index is fully updated, and the store is marked
+    /// [dirty](MrbgStore::is_dirty) — correct for every read path (`get`,
+    /// `get_with`, `chunks_iter`, `export` all consult only the in-memory
+    /// index and read through the page cache); only a reopen would observe
+    /// the last committed state instead. The iterative engines call this
+    /// per iteration and commit once at settle via
+    /// [`MrbgStore::persist_index`], turning two fsyncs and an O(all keys)
+    /// index rewrite per shard per iteration into one commit per refresh.
     pub fn merge_apply_deferred(
         &mut self,
-        deltas: Vec<DeltaChunk>,
-    ) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
-        self.merge_apply_inner(deltas, false)
-    }
-
-    fn merge_apply_inner(
-        &mut self,
         mut deltas: Vec<DeltaChunk>,
-        persist: bool,
     ) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
         deltas.sort_by(|a, b| a.key.cmp(&b.key));
 
@@ -417,10 +469,11 @@ impl MrbgStore {
                 MergeOutcome::Removed => index_updates.push((key.clone(), None)),
             }
         }
-        // Durable even when index persistence is deferred: the deferred
-        // path's safety depends on data always being sync-ordered *before*
-        // any index file that could reference it.
-        append.flush_durable(&mut self.file, &mut self.io)?;
+        // Page cache only: the next commit syncs these bytes before it
+        // writes the index that references them.
+        append.flush(&mut self.file, &mut self.io)?;
+        self.data_unsynced = true;
+        self.index_stale = true;
         self.file_len = append.next_offset();
         self.index.push_batch(BatchInfo {
             start,
@@ -433,9 +486,6 @@ impl MrbgStore {
                     self.index.remove(&key);
                 }
             }
-        }
-        if persist {
-            self.persist_index()?;
         }
         Ok(outcomes)
     }
@@ -554,10 +604,16 @@ impl MrbgStore {
     }
 
     /// Offline reconstruction: rewrite live chunks as a single batch,
-    /// dropping every obsolete version (paper §3.4).
+    /// dropping every obsolete version (paper §3.4). A commit of its own —
+    /// see the module docs.
     ///
-    /// Streams chunk-by-chunk from a windowed read pass into the temp
-    /// file — the live set is never materialized in memory.
+    /// Copy-only: live frames stream out of a windowed read pass in
+    /// canonical key order and are appended to the temp file *verbatim*.
+    /// Frames are deterministic, so the result is byte-identical to
+    /// decoding and re-encoding every chunk, without materialising any.
+    /// Each frame's checksum and key are verified on the raw bytes first:
+    /// a corrupt live frame fails the compaction (leaving the original
+    /// file and index in place) and is never laundered into the new file.
     pub fn compact(&mut self) -> Result<CompactionStats> {
         let before_bytes = self.file_len;
         let batches_before = self.index.batches().len() as u32;
@@ -573,29 +629,29 @@ impl MrbgStore {
             .open(&tmp_path)?;
         let mut write_io = IoStats::default();
         let mut append = AppendBuffer::new(self.config.append_capacity, 0);
-        let mut buf = Vec::with_capacity(4096);
-        let mut entries = Vec::with_capacity(self.index.len());
+        let mut live = self.index.sorted_mut();
         {
-            let mut iter = self.chunks_iter();
-            while let Some(chunk) = iter.next().transpose()? {
-                buf.clear();
-                encode_framed(&chunk, &mut buf);
-                let offset = append.append(&buf, &mut tmp, &mut write_io)?;
-                entries.push((
-                    chunk.key,
-                    ChunkLoc {
-                        offset,
-                        len: buf.len() as u32,
-                        batch: 0,
-                    },
-                ));
+            let mut pass = FramePass::new(
+                &mut self.file,
+                self.file_len,
+                &mut self.io,
+                self.config.strategy,
+                self.config.cache_capacity,
+                live.iter().map(|(_, loc)| Some(**loc)).collect(),
+            );
+            for (key, _) in &live {
+                let frame = pass
+                    .next_frame()?
+                    .ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?;
+                verify_frame(frame, key)?;
+                append.append(frame, &mut tmp, &mut write_io)?;
             }
         }
         // Fsync the reconstruction before the rename makes it visible.
         append.flush_durable(&mut tmp, &mut write_io)?;
         self.io += write_io;
         let after_bytes = append.next_offset();
-        let live_chunks = entries.len() as u64;
+        let live_chunks = live.len() as u64;
         drop(tmp);
         std::fs::rename(&tmp_path, Self::data_path(&self.dir))?;
 
@@ -605,13 +661,21 @@ impl MrbgStore {
             .open(Self::data_path(&self.dir))?;
         self.file_len = after_bytes;
         self.generation += 1;
-        self.index.reset(
-            entries,
-            vec![BatchInfo {
-                start: 0,
-                end: after_bytes,
-            }],
-        );
+        // Every byte of the new file is synced; only the index is behind.
+        self.data_unsynced = false;
+        self.index_stale = true;
+        // Re-point the live keys at their new consecutive positions.
+        let mut offset = 0;
+        for (_, loc) in &mut live {
+            loc.offset = offset;
+            loc.batch = 0;
+            offset += loc.len as u64;
+        }
+        drop(live);
+        self.index.set_batches(vec![BatchInfo {
+            start: 0,
+            end: after_bytes,
+        }]);
         self.persist_index()?;
         Ok(CompactionStats {
             before_bytes,
@@ -884,10 +948,12 @@ mod tests {
     }
 
     #[test]
-    fn deferred_merge_defers_only_the_index_file() {
+    fn deferred_merge_is_committed_by_persist_index() {
         let dir = tmpdir("deferred");
         let mut s = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
         s.append_batch(vec![chunk("a", &[(1, "v0")])]).unwrap();
+        assert!(!s.is_dirty(), "append_batch ends in a commit");
+        let syncs_before = s.io_stats().syncs;
         s.merge_apply_deferred(vec![DeltaChunk {
             key: b"a".to_vec(),
             entries: vec![
@@ -896,6 +962,12 @@ mod tests {
             ],
         }])
         .unwrap();
+        assert!(s.is_dirty());
+        assert_eq!(
+            s.io_stats().syncs,
+            syncs_before,
+            "a deferred merge syncs nothing"
+        );
         // Every in-memory read path sees the merge immediately.
         assert_eq!(s.get(b"a").unwrap().unwrap().entries[0].value, b"v1");
         let mut r = s.reader().unwrap();
@@ -903,17 +975,138 @@ mod tests {
             s.get_with(&mut r, b"a").unwrap().unwrap().entries[0].value,
             b"v1"
         );
-        // But the index *file* still describes the pre-merge store: a
-        // reopen at this point reads the stale location.
+        // But the index *file* still describes the last commit: a reopen
+        // at this point is the pre-merge store.
         let mut stale = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(stale.get(b"a").unwrap().unwrap().entries[0].value, b"v0");
-        // Flushing the index makes the merge durable for reopen.
+        // The commit — data sync, then index sync — makes the merge
+        // durable for reopen.
         s.persist_index().unwrap();
+        assert!(!s.is_dirty());
+        assert_eq!(
+            s.io_stats().syncs,
+            syncs_before + 2,
+            "one commit, two syncs"
+        );
         let mut fresh = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(fresh.get(b"a").unwrap().unwrap().entries[0].value, b"v1");
         // And the deferred path produced the same live content the eager
         // path would have.
         assert_eq!(s.export().unwrap(), fresh.export().unwrap());
+    }
+
+    #[test]
+    fn eager_merge_and_compaction_are_commits() {
+        let dir = tmpdir("commits");
+        let mut s = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
+        s.append_batch(vec![chunk("a", &[(1, "v0")]), chunk("b", &[(1, "v0")])])
+            .unwrap();
+        let upsert = |v: &str| {
+            vec![DeltaChunk {
+                key: b"a".to_vec(),
+                entries: vec![DeltaEntry::Insert(MapKey(1), v.as_bytes().to_vec())],
+            }]
+        };
+        let before = s.io_stats().syncs;
+        s.merge_apply(upsert("v1")).unwrap();
+        assert!(!s.is_dirty());
+        assert_eq!(s.io_stats().syncs, before + 2);
+        // Compacting a dirty store commits it: two syncs (reconstructed
+        // file, index), never a third for the file it replaces.
+        s.merge_apply_deferred(upsert("v2")).unwrap();
+        let before = s.io_stats().syncs;
+        s.compact().unwrap();
+        assert!(!s.is_dirty());
+        assert_eq!(s.io_stats().syncs, before + 2);
+        let mut reopened = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
+        assert_eq!(reopened.get(b"a").unwrap().unwrap().entries[0].value, b"v2");
+        assert_eq!(reopened.n_batches(), 1);
+    }
+
+    /// A store with garbage: an initial batch of 40 chunks, then two
+    /// merges that each rewrite a third of them and remove one.
+    fn churned(dir: &Path) -> MrbgStore {
+        let mut s = MrbgStore::create(dir, StoreConfig::default()).unwrap();
+        let all: Vec<Chunk> = (0..40)
+            .map(|i| chunk(&format!("k{i:02}"), &[(1, "v0"), (2, "padding-padding")]))
+            .collect();
+        s.append_batch(all).unwrap();
+        for round in 1..=2u32 {
+            let mut deltas: Vec<DeltaChunk> = (0..40)
+                .filter(|i| i % 3 == round as usize)
+                .map(|i| DeltaChunk {
+                    key: format!("k{i:02}").into_bytes(),
+                    entries: vec![DeltaEntry::Insert(
+                        MapKey(1),
+                        format!("v{round}").into_bytes(),
+                    )],
+                })
+                .collect();
+            deltas.push(DeltaChunk {
+                key: format!("k{:02}", 30 + 3 * round).into_bytes(),
+                entries: vec![DeltaEntry::Delete(MapKey(1)), DeltaEntry::Delete(MapKey(2))],
+            });
+            s.merge_apply(deltas).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn copy_only_compaction_is_byte_identical_to_a_fresh_store() {
+        let dir = tmpdir("copy-compact");
+        let mut s = churned(&dir);
+        let live = s.all_chunks().unwrap();
+        let stats = s.compact().unwrap();
+        assert_eq!(stats.live_chunks as usize, live.len());
+        assert!(stats.reclaimed() > 0);
+        assert_eq!(s.live_bytes(), s.file_len(), "nothing but live frames");
+
+        // The reference: a fresh store preserving the same chunks in one
+        // batch — what decode + re-encode compaction used to produce.
+        let fresh_dir = tmpdir("copy-compact-fresh");
+        let mut fresh = MrbgStore::create(&fresh_dir, StoreConfig::default()).unwrap();
+        fresh.append_batch(live.clone()).unwrap();
+        for name in ["mrbg.data", "mrbg.index"] {
+            assert_eq!(
+                std::fs::read(dir.join(name)).unwrap(),
+                std::fs::read(fresh_dir.join(name)).unwrap(),
+                "{name} differs from the fresh store's"
+            );
+        }
+        // The in-memory index was patched in place to the same state.
+        assert_eq!(s.all_chunks().unwrap(), live);
+        assert_eq!(s.export().unwrap(), fresh.export().unwrap());
+    }
+
+    #[test]
+    fn compaction_refuses_to_launder_a_corrupt_live_frame() {
+        let dir = tmpdir("compact-corrupt");
+        let mut s = churned(&dir);
+        let data = MrbgStore::data_path(&dir);
+        let index = MrbgStore::index_path(&dir);
+        let loc = s.index.get(b"k07").unwrap();
+        {
+            let mut f = File::options().read(true).write(true).open(&data).unwrap();
+            let at = loc.offset + loc.len as u64 / 2;
+            f.seek(SeekFrom::Start(at)).unwrap();
+            let mut b = [0u8; 1];
+            f.read_exact(&mut b).unwrap();
+            f.seek(SeekFrom::Start(at)).unwrap();
+            std::io::Write::write_all(&mut f, &[b[0] ^ 0x01]).unwrap();
+        }
+        let data_before = std::fs::read(&data).unwrap();
+        let index_before = std::fs::read(&index).unwrap();
+        let (len_before, batches_before) = (s.file_len(), s.n_batches());
+
+        let err = s.compact().unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
+        // The original file and index are still in place, on disk and in
+        // memory: every other chunk still reads, the bad one still fails.
+        assert_eq!(std::fs::read(&data).unwrap(), data_before);
+        assert_eq!(std::fs::read(&index).unwrap(), index_before);
+        assert_eq!((s.file_len(), s.n_batches()), (len_before, batches_before));
+        assert_eq!(s.get(b"k08").unwrap().unwrap().entries[0].value, b"v2");
+        assert!(s.get(b"k07").is_err());
     }
 
     #[test]
@@ -949,10 +1142,10 @@ mod tests {
 
     #[test]
     fn salvage_preserves_intact_unindexed_frames() {
-        // A crash after a deferred merge's data fsync but before its index
-        // flush leaves valid frames past the indexed end. Open must keep
-        // them byte-for-byte: a recovered in-memory index may still
-        // reference them (deferred-persist contract).
+        // A deferred merge whose frames all reached the file, but whose
+        // commit never ran, leaves valid frames past the indexed end. Open
+        // must keep them byte-for-byte: a writer still holding the store
+        // may yet commit an index that references them.
         let dir = tmpdir("keepvalid");
         let mut s = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
         s.append_batch(vec![chunk("a", &[(1, "v0")])]).unwrap();
@@ -975,8 +1168,8 @@ mod tests {
                 .len(),
             full
         );
-        // Persisting the original's index afterwards makes the deferred
-        // merge fully durable, exactly as before.
+        // Committing the original afterwards makes the deferred merge
+        // fully durable, exactly as before.
         s.persist_index().unwrap();
         let mut fresh = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
         assert_eq!(fresh.get(b"a").unwrap().unwrap().entries[0].value, b"v1");

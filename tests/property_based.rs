@@ -3,6 +3,10 @@
 //! * **Store model-checking**: an `MrbgStore` driven by arbitrary
 //!   insert/delete/update/compact sequences behaves exactly like an
 //!   in-memory `HashMap<key, BTreeMap<mk, value>>` model.
+//! * **Commit protocol**: under arbitrary sequences of deferred merges,
+//!   commits, appends, compactions and crashes (drop without commit, with
+//!   or without a torn tail), a reopened store is exactly the model at the
+//!   last commit.
 //! * **Incremental ≡ recompute**: for arbitrary datasets and arbitrary
 //!   valid deltas, the one-step incremental engine's refreshed output
 //!   equals a from-scratch re-computation.
@@ -13,7 +17,10 @@
 use i2mapreduce::common::codec::{decode_exact, encode_to};
 use i2mapreduce::common::hash::MapKey;
 use i2mapreduce::prelude::*;
-use i2mapreduce::store::{Chunk, ChunkEntry, MrbgStore};
+use i2mapreduce::store::{
+    BatchInfo, Chunk, ChunkEntry, ChunkIndex, ChunkLoc, DeltaChunk, DeltaEntry, MergeOutcome,
+    MrbgStore, FRAME_OVERHEAD,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -53,59 +60,122 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
     ]
 }
 
+/// The reference model: live key → (MK → value).
+type Model = HashMap<Vec<u8>, BTreeMap<u128, Vec<u8>>>;
+/// One merge batch's edge changes, per distinct key.
+type KeyedChanges = BTreeMap<Vec<u8>, Vec<(u8, Option<u8>)>>;
+
+/// Turn generated per-key edge changes into one merge batch, collapsing
+/// duplicate keys (the engine's shuffle grouping guarantees distinct keys).
+fn merge_deltas(groups: Vec<(u8, Vec<(u8, Option<u8>)>)>) -> (Vec<DeltaChunk>, KeyedChanges) {
+    let mut by_key = KeyedChanges::new();
+    for (k, entries) in groups {
+        by_key.entry(vec![k]).or_default().extend(entries);
+    }
+    let deltas = by_key
+        .iter()
+        .map(|(key, entries)| DeltaChunk {
+            key: key.clone(),
+            entries: entries
+                .iter()
+                .map(|(mk, v)| match v {
+                    Some(b) => DeltaEntry::Insert(MapKey(*mk as u128), vec![*b]),
+                    None => DeltaEntry::Delete(MapKey(*mk as u128)),
+                })
+                .collect(),
+        })
+        .collect();
+    (deltas, by_key)
+}
+
+/// Apply a merge batch to the model with the store's semantics: deletes
+/// first, then upserts, per key; a key left without edges vanishes.
+fn apply_to_model(model: &mut Model, by_key: KeyedChanges) {
+    for (key, entries) in by_key {
+        let slot = model.entry(key.clone()).or_default();
+        for (mk, v) in &entries {
+            if v.is_none() {
+                slot.remove(&(*mk as u128));
+            }
+        }
+        for (mk, v) in &entries {
+            if let Some(b) = v {
+                slot.insert(*mk as u128, vec![*b]);
+            }
+        }
+        if slot.is_empty() {
+            model.remove(&key);
+        }
+    }
+}
+
+/// The model's live chunks in canonical key order — what
+/// `MrbgStore::all_chunks` must return.
+fn model_chunks(model: &Model) -> Vec<Chunk> {
+    let mut keys: Vec<&Vec<u8>> = model.keys().collect();
+    keys.sort();
+    keys.into_iter()
+        .map(|key| Chunk {
+            key: key.clone(),
+            entries: model[key]
+                .iter()
+                .map(|(mk, value)| ChunkEntry {
+                    mk: MapKey(*mk),
+                    value: value.clone(),
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Commit protocol
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum CommitOp {
+    /// `merge_apply_deferred`: frames to the page cache, no commit.
+    DeferredMerge(Vec<(u8, Vec<(u8, Option<u8>)>)>),
+    /// `persist_index`.
+    Commit,
+    /// `append_batch` of whole chunks (replacing any live version).
+    Append(Vec<(u8, Vec<(u8, u8)>)>),
+    /// `compact`.
+    Compact,
+    /// Drop without commit, reopen.
+    Crash,
+    /// Drop without commit, cut the data file somewhere in the
+    /// uncommitted tail (`indexed_end + seed % (tail + 1)`), reopen.
+    TornCrash(u32),
+}
+
+fn commit_op() -> impl Strategy<Value = CommitOp> {
+    let edges = proptest::collection::vec((0u8..6, proptest::option::of(any::<u8>())), 1..4);
+    let chunk = proptest::collection::vec((0u8..6, any::<u8>()), 1..4);
+    prop_oneof![
+        6 => proptest::collection::vec((0u8..12, edges), 1..6).prop_map(CommitOp::DeferredMerge),
+        2 => Just(CommitOp::Commit),
+        1 => proptest::collection::vec((0u8..12, chunk), 1..4).prop_map(CommitOp::Append),
+        1 => Just(CommitOp::Compact),
+        1 => Just(CommitOp::Crash),
+        3 => any::<u32>().prop_map(CommitOp::TornCrash),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn store_matches_reference_model(ops in proptest::collection::vec(store_op(), 1..12), tag in 0u64..u64::MAX) {
         let mut store = MrbgStore::create(scratch(&format!("model-{tag}")), StoreConfig::default()).unwrap();
-        let mut model: HashMap<Vec<u8>, BTreeMap<u128, Vec<u8>>> = HashMap::new();
+        let mut model = Model::new();
 
         for op in ops {
             match op {
                 StoreOp::Merge(groups) => {
-                    // Collapse duplicate keys within one merge batch (the
-                    // engine's shuffle grouping guarantees distinct keys).
-                    let mut by_key: BTreeMap<Vec<u8>, Vec<(u8, Option<u8>)>> = BTreeMap::new();
-                    for (k, entries) in groups {
-                        by_key.entry(vec![k]).or_default().extend(entries);
-                    }
-                    let deltas: Vec<i2mapreduce::store::DeltaChunk> = by_key
-                        .iter()
-                        .map(|(key, entries)| i2mapreduce::store::DeltaChunk {
-                            key: key.clone(),
-                            entries: entries
-                                .iter()
-                                .map(|(mk, v)| match v {
-                                    Some(b) => i2mapreduce::store::DeltaEntry::Insert(
-                                        MapKey(*mk as u128),
-                                        vec![*b],
-                                    ),
-                                    None => i2mapreduce::store::DeltaEntry::Delete(MapKey(*mk as u128)),
-                                })
-                                .collect(),
-                        })
-                        .collect();
+                    let (deltas, by_key) = merge_deltas(groups);
                     store.merge_apply(deltas).unwrap();
-
-                    // Apply the same semantics to the model: deletes first,
-                    // then upserts, per key.
-                    for (key, entries) in by_key {
-                        let slot = model.entry(key.clone()).or_default();
-                        for (mk, v) in &entries {
-                            if v.is_none() {
-                                slot.remove(&(*mk as u128));
-                            }
-                        }
-                        for (mk, v) in &entries {
-                            if let Some(b) = v {
-                                slot.insert(*mk as u128, vec![*b]);
-                            }
-                        }
-                        if model.get(&key).is_some_and(BTreeMap::is_empty) {
-                            model.remove(&key);
-                        }
-                    }
+                    apply_to_model(&mut model, by_key);
                 }
                 StoreOp::Compact => {
                     let before: Vec<Chunk> =
@@ -153,6 +223,134 @@ proptest! {
             want_keys.sort();
             let got_keys: Vec<Vec<u8>> = streamed.iter().map(|c| c.key.clone()).collect();
             prop_assert_eq!(got_keys, want_keys);
+        }
+    }
+
+    #[test]
+    fn reopened_store_is_the_last_commit(ops in proptest::collection::vec(commit_op(), 1..24), tag in 0u64..u64::MAX) {
+        let dir = scratch(&format!("commit-{tag}"));
+        let data = dir.join("mrbg.data");
+        let mut store = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
+        // `live` follows the in-memory store, `committed` the last commit.
+        let mut live = Model::new();
+        let mut committed = Model::new();
+        // Where a reopen starts walking the tail: the end of the last
+        // batch in the index file (`disk_end`) — and the same for the
+        // in-memory index (`mem_end`), which becomes `disk_end` at the
+        // next commit. `frame_ends`: every frame boundary past `disk_end`.
+        let mut disk_end = store.file_len();
+        let mut mem_end = disk_end;
+        let mut frame_ends: Vec<u64> = Vec::new();
+
+        // The ops, then one last crash so every sequence ends in a reopen.
+        for op in ops.into_iter().chain([CommitOp::Crash]) {
+            let mut commits = false;
+            match op {
+                CommitOp::DeferredMerge(groups) => {
+                    let (deltas, by_key) = merge_deltas(groups);
+                    let mut at = store.file_len();
+                    for (_, outcome) in store.merge_apply_deferred(deltas).unwrap() {
+                        if let MergeOutcome::Updated(chunk) = outcome {
+                            at += (chunk.encoded_len() + FRAME_OVERHEAD) as u64;
+                            frame_ends.push(at);
+                        }
+                    }
+                    prop_assert_eq!(at, store.file_len());
+                    prop_assert!(store.is_dirty());
+                    mem_end = at;
+                    apply_to_model(&mut live, by_key);
+                }
+                CommitOp::Commit => {
+                    store.persist_index().unwrap();
+                    commits = true;
+                }
+                CommitOp::Append(chunks) => {
+                    let batch: Model = chunks
+                        .into_iter()
+                        .map(|(k, es)| {
+                            (vec![k], es.into_iter().map(|(mk, v)| (mk as u128, vec![v])).collect())
+                        })
+                        .collect();
+                    store.append_batch(model_chunks(&batch)).unwrap();
+                    live.extend(batch);
+                    mem_end = store.file_len();
+                    commits = true;
+                }
+                CommitOp::Compact => {
+                    store.compact().unwrap();
+                    prop_assert_eq!(store.live_bytes(), store.file_len());
+                    // A new file: nothing of the old tail is left.
+                    frame_ends.clear();
+                    mem_end = store.file_len();
+                    commits = true;
+                }
+                CommitOp::Crash | CommitOp::TornCrash(_) => {
+                    let full = store.file_len();
+                    drop(store);
+                    let mut torn = 0;
+                    if let CommitOp::TornCrash(seed) = op {
+                        let cut = disk_end + seed as u64 % (full - disk_end + 1);
+                        std::fs::OpenOptions::new()
+                            .write(true)
+                            .open(&data)
+                            .unwrap()
+                            .set_len(cut)
+                            .unwrap();
+                        // Whole frames before the cut survive (unindexed,
+                        // harmless); only the torn remainder is salvage.
+                        frame_ends.retain(|&end| end <= cut);
+                        torn = cut - frame_ends.last().copied().unwrap_or(disk_end);
+                    }
+                    store = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
+                    prop_assert_eq!(store.take_salvaged_bytes(), torn);
+                    prop_assert_eq!(
+                        store.file_len(),
+                        frame_ends.last().copied().unwrap_or(disk_end)
+                    );
+                    prop_assert_eq!(std::fs::metadata(&data).unwrap().len(), store.file_len());
+                    mem_end = disk_end;
+                    live = committed.clone();
+                }
+            }
+            if commits {
+                prop_assert!(!store.is_dirty());
+                committed = live.clone();
+                disk_end = mem_end;
+                frame_ends.retain(|&end| end > disk_end);
+            }
+            // In memory the store is `live` — after a reopen, that is the
+            // model at the last commit — through the decoding read paths,
+            // which verify every frame they return.
+            prop_assert_eq!(store.len(), live.len());
+            prop_assert_eq!(store.all_chunks().unwrap(), model_chunks(&live));
+            for chunk in model_chunks(&live) {
+                prop_assert_eq!(store.get(&chunk.key).unwrap().as_ref(), Some(&chunk));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_live_bytes_total_equals_the_scan(ops in proptest::collection::vec(
+        (0u8..3, 0u8..16, 0u32..5000, proptest::collection::vec((0u8..16, 0u32..5000), 0..6)),
+        1..40,
+    )) {
+        let loc = |len: u32| ChunkLoc { offset: 0, len, batch: 0 };
+        let mut idx = ChunkIndex::new();
+        for (kind, key, len, entries) in ops {
+            match kind {
+                0 => idx.put(vec![key], loc(len)),
+                1 => {
+                    idx.remove(&[key]);
+                }
+                _ => idx.reset(
+                    entries.into_iter().map(|(k, l)| (vec![k], loc(l))).collect(),
+                    vec![BatchInfo { start: 0, end: 0 }],
+                ),
+            }
+            let scan: u64 = idx.iter().map(|(_, l)| l.len as u64).sum();
+            prop_assert_eq!(idx.live_bytes(), scan);
+            prop_assert_eq!(ChunkIndex::from_bytes(&idx.to_bytes()).unwrap().live_bytes(), scan);
         }
     }
 

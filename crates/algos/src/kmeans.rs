@@ -7,6 +7,14 @@
 //! and i2MapReduce "falls back to iterMR recomp" (paper §8.2, Fig. 8) —
 //! still winning over plainMR through structure caching and job reuse, and
 //! over cold re-clustering by starting from the converged centroids.
+//!
+//! That win holds in wall time because a refresh costs its passes and
+//! little else: the point delta is applied in one linear pass
+//! ([`Delta::apply_to`]) and handed to the engine by value, and the
+//! small-state engine combines in the mapper, so a pass ships
+//! `n_map × k` partial `(sum, count)` pairs instead of one record per
+//! point ([`SmallStateIterEngine`]). [`plainmr`] stays the vanilla baseline
+//! that shuffles every point every pass.
 
 use crate::report::EngineRun;
 use i2mr_common::error::Result;
@@ -34,15 +42,13 @@ fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Index of the nearest centroid.
+/// Id of the nearest centroid; of equidistant ones, the earliest in
+/// `centroids`. Each distance is evaluated once. Panics on a NaN distance.
 pub fn nearest(centroids: &Centroids, p: &[f64]) -> u32 {
     centroids
         .iter()
-        .min_by(|a, b| {
-            dist2(&a.1, p)
-                .partial_cmp(&dist2(&b.1, p))
-                .expect("no NaN coordinates")
-        })
+        .map(|(cid, c)| (*cid, dist2(c, p)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN coordinates"))
         .expect("at least one centroid")
         .0
 }
@@ -155,6 +161,18 @@ pub fn itermr(
     max_iterations: u64,
     epsilon: f64,
 ) -> Result<(SmallStateData<u64, Vec<f64>, Centroids>, EngineRun)> {
+    itermr_owned(pool, cfg, points.to_vec(), initial, max_iterations, epsilon)
+}
+
+/// [`itermr`] over a point set the caller no longer needs.
+fn itermr_owned(
+    pool: &WorkerPool,
+    cfg: &JobConfig,
+    points: Vec<(u64, Vec<f64>)>,
+    initial: Centroids,
+    max_iterations: u64,
+    epsilon: f64,
+) -> Result<(SmallStateData<u64, Vec<f64>, Centroids>, EngineRun)> {
     let started = Instant::now();
     let spec = Kmeans;
     let engine = SmallStateIterEngine::new(
@@ -166,7 +184,7 @@ pub fn itermr(
             preserve: PreserveMode::None,
         },
     )?;
-    let mut data = build_small_state::<Kmeans>(cfg.n_reduce, points.to_vec(), initial);
+    let mut data = build_small_state::<Kmeans>(cfg.n_reduce, points, initial);
     let report = engine.run(pool, &mut data)?;
     Ok((
         data,
@@ -210,7 +228,7 @@ pub fn i2mr_incremental(
     epsilon: f64,
 ) -> Result<(Centroids, EngineRun)> {
     let updated = delta.apply_to(points);
-    let (data, mut run) = itermr(pool, cfg, &updated, converged, max_iterations, epsilon)?;
+    let (data, mut run) = itermr_owned(pool, cfg, updated, converged, max_iterations, epsilon)?;
     run.name = "i2MR (MRBG off)".into();
     Ok((data.state, run))
 }
@@ -225,6 +243,32 @@ mod tests {
             && a.iter()
                 .zip(b)
                 .all(|((ia, ca), (ib, cb))| ia == ib && dist2(ca, cb).sqrt() < tol)
+    }
+
+    #[test]
+    fn nearest_gives_a_tie_to_the_earlier_centroid() {
+        // Listed out of id order so that "earlier" cannot mean "smaller id".
+        let centroids: Centroids = vec![
+            (7, vec![2.0, 0.0]),
+            (3, vec![0.0, 2.0]),
+            (5, vec![9.0, 9.0]),
+        ];
+        assert_eq!(
+            nearest(&centroids, &[1.0, 1.0]),
+            7,
+            "equidistant: first wins"
+        );
+        assert_eq!(nearest(&centroids, &[0.5, 1.5]), 3);
+        assert_eq!(nearest(&centroids, &[8.0, 8.0]), 5);
+        let mirrored: Centroids = centroids.iter().rev().cloned().collect();
+        assert_eq!(nearest(&mirrored, &[1.0, 1.0]), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no NaN coordinates")]
+    fn nearest_panics_on_nan() {
+        let centroids: Centroids = vec![(0, vec![0.0]), (1, vec![1.0])];
+        nearest(&centroids, &[f64::NAN]);
     }
 
     #[test]

@@ -30,11 +30,12 @@ use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{
-    groups, sort_runs, sort_runs_adaptive, transpose_pooled, RunPool, ShuffleBuffers,
+    groups, sort_run, sort_runs, sort_runs_adaptive, transpose_pooled, RunPool, ShuffleBuffers,
 };
 use i2mr_mapred::types::{Emitter, Values};
 use i2mr_store::format::{Chunk, ChunkEntry};
 use i2mr_store::runtime::StoreManager;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -839,7 +840,24 @@ pub fn build_small_state<S: SmallStateSpec>(
     }
 }
 
+/// Values a map task buffers per K2 before folding them into one partial
+/// with the spec's own `reduce`: large enough to amortise the call, small
+/// enough that a task never holds more than `|K2| × COMBINE_BUFFER` values.
+const COMBINE_BUFFER: usize = 64;
+
 /// Iterative engine for replicated small state (Kmeans).
+///
+/// The structure is partitioned once ([`build_small_state`]) and never moves.
+/// Each pass, a map task combines in the mapper: it folds the values its
+/// records emit per K2 through [`SmallStateSpec::reduce`] and ships one
+/// partial per K2, so shuffle, sort and reduce handle at most
+/// `n_map × |K2|` records however large the structure is. The reduce side
+/// folds those partials with the same `reduce`, once per K2, and
+/// [`SmallStateSpec::assemble`] builds the next replicated state.
+///
+/// `JobMetrics::reduce_invocations` counts the reduce-side calls only (one
+/// per distinct K2 per pass); the map-side folds are not counted, and their
+/// time is part of the map stage.
 pub struct SmallStateIterEngine<'s, S: SmallStateSpec> {
     spec: &'s S,
     config: JobConfig,
@@ -879,7 +897,8 @@ impl<'s, S: SmallStateSpec> SmallStateIterEngine<'s, S> {
                 ..Default::default()
             };
 
-            // Prime Map over structure with the replicated state.
+            // Prime Map over structure with the replicated state; each task
+            // ships one partial per K2.
             let t = Instant::now();
             let state = &data.state;
             let map_tasks: Vec<TaskSpec<'_, (ShuffleBuffers<S::K2, S::V2>, u64)>> = (0..n)
@@ -893,13 +912,30 @@ impl<'s, S: SmallStateSpec> SmallStateIterEngine<'s, S> {
                         },
                         p % pool.n_workers(),
                         move |_| {
-                            let mut buffers = ShuffleBuffers::with_pool(n, recycler);
+                            // Combine in the mapper: a K2's full buffer
+                            // is folded into one partial.
+                            let mut pending: BTreeMap<S::K2, Vec<S::V2>> = BTreeMap::new();
                             let mut emitter = Emitter::new();
                             for (sk, sv) in part {
                                 spec.map(sk, sv, state, &mut emitter);
                                 for (k2, v2) in emitter.drain() {
-                                    buffers.push(k2, MapKey(0), v2, &HashPartitioner);
+                                    let Some(values) = pending.get_mut(&k2) else {
+                                        pending.insert(k2, vec![v2]);
+                                        continue;
+                                    };
+                                    values.push(v2);
+                                    if values.len() == COMBINE_BUFFER {
+                                        let partial = spec.reduce(&k2, Values::slice(values));
+                                        values.clear();
+                                        values.push(partial);
+                                    }
                                 }
+                            }
+                            // One partial per K2 leaves the task.
+                            let mut buffers = ShuffleBuffers::with_pool(n, recycler);
+                            for (k2, values) in pending {
+                                let partial = spec.reduce(&k2, Values::slice(&values));
+                                buffers.push(k2, MapKey(0), partial, &HashPartitioner);
                             }
                             Ok((buffers, part.len() as u64))
                         },
@@ -921,11 +957,13 @@ impl<'s, S: SmallStateSpec> SmallStateIterEngine<'s, S> {
             metrics.stages.add(Stage::Shuffle, t.elapsed());
 
             let t = Instant::now();
-            sort_runs(pool, &mut runs, iteration)?;
+            // At most `n_map × |K2|` partials in all: sorting them here is
+            // cheaper than a fence of Sort tasks.
+            runs.iter_mut().for_each(|run| sort_run(run));
             metrics.stages.add(Stage::Sort, t.elapsed());
 
-            // Prime Reduce: per-key partials, then assemble the new
-            // replicated state (the cheap backward broadcast, §4.3).
+            // Prime Reduce: fold each key's map-side partials, then assemble
+            // the new replicated state (the cheap backward broadcast, §4.3).
             let t = Instant::now();
             let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::K2, S::V2)>, u64)>> = runs
                 .iter()
@@ -1280,5 +1318,71 @@ mod tests {
         assert!((c0 - 0.02).abs() < 0.1, "centroid 0 at {c0}");
         assert!((c1 - 10.02).abs() < 0.1, "centroid 1 at {c1}");
         assert_eq!(report.total_metrics().jobs_started, 1);
+    }
+
+    /// One Lloyd pass over 1-D points with no spec, emitter, shuffle or
+    /// pool: the substrate-free oracle. Returns the next centroids and how
+    /// many clusters received a point.
+    fn lloyd_pass(points: &[f64], centroids: &[(u32, f64)]) -> (Vec<(u32, f64)>, u64) {
+        let mut sums: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
+        for x in points {
+            let mut best = centroids[0];
+            for c in &centroids[1..] {
+                if (c.1 - x).abs() < (best.1 - x).abs() {
+                    best = *c;
+                }
+            }
+            let sum = sums.entry(best.0).or_insert((0.0, 0));
+            sum.0 += x;
+            sum.1 += 1;
+        }
+        let next = centroids.iter().map(|(cid, c)| match sums.get(cid) {
+            Some((sum, count)) => (*cid, sum / *count as f64),
+            None => (*cid, *c),
+        });
+        (next.collect(), sums.len() as u64)
+    }
+
+    #[test]
+    fn small_state_combining_matches_a_plain_loop_bit_for_bit() {
+        // Integral points: every partial sum is an exact integer, so the
+        // grouping of the folds cannot show in the result.
+        let crowded: Vec<(u64, f64)> = (0..300u64)
+            .map(|i| match i % 3 {
+                2 => (i, 100.0 + (i % 5) as f64),
+                _ => (i, (i % 7) as f64),
+            })
+            .collect();
+        let sparse: Vec<(u64, f64)> = vec![(300, 48.0), (301, 55.0), (302, 2.0), (303, 101.0)];
+        // Partition 0 folds cluster 0's buffer more than once; partition 1
+        // emits nothing.
+        assert!(crowded.iter().filter(|(_, x)| *x < 10.0).count() > 2 * COMBINE_BUFFER);
+        let structure = vec![crowded, Vec::new(), sparse];
+        let points: Vec<f64> = structure.iter().flatten().map(|(_, x)| *x).collect();
+        let mut data = SmallStateData {
+            structure,
+            state: vec![(0, 1.0), (1, 60.0), (2, 90.0), (3, 1e6)],
+        };
+
+        let spec = TinyKmeans;
+        let one_pass = IterParams {
+            max_iterations: 1,
+            epsilon: 0.0,
+            preserve: PreserveMode::None,
+        };
+        let engine = SmallStateIterEngine::new(&spec, JobConfig::symmetric(3), one_pass).unwrap();
+        let pool = WorkerPool::new(3);
+        for pass in 1..=5 {
+            let (want, distinct) = lloyd_pass(&points, &data.state);
+            assert_eq!(distinct, 3, "cluster 3 never receives a point");
+            let report = engine.run(&pool, &mut data).unwrap();
+            let bits =
+                |s: &[(u32, f64)]| s.iter().map(|c| (c.0, c.1.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&data.state), bits(&want), "pass {pass}");
+            let m = &report.per_iteration[0];
+            assert_eq!(m.map_invocations, points.len() as u64);
+            assert_eq!(m.reduce_invocations, distinct);
+            assert!(m.shuffled_records >= distinct && m.shuffled_records <= 3 * distinct);
+        }
     }
 }

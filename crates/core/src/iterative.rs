@@ -120,6 +120,15 @@ pub trait SmallStateSpec: Send + Sync {
     );
 
     /// The prime Reduce: fold one intermediate group into a partial result.
+    ///
+    /// Must be an associative and commutative *partial* fold (the paper's
+    /// §3.5 distributive property, `f(D ∪ ΔD) = f(D) ⊕ f(ΔD)`): folding any
+    /// split of a group and then folding the partials gives the result of
+    /// folding the whole group, in any order. The engine relies on it — map
+    /// tasks combine the values they emit through this function before the
+    /// shuffle, the reduce side folds the per-task partials with it again,
+    /// and the order of values within a group is not defined. Floating-point
+    /// sums may differ in the last bits between groupings; nothing else may.
     fn reduce(&self, k2: &Self::K2, values: Values<'_, Self::K2, Self::V2>) -> Self::V2;
 
     /// Assemble the next replicated state from all partial results.

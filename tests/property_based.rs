@@ -7,6 +7,8 @@
 //!   commits, appends, compactions and crashes (drop without commit, with
 //!   or without a torn tail), a reopened store is exactly the model at the
 //!   last commit.
+//! * **Delta application**: `Delta::apply_to` yields the multiset — and the
+//!   documented order — of applying the records one at a time.
 //! * **Incremental ≡ recompute**: for arbitrary datasets and arbitrary
 //!   valid deltas, the one-step incremental engine's refreshed output
 //!   equals a from-scratch re-computation.
@@ -16,6 +18,7 @@
 
 use i2mapreduce::common::codec::{decode_exact, encode_to};
 use i2mapreduce::common::hash::MapKey;
+use i2mapreduce::core::Op as DeltaOp;
 use i2mapreduce::prelude::*;
 use i2mapreduce::store::{
     BatchInfo, Chunk, ChunkEntry, ChunkIndex, ChunkLoc, DeltaChunk, DeltaEntry, MergeOutcome,
@@ -398,6 +401,65 @@ proptest! {
                 i2mapreduce::mapred::HashPartitioner::partition_bytes(&proj, n);
             prop_assert_eq!(state_partition, structure_partition, "({}, {})", i, j);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Delta::apply_to ≡ the sequential per-record loop
+// ---------------------------------------------------------------------------
+
+/// `Delta::apply_to` as it was before it indexed the deleted keys: apply
+/// the records one by one, each delete scanning for its first live match.
+/// With `swap_remove` this is that loop verbatim (the multiset reference);
+/// with `remove` the same loop keeps the documented order — surviving base
+/// records in base order, then surviving inserts in delta order.
+fn apply_sequentially(
+    base: &[(u64, u8)],
+    delta: &Delta<u64, u8>,
+    remove: fn(&mut Vec<(u64, u8)>, usize),
+) -> Vec<(u64, u8)> {
+    let mut out = base.to_vec();
+    for r in delta.records() {
+        match r.op {
+            DeltaOp::Delete => {
+                if let Some(pos) = out.iter().position(|(k, v)| *k == r.key && *v == r.value) {
+                    remove(&mut out, pos);
+                }
+            }
+            DeltaOp::Insert => out.push((r.key, r.value)),
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Keys and values come from tiny domains, so bases hold duplicate keys
+    /// and duplicate whole records, and deltas hold matching deletes,
+    /// value-mismatched deletes (value 3), deletes of absent keys (key 6),
+    /// delete → re-insert and insert → delete of one record, and more
+    /// deletes than there are copies.
+    #[test]
+    fn delta_apply_matches_the_sequential_loop(
+        base in proptest::collection::vec((0u64..6, 0u8..3), 0..30),
+        ops in proptest::collection::vec((any::<bool>(), 0u64..7, 0u8..4), 0..40),
+    ) {
+        let mut delta = Delta::new();
+        for (delete, key, value) in ops {
+            if delete {
+                delta.delete(key, value);
+            } else {
+                delta.insert(key, value);
+            }
+        }
+        let got = delta.apply_to(&base);
+        prop_assert_eq!(&got, &apply_sequentially(&base, &delta, |v, i| { v.remove(i); }));
+        let mut want = apply_sequentially(&base, &delta, |v, i| { v.swap_remove(i); });
+        let mut got = got;
+        want.sort_unstable();
+        got.sort_unstable();
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -18,6 +18,7 @@ use i2mapreduce::core::build_partitioned;
 use i2mapreduce::core::ingest::{IngestCursor, MemSource};
 use i2mapreduce::datagen::delta::{graph_delta, weighted_graph_delta, DeltaSpec};
 use i2mapreduce::datagen::graph::GraphGen;
+use i2mapreduce::dfs::MiniDfs;
 use i2mapreduce::prelude::*;
 use i2mapreduce::store::runtime::StoreManager;
 use i2mapreduce::store::Chunk;
@@ -38,6 +39,169 @@ fn exports(stores: &StoreManager) -> Vec<Vec<u8>> {
     (0..stores.n_shards())
         .map(|p| stores.export(p).unwrap())
         .collect()
+}
+
+/// FNV-1a (64-bit) over everything a run leaves behind: the state's keys
+/// and `f64` bits, every shard's export, and the checkpoint DFS's write
+/// counters. Two engines that do the same work give the same value.
+fn fingerprint(state: &[(u64, f64)], stores: &StoreManager, dfs: Option<&MiniDfs>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (k, v) in state {
+        feed(&k.to_le_bytes());
+        feed(&v.to_bits().to_le_bytes());
+    }
+    for export in exports(stores) {
+        feed(&export);
+    }
+    if let Some(dfs) = dfs {
+        let io = dfs.io_stats();
+        feed(&io.writes.to_le_bytes());
+        feed(&io.bytes_written.to_le_bytes());
+    }
+    h
+}
+
+/// Assert a run's fingerprint, printing the observed value so a pinned
+/// constant can be read off a failing run.
+fn assert_fingerprint(what: &str, got: u64, want: u64) {
+    println!("{what}: fingerprint {got:#018x}");
+    assert_eq!(got, want, "{what}: fingerprint {got:#018x} != {want:#018x}");
+}
+
+/// PageRank: initial run (`FinalOnly`), then a checkpointed incremental
+/// refresh at 10 % churn whose P∆ monitor switches to full passes.
+#[test]
+fn fingerprint_pagerank_checkpointed_refresh_through_pdelta() {
+    let cfg = JobConfig::symmetric(N);
+    let pool = WorkerPool::new(2);
+    let spec = PageRank::default();
+    let graph = GraphGen::new(300, 2100, 0xF1A6).generate();
+    let delta = graph_delta(&graph, DeltaSpec::ten_percent(0xF1A6));
+    let session = RunBuilder::new(&spec)
+        .pool(&pool)
+        .job(cfg.clone())
+        .iter(IterParams {
+            max_iterations: 80,
+            epsilon: 1e-9,
+            preserve: PreserveMode::FinalOnly,
+        })
+        .store_dir(scratch("fp-pr-initial"))
+        .build()
+        .unwrap();
+    let mut data = build_partitioned(&spec, N, graph);
+    assert!(session.run_initial(&mut data).unwrap().converged);
+    let stores = session.finish().unwrap().stores.expect("session-owned");
+
+    let dfs = MiniDfs::open_with(scratch("fp-pr-dfs"), 1 << 20, 2).unwrap();
+    let refresh = RunBuilder::new(&spec)
+        .pool(&pool)
+        .job(cfg)
+        .iter(IterParams {
+            epsilon: 1e-9,
+            ..Default::default()
+        })
+        .incr(IncrParams {
+            convergence_epsilon: 1e-9,
+            max_iterations: 80,
+            ..Default::default()
+        })
+        .stores_ref(&stores)
+        .checkpoint(&dfs, "fp-pr-refresh")
+        .build()
+        .unwrap();
+    let report = refresh.run_incremental(&mut data, &delta).unwrap();
+    refresh.finish().unwrap();
+    assert!(report.converged);
+    assert!(report.mrbg_turned_off_at.is_some(), "P∆ must trip");
+    let got = fingerprint(&data.state_snapshot(), &stores, Some(&dfs));
+    assert_fingerprint("pagerank refresh", got, 0x5cde_ba93_4a46_40bd);
+}
+
+/// SSSP: initial run (`FinalOnly`), then a workset-driven delta refresh.
+#[test]
+fn fingerprint_sssp_delta_refresh() {
+    let cfg = JobConfig::symmetric(N);
+    let pool = WorkerPool::new(2);
+    let spec = Sssp { source: 0 };
+    let graph = GraphGen::new(400, 2400, 0xF155).weighted();
+    let delta = weighted_graph_delta(
+        &graph,
+        DeltaSpec {
+            change_fraction: 0.05,
+            delete_fraction: 0.0,
+            insert_fraction: 0.01,
+            seed: 0xF155,
+        },
+    );
+    let session = RunBuilder::new(&spec)
+        .pool(&pool)
+        .job(cfg.clone())
+        .iter(IterParams {
+            max_iterations: 300,
+            epsilon: 1e-12,
+            preserve: PreserveMode::FinalOnly,
+        })
+        .store_dir(scratch("fp-sssp"))
+        .build()
+        .unwrap();
+    let mut data = build_partitioned(&spec, N, graph);
+    assert!(session.run_initial(&mut data).unwrap().converged);
+    let stores = session.finish().unwrap().stores.expect("session-owned");
+
+    let refresh = RunBuilder::new(&spec)
+        .pool(&pool)
+        .job(cfg)
+        .incr(IncrParams {
+            filter_threshold: Some(0.0),
+            convergence_epsilon: 1e-12,
+            max_iterations: 300,
+            ..Default::default()
+        })
+        .stores_ref(&stores)
+        .build()
+        .unwrap();
+    let report = refresh.run_delta(&mut data, &delta).unwrap();
+    refresh.finish().unwrap();
+    assert!(report.converged);
+    let got = fingerprint(&data.state_snapshot(), &stores, None);
+    assert_fingerprint("sssp delta refresh", got, 0x566a_a73d_347e_11a1);
+}
+
+/// PageRank: an initial run that preserves every iteration and
+/// checkpoints state and stores every iteration.
+#[test]
+fn fingerprint_pagerank_initial_every_iteration_checkpointed() {
+    let spec = PageRank::default();
+    let graph = GraphGen::new(200, 1400, 0xF1E1).generate();
+    let dir = scratch("fp-pr-every");
+    let dfs = MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
+    let session = RunBuilder::new(&spec)
+        .pool(&WorkerPool::new(2))
+        .job(JobConfig::symmetric(N))
+        .iter(IterParams {
+            max_iterations: 40,
+            epsilon: 1e-9,
+            preserve: PreserveMode::EveryIteration,
+        })
+        .store_dir(dir.join("stores"))
+        .checkpoint(&dfs, "fp-pr-every")
+        .build()
+        .unwrap();
+    let mut data = build_partitioned(&spec, N, graph);
+    assert!(session.run_initial(&mut data).unwrap().converged);
+    let stores = session.finish().unwrap().stores.expect("session-owned");
+    let got = fingerprint(&data.state_snapshot(), &stores, Some(&dfs));
+    assert_fingerprint(
+        "pagerank every-iteration initial",
+        got,
+        0xebd9_8aef_4a63_3c2b,
+    );
 }
 
 /// PageRank: initial run + incremental refresh through the builder and

@@ -21,8 +21,8 @@ use i2mr_common::codec::Codec;
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::JobMetrics;
 use i2mr_core::delta::Delta;
-use i2mr_core::incr_iter::{IncrParams, IncrRunReport};
-use i2mr_core::iter_engine::{build_partitioned, PartitionedData};
+use i2mr_core::incr_iter::IncrParams;
+use i2mr_core::iter_engine::{build_partitioned, PartitionedData, RunReport};
 use i2mr_core::iterative::{DependencyKind, IterParams, IterativeSpec, PreserveMode};
 use i2mr_core::run::RunBuilder;
 use i2mr_datagen::matrix::Block;
@@ -490,7 +490,7 @@ pub fn i2mr_incremental(
     delta: &Delta<(u64, u64), Block>,
     max_iterations: u64,
     convergence_epsilon: f64,
-) -> Result<(IncrRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     i2mr_incremental_cpc(
         pool,
         cfg,
@@ -516,7 +516,7 @@ pub fn i2mr_incremental_cpc(
     max_iterations: u64,
     convergence_epsilon: f64,
     filter_threshold: Option<f64>,
-) -> Result<(IncrRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     let started = Instant::now();
     let session = RunBuilder::new(spec)
         .pool(pool)

@@ -18,9 +18,9 @@ use i2mr_common::error::Result;
 use i2mr_common::metrics::JobMetrics;
 use i2mr_core::checkpoint::IterCheckpointer;
 use i2mr_core::delta::Delta;
-use i2mr_core::delta_iter::{DeltaIterativeSpec, DeltaRunReport, UpdateContract};
-use i2mr_core::incr_iter::{IncrParams, IncrRunReport};
-use i2mr_core::iter_engine::{build_partitioned, PartitionedData};
+use i2mr_core::delta_iter::{DeltaIterativeSpec, UpdateContract};
+use i2mr_core::incr_iter::IncrParams;
+use i2mr_core::iter_engine::{build_partitioned, PartitionedData, RunReport};
 use i2mr_core::iterative::{DependencyKind, IterParams, IterativeSpec, PreserveMode};
 use i2mr_core::run::RunBuilder;
 use i2mr_mapred::config::JobConfig;
@@ -334,7 +334,7 @@ pub fn i2mr_incremental(
     delta: &Delta<u64, Vec<u64>>,
     params: IncrParams,
     ckpt: Option<&IterCheckpointer>,
-) -> Result<(IncrRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     let started = Instant::now();
     let mut builder = RunBuilder::new(spec)
         .pool(pool)
@@ -364,9 +364,8 @@ pub fn i2mr_incremental(
     Ok((report, run))
 }
 
-/// i2MapReduce refresh on the workset-driven delta-iteration engine:
-/// bit-identical results to [`i2mr_incremental`], but only changed keys
-/// are scheduled through the data plane.
+/// [`i2mr_incremental`] through `run_delta` (PageRank's contract is
+/// retractable, so nothing extra is checked): bit-identical results.
 #[allow(clippy::too_many_arguments)]
 pub fn i2mr_delta(
     pool: &WorkerPool,
@@ -377,7 +376,7 @@ pub fn i2mr_delta(
     delta: &Delta<u64, Vec<u64>>,
     params: IncrParams,
     ckpt: Option<&IterCheckpointer>,
-) -> Result<(DeltaRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     let started = Instant::now();
     let mut builder = RunBuilder::new(spec)
         .pool(pool)

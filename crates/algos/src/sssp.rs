@@ -15,9 +15,9 @@ use crate::report::EngineRun;
 use i2mr_common::error::Result;
 use i2mr_common::metrics::JobMetrics;
 use i2mr_core::delta::Delta;
-use i2mr_core::delta_iter::{DeltaIterativeSpec, DeltaRunReport, UpdateContract};
-use i2mr_core::incr_iter::{IncrParams, IncrRunReport};
-use i2mr_core::iter_engine::{build_partitioned, PartitionedData};
+use i2mr_core::delta_iter::{DeltaIterativeSpec, UpdateContract};
+use i2mr_core::incr_iter::IncrParams;
+use i2mr_core::iter_engine::{build_partitioned, PartitionedData, RunReport};
 use i2mr_core::iterative::{DependencyKind, IterParams, IterativeSpec, PreserveMode};
 use i2mr_core::run::RunBuilder;
 use i2mr_mapred::config::JobConfig;
@@ -371,7 +371,7 @@ pub fn i2mr_incremental(
     source: u64,
     delta: &Delta<u64, Vec<(u64, f64)>>,
     max_iterations: u64,
-) -> Result<(IncrRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     let started = Instant::now();
     let spec = Sssp { source };
     let session = RunBuilder::new(&spec)
@@ -401,9 +401,8 @@ pub fn i2mr_incremental(
     Ok((report, run))
 }
 
-/// Refresh on the workset-driven delta-iteration engine with FT = 0:
-/// bit-identical results to [`i2mr_incremental`], only changed keys
-/// scheduled, and the monotone min-plus contract debug-asserted.
+/// [`i2mr_incremental`] through `run_delta`: the same refresh, with the
+/// monotone min-plus contract debug-asserted.
 pub fn i2mr_delta(
     pool: &WorkerPool,
     cfg: &JobConfig,
@@ -412,7 +411,7 @@ pub fn i2mr_delta(
     source: u64,
     delta: &Delta<u64, Vec<(u64, f64)>>,
     max_iterations: u64,
-) -> Result<(DeltaRunReport, EngineRun)> {
+) -> Result<(RunReport, EngineRun)> {
     let started = Instant::now();
     let spec = Sssp { source };
     let session = RunBuilder::new(&spec)

@@ -64,7 +64,6 @@ fn main() {
                 convergence_epsilon: 1e-7,
                 max_iterations: 10,
                 pdelta_threshold: 1.1, // keep MRBG on for the whole figure
-                ..Default::default()
             },
             None,
         )

@@ -1,4 +1,4 @@
-//! Microbench of the delta-iteration engine: **full-pass incremental
+//! Microbench of workset-driven refreshes: **full-pass incremental
 //! refresh vs workset-driven delta iteration** on SSSP, across 0.1%, 1%
 //! and 10% structural churn (the fig. 11 propagation-control shape).
 //!
@@ -14,7 +14,7 @@
 //!   vertex until nothing moves, then re-preserves the MRBGraph so the
 //!   computation stays refreshable — the refresh story before workset
 //!   scheduling existed.
-//! * **delta** — `DeltaIterEngine`: the changed records seed a workset,
+//! * **delta** — `RunSession::run_delta`: the changed records seed a workset,
 //!   each iteration maps/shuffles/reduces **only workset keys**, point
 //!   merges hit only touched shards of the preserved MRBG-Store, and
 //!   reduce-output deltas seed the next workset until it drains.

@@ -31,8 +31,8 @@
 //! `schema_hash`, and a `data_invalidations` ledger drained by jobs).
 
 use crate::delta::{Delta, DeltaRecord};
-use crate::delta_iter::{DeltaIterativeSpec, DeltaRunReport};
-use crate::iter_engine::PartitionedData;
+use crate::delta_iter::DeltaIterativeSpec;
+use crate::iter_engine::{PartitionedData, RunReport};
 use crate::iterative::IterativeSpec;
 use crate::run::RunSession;
 use i2mr_common::error::{Error, Result};
@@ -351,7 +351,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         cursor: &mut IngestCursor,
         source: &Src,
-    ) -> Result<DeltaRunReport>
+    ) -> Result<RunReport>
     where
         S: DeltaIterativeSpec,
         Src: IngestSource<S::SK, S::SV>,
@@ -373,7 +373,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
                     records: batch.records,
                 });
             }
-            return Ok(DeltaRunReport {
+            return Ok(RunReport {
                 converged: true,
                 ..Default::default()
             });

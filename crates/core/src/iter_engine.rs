@@ -12,31 +12,31 @@
 //! * optional **MRBGraph preservation** per iteration, which upgrades the
 //!   run into the "initial run" an incremental job can continue from.
 //!
-//! The same engine with [`PreserveMode::None`] is the fair re-computation
-//! baseline; with preservation it is i2MapReduce's job `A_{i-1}`.
+//! This module holds the partitioned data, the [`RunReport`] every run
+//! returns, the small-state engine, and the *full pass* step kind of the
+//! fixed-point driver (`crate::driver`). Full passes with
+//! [`PreserveMode::None`](crate::iterative::PreserveMode::None) are the
+//! fair re-computation baseline; with preservation they are i2MapReduce's
+//! job `A_{i-1}`.
 
-use crate::checkpoint::IterCheckpointer;
-use crate::iterative::{IterParams, IterationStats, IterativeSpec, PreserveMode, SmallStateSpec};
-use crate::trace::{add_stage, emit_checkpoint_restore, emit_checkpoint_save};
-use crate::tuning::EngineTuner;
+use crate::driver::Driver;
+use crate::iterative::{IterParams, IterationStats, IterativeSpec, SmallStateSpec};
 use i2mr_common::codec::encode_to;
 use i2mr_common::error::Result;
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
-use i2mr_common::telemetry::TraceRecorder;
 use i2mr_common::tuner::TuningDecision;
 use i2mr_mapred::config::JobConfig;
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{
-    groups, sort_run, sort_runs, sort_runs_adaptive, transpose_pooled, RunPool, ShuffleBuffers,
+    groups, sort_run, sort_runs_adaptive, transpose_pooled, RunPool, ShuffleBuffers, ShuffleRecord,
 };
 use i2mr_mapred::types::{Emitter, Values};
 use i2mr_store::format::{Chunk, ChunkEntry};
 use i2mr_store::runtime::StoreManager;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Structure records sharing one projected state key.
@@ -174,15 +174,25 @@ pub fn build_partitioned<S: IterativeSpec>(
     PartitionedData { structure, state }
 }
 
-/// Report of a full iterative run.
+/// Report of an iterative run: initial, incremental or delta refresh, or
+/// small-state.
 #[derive(Debug, Default)]
 pub struct RunReport {
-    /// Per-iteration progress.
+    /// Per-iteration progress (`changed_keys` = changed state kv-pairs; in
+    /// a refresh's MRBG passes, the propagated ones — the Fig. 11a series).
     pub iterations: Vec<IterationStats>,
-    /// Per-iteration engine metrics.
+    /// Per-iteration engine metrics. A `FinalOnly` initial run appends one
+    /// slot for its MRBGraph materialisation pass.
     pub per_iteration: Vec<JobMetrics>,
-    /// Whether `epsilon` convergence was reached within the budget.
+    /// Whether the run converged (`epsilon` reached, or the workset
+    /// drained) within the budget.
     pub converged: bool,
+    /// Iteration after which the P∆ monitor switched a refresh from MRBG
+    /// passes to full passes, if it did.
+    pub mrbg_turned_off_at: Option<u64>,
+    /// Workset size entering each MRBG pass (the Fig. 11a series measured
+    /// at the scheduler).
+    pub worksets: Vec<u64>,
     /// Per-fence tuner decisions (empty when tuning is off; see
     /// [`crate::tuning::EngineTuner`]).
     pub tuning: Vec<TuningDecision>,
@@ -209,336 +219,23 @@ impl RunReport {
     }
 }
 
-/// The partitioned iterative engine (see module docs).
-pub struct PartitionedIterEngine<'s, S: IterativeSpec> {
-    spec: &'s S,
-    config: JobConfig,
-    params: IterParams,
-    /// Iteration-scoped recycler: shuffle runs and map-side partition
-    /// buffers live here between iterations instead of being reallocated.
-    recycler: RunPool<S::DK, S::V2>,
-    /// Optional online controller ticked at every iteration fence.
-    tuner: Option<Arc<EngineTuner>>,
-    /// Optional telemetry recorder (stage samples, checkpoint spans).
-    recorder: Option<Arc<TraceRecorder>>,
-}
-
-impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
-    /// Build an engine. `config.n_map` / `n_reduce` must be equal (the
-    /// co-location scheme pairs map task i with reduce task i).
-    #[deprecated(note = "construct runs through i2mr_core::run::RunBuilder")]
-    pub fn new(spec: &'s S, config: JobConfig, params: IterParams) -> Result<Self> {
-        Self::assemble(spec, config, params)
-    }
-
-    /// The constructor behind both [`crate::run::RunBuilder`] and the
-    /// deprecated [`Self::new`] shim.
-    pub(crate) fn assemble(spec: &'s S, config: JobConfig, params: IterParams) -> Result<Self> {
-        config.validate()?;
-        if config.n_map != config.n_reduce {
-            return Err(i2mr_common::error::Error::config(
-                "iterative engine requires n_map == n_reduce (prime task co-location)",
-            ));
-        }
-        Ok(PartitionedIterEngine {
-            spec,
-            config,
-            params,
-            recycler: RunPool::new(),
-            tuner: None,
-            recorder: None,
-        })
-    }
-
-    /// Attach (or detach) the session's online tuner. Engines built through
-    /// the deprecated direct constructors run untuned.
-    pub(crate) fn with_tuner(mut self, tuner: Option<Arc<EngineTuner>>) -> Self {
-        self.tuner = tuner;
-        self
-    }
-
-    /// Attach (or detach) the session's telemetry recorder. Engines built
-    /// through the deprecated direct constructors run untraced.
-    pub(crate) fn with_recorder(mut self, recorder: Option<Arc<TraceRecorder>>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// The spec driving this engine.
-    pub fn spec(&self) -> &S {
-        self.spec
-    }
-
-    /// Run iterations until convergence or the iteration budget.
-    ///
-    /// `stores` (the store runtime owning one shard per partition) is
-    /// written according to `params.preserve`; pass `None` with
-    /// `PreserveMode::None` for the pure iterMR baseline.
-    pub fn run(
+impl<S: IterativeSpec> Driver<'_, S> {
+    /// A full pass: prime Map → shuffle → sort → prime Reduce over every
+    /// key, appending the pass's MRBGraph to `stores` when given.
+    pub(crate) fn full_pass(
         &self,
-        pool: &WorkerPool,
-        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
-        stores: Option<&StoreManager>,
-    ) -> Result<RunReport> {
-        let preserve_each = matches!(self.params.preserve, PreserveMode::EveryIteration);
-        if matches!(
-            self.params.preserve,
-            PreserveMode::EveryIteration | PreserveMode::FinalOnly
-        ) && stores.is_none()
-        {
-            return Err(i2mr_common::error::Error::config(
-                "MRBGraph preservation requested but no stores supplied",
-            ));
-        }
-
-        let mut report = RunReport::default();
-        for iteration in 1..=self.params.max_iterations {
-            let started = Instant::now();
-            let mut metrics = JobMetrics {
-                // Job reuse: the single job is counted on its first iteration.
-                jobs_started: u64::from(iteration == 1),
-                ..Default::default()
-            };
-            let stats = self.run_iteration(
-                pool,
-                data,
-                iteration,
-                if preserve_each { stores } else { None },
-                &mut metrics,
-            )?;
-            let stats = IterationStats {
-                iteration,
-                wall: started.elapsed(),
-                ..stats
-            };
-            let converged = stats.max_diff < self.params.epsilon;
-            report.iterations.push(stats);
-            report.per_iteration.push(metrics);
-            if converged {
-                report.converged = true;
-                break;
-            }
-        }
-
-        if matches!(self.params.preserve, PreserveMode::FinalOnly) {
-            // Materialize the MRBGraph of the converged state in one extra
-            // pass (ablation vs. paying preservation every iteration).
-            let mut metrics = JobMetrics::default();
-            self.materialize_mrbg(pool, data, stores.unwrap(), &mut metrics)?;
-            report.per_iteration.push(metrics);
-        }
-        if let Some(stores) = stores {
-            // Compactions scheduled by the final iterations may still be
-            // overlapping; settle them and fold the trailing store-plane
-            // counters into the last iteration's metrics.
-            crate::run::settle_trailing(stores, &mut report.per_iteration)?;
-        }
-        if let Some(tuner) = &self.tuner {
-            report.tuning = tuner.drain_decisions();
-        }
-        Ok(report)
-    }
-
-    /// Like [`Self::run`], but checkpointing every iteration and rewinding
-    /// to the last complete checkpoint when a fault escapes the executor's
-    /// own retries (paper §6.1 / Fig. 13). Structure data never mutates
-    /// across iterations, so recovery reloads only the state — and rebuilds
-    /// the store shards when preservation runs every iteration.
-    pub fn run_checkpointed(
-        &self,
-        pool: &WorkerPool,
-        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
-        stores: Option<&StoreManager>,
-        ck: &IterCheckpointer,
-    ) -> Result<RunReport> {
-        let preserve_each = matches!(self.params.preserve, PreserveMode::EveryIteration);
-        if matches!(
-            self.params.preserve,
-            PreserveMode::EveryIteration | PreserveMode::FinalOnly
-        ) && stores.is_none()
-        {
-            return Err(i2mr_common::error::Error::config(
-                "MRBGraph preservation requested but no stores supplied",
-            ));
-        }
-        let ckpt_stores = if preserve_each { stores } else { None };
-
-        // Iteration-0 baseline: written before any mutation, so a baseline
-        // failure leaves the caller's data untouched and the run retryable.
-        let t = Instant::now();
-        ck.save_iteration(0, &data.state, ckpt_stores)?;
-        ck.save_aux(0, &[])?;
-        emit_checkpoint_save(self.recorder.as_ref(), 0, t);
-
-        let mut report = RunReport::default();
-        let mut recoveries_left = crate::checkpoint::MAX_RECOVERIES;
-        let mut pending_recovery_ms = 0u64;
-        let mut iteration = 1u64;
-        while iteration <= self.params.max_iterations {
-            let started = Instant::now();
-            let mut metrics = JobMetrics {
-                jobs_started: u64::from(iteration == 1),
-                ..Default::default()
-            };
-            let step = self
-                .run_iteration(pool, data, iteration, ckpt_stores, &mut metrics)
-                .and_then(|stats| {
-                    let t = Instant::now();
-                    ck.save_iteration(iteration, &data.state, ckpt_stores)?;
-                    // Aux last: its presence seals the iteration.
-                    ck.save_aux(iteration, &[])?;
-                    emit_checkpoint_save(self.recorder.as_ref(), iteration, t);
-                    Ok(stats)
-                });
-            match step {
-                Ok(stats) => {
-                    let (retries, respeculations) = pool.drain_recovery();
-                    metrics.retries += retries;
-                    metrics.respeculations += respeculations;
-                    metrics.recovery_ms += std::mem::take(&mut pending_recovery_ms);
-                    let stats = IterationStats {
-                        iteration,
-                        wall: started.elapsed(),
-                        ..stats
-                    };
-                    let converged = stats.max_diff < self.params.epsilon;
-                    report.iterations.push(stats);
-                    report.per_iteration.push(metrics);
-                    if converged {
-                        report.converged = true;
-                        break;
-                    }
-                    iteration += 1;
-                }
-                Err(e) => {
-                    if recoveries_left == 0 {
-                        return Err(e);
-                    }
-                    let Some(latest) = ck.latest_resumable(ckpt_stores.is_some()) else {
-                        return Err(e);
-                    };
-                    recoveries_left -= 1;
-                    let t = Instant::now();
-                    data.state = ck.load_state(latest)?;
-                    if let Some(stores) = ckpt_stores {
-                        for p in 0..stores.n_shards() {
-                            let payload = ck.load_store_payload(latest, p)?;
-                            stores.rebuild_shard(p, &payload)?;
-                        }
-                    }
-                    let d = t.elapsed();
-                    emit_checkpoint_restore(self.recorder.as_ref(), latest, d);
-                    report.iterations.truncate(latest as usize);
-                    report.per_iteration.truncate(latest as usize);
-                    pending_recovery_ms += (d.as_millis() as u64).max(1);
-                    iteration = latest + 1;
-                }
-            }
-        }
-
-        if matches!(self.params.preserve, PreserveMode::FinalOnly) {
-            let mut metrics = JobMetrics::default();
-            self.materialize_mrbg(pool, data, stores.unwrap(), &mut metrics)?;
-            report.per_iteration.push(metrics);
-        }
-        if let Some(stores) = stores {
-            crate::run::settle_trailing(stores, &mut report.per_iteration)?;
-        }
-        if let Some(tuner) = &self.tuner {
-            report.tuning = tuner.drain_decisions();
-        }
-        Ok(report)
-    }
-
-    /// One prime-Map → shuffle → sort → prime-Reduce iteration.
-    fn run_iteration(
-        &self,
-        pool: &WorkerPool,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         iteration: u64,
         stores: Option<&StoreManager>,
         metrics: &mut JobMetrics,
     ) -> Result<IterationStats> {
-        let n = self.config.n_reduce;
         let spec = self.spec;
-        let recycler = &self.recycler;
+        // MK bytes only travel when the MRBGraph is maintained.
+        let (runs, invocations) = self.map_sort(data, iteration, stores.is_some(), metrics)?;
+        metrics.map_invocations += invocations;
 
-        // Prime Map: merge-join structure groups with co-located state.
-        let t = Instant::now();
-        let map_tasks: Vec<TaskSpec<'_, (ShuffleBuffers<S::DK, S::V2>, u64)>> = (0..n)
-            .map(|p| {
-                let structure = &data.structure[p];
-                let state = &data.state[p];
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::Map,
-                        index: p,
-                        iteration,
-                    },
-                    p % pool.n_workers(),
-                    move |_| {
-                        let mut buffers = ShuffleBuffers::with_pool(n, recycler);
-                        let mut emitter = Emitter::new();
-                        let mut invocations = 0u64;
-                        debug_assert_eq!(structure.len(), state.len());
-                        for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
-                            debug_assert!(g.dk == *dk, "structure/state misaligned");
-                            for (sk, sv) in &g.records {
-                                let mk = MapKey::for_structure(&encode_to(sk));
-                                spec.map(sk, sv, dk, dv, &mut emitter);
-                                invocations += 1;
-                                for (k2, v2) in emitter.drain() {
-                                    buffers.push(k2, mk, v2, &HashPartitioner);
-                                }
-                            }
-                        }
-                        Ok((buffers, invocations))
-                    },
-                )
-            })
-            .collect();
-        let map_results = pool.run_tasks(map_tasks)?;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Map,
-            iteration,
-            t.elapsed(),
-        );
-        let mut map_outputs = Vec::with_capacity(map_results.len());
-        for (buffers, inv) in map_results {
-            metrics.map_invocations += inv;
-            map_outputs.push(buffers);
-        }
-
-        // Shuffle (MK bytes only travel when the MRBGraph is maintained).
-        let t = Instant::now();
-        let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, stores.is_some(), recycler);
-        metrics.shuffled_records += recs;
-        metrics.shuffled_bytes += bytes;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Shuffle,
-            iteration,
-            t.elapsed(),
-        );
-
-        // Sort (pool-scheduled, unstable, one task per run; runs under the
-        // tuner's inline threshold are sorted on the caller).
-        let t = Instant::now();
-        let inline_below = self.tuner.as_ref().map_or(0, |t| t.sort_inline_threshold());
-        sort_runs_adaptive(pool, &mut runs, iteration, inline_below, false)?;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Sort,
-            iteration,
-            t.elapsed(),
-        );
-
-        // Prime Reduce, co-located with the prime Map of the next iteration:
-        // reduce task p writes state partition p directly.
+        // Prime Reduce, co-located with the next pass's prime Map: reduce
+        // task p writes state partition p directly.
         let t = Instant::now();
         let state_parts = &data.state;
         type ReduceOut<S> = (
@@ -560,7 +257,7 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                         index: p,
                         iteration,
                     },
-                    p % pool.n_workers(),
+                    p % self.pool.n_workers(),
                     move |_| {
                         let mut new_state = Vec::with_capacity(state.len());
                         let mut chunks: Vec<Chunk> = Vec::new();
@@ -576,13 +273,13 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                             while let Some(g) = group_iter.peek() {
                                 match g[0].0.cmp(dk) {
                                     std::cmp::Ordering::Less => {
-                                        let g = group_iter.next().unwrap();
+                                        let g = group_iter.next().expect("peeked group");
                                         if stores.is_some() {
                                             chunks.push(chunk_of::<S>(g));
                                         }
                                     }
                                     std::cmp::Ordering::Equal => {
-                                        matched = Some(group_iter.next().unwrap());
+                                        matched = Some(group_iter.next().expect("peeked group"));
                                         break;
                                     }
                                     std::cmp::Ordering::Greater => break,
@@ -617,11 +314,12 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 )
             })
             .collect();
-        let reduce_results = pool.run_tasks(reduce_tasks)?;
+        let reduce_results = self.pool.run_tasks(reduce_tasks)?;
 
         let mut max_diff = 0.0f64;
         let mut changed = 0u64;
-        let mut batches: Vec<Vec<Chunk>> = Vec::with_capacity(if stores.is_some() { n } else { 0 });
+        let mut batches: Vec<Vec<Chunk>> =
+            Vec::with_capacity(if stores.is_some() { self.n } else { 0 });
         for (p, (new_state, part_max, part_changed, invocations, chunks)) in
             reduce_results.into_iter().enumerate()
         {
@@ -638,41 +336,13 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
         if let Some(stores) = stores {
             // Preservation: one batch per shard, appended as concurrent
             // StoreMerge tasks driven by the store runtime. (The append
-            // fences the previous iteration's overlapped compactions.)
+            // fences the previous pass's overlapped compactions.)
             stores.append_batch_all(iteration, batches)?;
         }
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Reduce,
-            iteration,
-            t.elapsed(),
-        );
-        if let Some(stores) = stores {
-            // Drain the store plane's counters *before* scheduling: the
-            // drain takes every shard's write lock, so doing it after
-            // would block behind the just-submitted compactions and
-            // forfeit the overlap. (A still-running compaction's stats
-            // land in a later drain — the final fence folds the rest.)
-            stores.drain_metrics(metrics);
-        }
-        if let Some(tuner) = &self.tuner {
-            // Iteration fence: fold this iteration's signals into bounded
-            // policy moves *before* scheduling, so an updated per-shard
-            // policy shapes this fence's due-shard scan.
-            tuner.tick(iteration, stores, pool, n, metrics);
-        }
-        if let Some(stores) = stores {
-            // End of iteration: schedule policy-driven compactions as
-            // detached background work. They overlap the *next*
-            // iteration's map phase and are fenced before its preservation
-            // append (paper §3.4: reconstruction happens while the worker
-            // is idle — it is deliberately NOT charged to a Fig. 9 stage).
-            stores.schedule_compactions(iteration)?;
-        }
-        // Reduce is done with the sorted runs: park them for the next
-        // iteration instead of dropping the allocations.
-        self.recycler.recycle_all(runs);
+        self.stage(metrics, Stage::Reduce, iteration, t);
+        // Reduce is done with the sorted runs: park them for the next pass
+        // instead of dropping the allocations.
+        self.full_runs.recycle_all(runs);
         Ok(IterationStats {
             iteration,
             max_diff,
@@ -682,77 +352,17 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
     }
 
     /// Map + preserve pass against the *current* state, used by
-    /// [`PreserveMode::FinalOnly`] to materialize the converged MRBGraph.
-    fn materialize_mrbg(
+    /// `PreserveMode::FinalOnly` to materialize the converged MRBGraph
+    /// (iteration `u64::MAX` in task ids and stage samples).
+    pub(crate) fn materialize_mrbg(
         &self,
-        pool: &WorkerPool,
         data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         stores: &StoreManager,
         metrics: &mut JobMetrics,
     ) -> Result<()> {
-        let n = self.config.n_reduce;
-        let spec = self.spec;
-        let recycler = &self.recycler;
-        let t = Instant::now();
-        let map_tasks: Vec<TaskSpec<'_, ShuffleBuffers<S::DK, S::V2>>> = (0..n)
-            .map(|p| {
-                let structure = &data.structure[p];
-                let state = &data.state[p];
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::Map,
-                        index: p,
-                        iteration: u64::MAX,
-                    },
-                    p % pool.n_workers(),
-                    move |_| {
-                        let mut buffers = ShuffleBuffers::with_pool(n, recycler);
-                        let mut emitter = Emitter::new();
-                        for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
-                            for (sk, sv) in &g.records {
-                                let mk = MapKey::for_structure(&encode_to(sk));
-                                spec.map(sk, sv, dk, dv, &mut emitter);
-                                for (k2, v2) in emitter.drain() {
-                                    buffers.push(k2, mk, v2, &HashPartitioner);
-                                }
-                            }
-                        }
-                        Ok(buffers)
-                    },
-                )
-            })
-            .collect();
-        let map_outputs = pool.run_tasks(map_tasks)?;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Map,
-            u64::MAX,
-            t.elapsed(),
-        );
-
-        let t = Instant::now();
-        let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, true, recycler);
-        metrics.shuffled_records += recs;
-        metrics.shuffled_bytes += bytes;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Shuffle,
-            u64::MAX,
-            t.elapsed(),
-        );
-
-        let t = Instant::now();
-        sort_runs(pool, &mut runs, u64::MAX)?;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Sort,
-            u64::MAX,
-            t.elapsed(),
-        );
-
+        // Its map invocations are not counted: the pass re-derives the
+        // edges of the state the last counted pass produced.
+        let (runs, _) = self.map_sort(data, u64::MAX, true, metrics)?;
         let t = Instant::now();
         // Chunk construction stays a Reduce-kind task per partition; the
         // appends themselves run as the store runtime's StoreMerge tasks.
@@ -771,18 +381,63 @@ impl<'s, S: IterativeSpec> PartitionedIterEngine<'s, S> {
                 )
             })
             .collect();
-        let batches = pool.run_tasks(build_tasks)?;
+        let batches = self.pool.run_tasks(build_tasks)?;
         stores.append_batch_all(u64::MAX, batches)?;
-        add_stage(
-            self.recorder.as_ref(),
-            metrics,
-            Stage::Reduce,
-            u64::MAX,
-            t.elapsed(),
-        );
+        self.stage(metrics, Stage::Reduce, u64::MAX, t);
         stores.drain_metrics(metrics);
-        self.recycler.recycle_all(runs);
+        self.full_runs.recycle_all(runs);
         Ok(())
+    }
+
+    /// The prime Map → shuffle → sort prefix of a full pass: structure
+    /// groups merge-joined with their co-located state, one Map task per
+    /// partition. Returns the sorted runs and the map invocations.
+    fn map_sort(
+        &self,
+        data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        iteration: u64,
+        with_mk: bool,
+        metrics: &mut JobMetrics,
+    ) -> Result<(Vec<Vec<ShuffleRecord<S::DK, S::V2>>>, u64)> {
+        let spec = self.spec;
+        let t = Instant::now();
+        let inputs: Vec<_> = data.structure.iter().zip(&data.state).enumerate().collect();
+        let (map_outputs, invocations) = self.map_stage(
+            iteration,
+            &self.full_runs,
+            &inputs,
+            |(structure, state), emitter, buffers| {
+                debug_assert_eq!(structure.len(), state.len());
+                let mut invocations = 0u64;
+                for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
+                    debug_assert!(g.dk == *dk, "structure/state misaligned");
+                    for (sk, sv) in &g.records {
+                        let mk = MapKey::for_structure(&encode_to(sk));
+                        spec.map(sk, sv, dk, dv, emitter);
+                        invocations += 1;
+                        for (k2, v2) in emitter.drain() {
+                            buffers.push(k2, mk, v2, &HashPartitioner);
+                        }
+                    }
+                }
+                invocations
+            },
+        )?;
+        self.stage(metrics, Stage::Map, iteration, t);
+
+        let t = Instant::now();
+        let (mut runs, recs, bytes) =
+            transpose_pooled(map_outputs, self.n, with_mk, &self.full_runs);
+        metrics.shuffled_records += recs;
+        metrics.shuffled_bytes += bytes;
+        self.stage(metrics, Stage::Shuffle, iteration, t);
+
+        // Sort (pool-scheduled, unstable, one task per non-empty run; runs
+        // under the tuner's inline threshold are sorted on the caller).
+        let t = Instant::now();
+        sort_runs_adaptive(self.pool, &mut runs, iteration, self.inline_below())?;
+        self.stage(metrics, Stage::Sort, iteration, t);
+        Ok((runs, invocations))
     }
 }
 
@@ -1023,7 +678,7 @@ impl<'s, S: SmallStateSpec> SmallStateIterEngine<'s, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iterative::DependencyKind;
+    use crate::iterative::{DependencyKind, PreserveMode};
 
     /// Toy spec: state values converge to the average of their in-neighbor
     /// values (a contraction, so it converges quickly).
@@ -1062,6 +717,30 @@ mod tests {
         (0..n).map(|i| (i, vec![(i + 1) % n])).collect()
     }
 
+    /// `run_initial` of an `Averager` session on `pool` with `n`
+    /// partitions, preserving into `stores` and checkpointing to `ck` when
+    /// given.
+    fn run_initial(
+        pool: &WorkerPool,
+        n: usize,
+        params: IterParams,
+        stores: Option<&StoreManager>,
+        ck: Option<&crate::checkpoint::IterCheckpointer>,
+        data: &mut PartitionedData<u64, Vec<u64>, u64, f64>,
+    ) -> Result<RunReport> {
+        let mut builder = crate::run::RunBuilder::new(&Averager)
+            .pool(pool)
+            .job(JobConfig::symmetric(n))
+            .iter(params);
+        if let Some(stores) = stores {
+            builder = builder.stores_ref(stores);
+        }
+        if let Some(ck) = ck {
+            builder = builder.checkpointer_ref(ck);
+        }
+        builder.build()?.run_initial(data)
+    }
+
     #[test]
     fn partitioning_groups_and_aligns_state() {
         let data = build_partitioned(&Averager, 4, ring(100));
@@ -1084,20 +763,14 @@ mod tests {
 
     #[test]
     fn full_run_converges_to_fixed_point() {
-        let spec = Averager;
-        let engine = PartitionedIterEngine::assemble(
-            &spec,
-            JobConfig::symmetric(3),
-            IterParams {
-                max_iterations: 100,
-                epsilon: 1e-12,
-                preserve: PreserveMode::None,
-            },
-        )
-        .unwrap();
+        let params = IterParams {
+            max_iterations: 100,
+            epsilon: 1e-12,
+            preserve: PreserveMode::None,
+        };
         let pool = WorkerPool::new(3);
-        let mut data = build_partitioned(&spec, 3, ring(30));
-        let report = engine.run(&pool, &mut data, None).unwrap();
+        let mut data = build_partitioned(&Averager, 3, ring(30));
+        let report = run_initial(&pool, 3, params, None, None, &mut data).unwrap();
         assert!(report.converged);
         // Fixed point of x = 0.1 + 0.5x is 0.2.
         for (_, v) in data.state_snapshot() {
@@ -1115,24 +788,21 @@ mod tests {
             n_reduce: 3,
             ..Default::default()
         };
-        assert!(PartitionedIterEngine::assemble(&Averager, cfg, IterParams::default()).is_err());
+        assert!(crate::run::RunBuilder::new(&Averager)
+            .job(cfg)
+            .build()
+            .is_err());
     }
 
     #[test]
     fn preserve_every_iteration_builds_batches() {
-        let spec = Averager;
-        let engine = PartitionedIterEngine::assemble(
-            &spec,
-            JobConfig::symmetric(2),
-            IterParams {
-                max_iterations: 5,
-                epsilon: 0.0, // never converge: run all 5
-                preserve: PreserveMode::EveryIteration,
-            },
-        )
-        .unwrap();
+        let params = IterParams {
+            max_iterations: 5,
+            epsilon: 0.0, // never converge: run all 5
+            preserve: PreserveMode::EveryIteration,
+        };
         let pool = WorkerPool::new(2);
-        let mut data = build_partitioned(&spec, 2, ring(16));
+        let mut data = build_partitioned(&Averager, 2, ring(16));
         let dir = std::env::temp_dir().join(format!(
             "i2mr-iter-preserve-{}-{:?}",
             std::process::id(),
@@ -1140,7 +810,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let stores = StoreManager::create(&pool, &dir, 2, Default::default()).unwrap();
-        engine.run(&pool, &mut data, Some(&stores)).unwrap();
+        run_initial(&pool, 2, params, Some(&stores), None, &mut data).unwrap();
         for p in 0..2 {
             stores.with_store_ref(p, |s| {
                 assert_eq!(s.n_batches(), 5, "one batch per iteration");
@@ -1151,19 +821,13 @@ mod tests {
 
     #[test]
     fn preserve_final_only_builds_one_batch() {
-        let spec = Averager;
-        let engine = PartitionedIterEngine::assemble(
-            &spec,
-            JobConfig::symmetric(2),
-            IterParams {
-                max_iterations: 50,
-                epsilon: 1e-10,
-                preserve: PreserveMode::FinalOnly,
-            },
-        )
-        .unwrap();
+        let params = IterParams {
+            max_iterations: 50,
+            epsilon: 1e-10,
+            preserve: PreserveMode::FinalOnly,
+        };
         let pool = WorkerPool::new(2);
-        let mut data = build_partitioned(&spec, 2, ring(16));
+        let mut data = build_partitioned(&Averager, 2, ring(16));
         let dir = std::env::temp_dir().join(format!(
             "i2mr-iter-final-{}-{:?}",
             std::process::id(),
@@ -1171,7 +835,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let stores = StoreManager::create(&pool, &dir, 2, Default::default()).unwrap();
-        let report = engine.run(&pool, &mut data, Some(&stores)).unwrap();
+        let report = run_initial(&pool, 2, params, Some(&stores), None, &mut data).unwrap();
         assert!(report.converged);
         for p in 0..2 {
             let n = stores.with_store_ref(p, |s| s.n_batches());
@@ -1186,19 +850,17 @@ mod tests {
         use i2mr_mapred::pool::PoolConfig;
         use std::sync::Arc;
 
-        let spec = Averager;
         let params = IterParams {
             max_iterations: 100,
             epsilon: 1e-12,
             preserve: PreserveMode::None,
         };
-        let engine =
-            PartitionedIterEngine::assemble(&spec, JobConfig::symmetric(3), params).unwrap();
 
         // Fault-free reference run.
         let clean = WorkerPool::new(3);
-        let mut want = build_partitioned(&spec, 3, ring(30));
-        assert!(engine.run(&clean, &mut want, None).unwrap().converged);
+        let mut want = build_partitioned(&Averager, 3, ring(30));
+        let report = run_initial(&clean, 3, params, None, None, &mut want).unwrap();
+        assert!(report.converged);
 
         // Faulty pool: every task attempt fails while the budget lasts and
         // the executor gets no retries, so failures escape to the engine.
@@ -1221,10 +883,8 @@ mod tests {
         let dfs = i2mr_dfs::MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
         let ck = IterCheckpointer::new(&dfs, "avg-resume", 3);
 
-        let mut data = build_partitioned(&spec, 3, ring(30));
-        let report = engine
-            .run_checkpointed(&faulty, &mut data, None, &ck)
-            .unwrap();
+        let mut data = build_partitioned(&Averager, 3, ring(30));
+        let report = run_initial(&faulty, 3, params, None, Some(&ck), &mut data).unwrap();
         assert!(report.converged);
         assert!(fp.fired() >= 1, "faults must actually have been injected");
         let total = report.total_metrics();

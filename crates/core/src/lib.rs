@@ -9,23 +9,23 @@
 //!   MRBGraph entirely for distributive aggregations (paper §3.5).
 //! * [`iterative`] / [`iter_engine`] — the general-purpose iterative model
 //!   with structure/state separation, the Project API, dependency-aware
-//!   co-partitioning, and prime task co-location (paper §4). With
-//!   preservation off this is the `iterMR` baseline; with preservation on
-//!   it is the initial run an incremental job continues from.
-//! * [`incr_iter`] — incremental iterative processing: converged-state
-//!   reuse, delta-structure/delta-state iterations, change propagation
-//!   control, and the P∆ monitor that auto-disables MRBGraph maintenance
-//!   (paper §5).
-//! * [`delta_iter`] — the workset-driven delta-iteration engine: maps,
-//!   shuffles, and reduces **only changed keys** against the solution set
-//!   preserved in the store plane, generalizing change propagation from a
-//!   post-hoc filter into scheduling. Bit-identical results to
-//!   [`incr_iter`], a fraction of the scheduling and index-persistence
-//!   work on low-churn refreshes.
-//! * [`run`] — the single construction surface for all engines: a
-//!   validated [`run::EngineConfig`] behind a [`run::RunBuilder`] that
-//!   assembles a [`run::RunSession`] (initial/incremental/delta runs,
-//!   serving handles, settled teardown).
+//!   co-partitioning, and prime task co-location (paper §4), plus the
+//!   small-state engine. Every partitioned run — initial, incremental or
+//!   delta — is one fixed-point driver whose passes are of two kinds: a
+//!   *full pass* over every key ([`iter_engine`]; with preservation off
+//!   this is the `iterMR` baseline, with it on the initial run an
+//!   incremental job continues from) or an *MRBG pass* over the workset.
+//! * [`incr_iter`] — incremental iterative processing (paper §5): the MRBG
+//!   pass, which maps, shuffles and reduces **only changed keys** against
+//!   the converged state and the MRBGraph preserved in the store plane,
+//!   with change propagation control; the P∆ monitor switches a refresh
+//!   to full passes when the workset grows past its threshold.
+//! * [`delta_iter`] — the update contracts ([`UpdateContract`]) a spec
+//!   declares to run through [`run::RunSession::run_delta`].
+//! * [`run`] — the single construction surface: a validated
+//!   [`run::EngineConfig`] behind a [`run::RunBuilder`] that assembles a
+//!   [`run::RunSession`] (initial/incremental/delta runs, serving
+//!   handles, settled teardown).
 //! * [`ingest`] — cursor-based ingestion: partitioned, sequence-numbered
 //!   feeds consumed through high-water-mark [`ingest::IngestCursor`]s,
 //!   with config/schema versioning and invalidations that trigger
@@ -86,6 +86,7 @@ pub mod checkpoint;
 pub mod cpc;
 pub mod delta;
 pub mod delta_iter;
+mod driver;
 pub mod incr_iter;
 pub mod ingest;
 pub mod iter_engine;
@@ -101,12 +102,12 @@ pub use accumulator::{Accumulator, AccumulatorEngine};
 pub use checkpoint::IterCheckpointer;
 pub use cpc::{ChangePropagation, Verdict};
 pub use delta::{Delta, DeltaRecord, Op};
-pub use delta_iter::{DeltaIterEngine, DeltaIterativeSpec, DeltaRunReport, UpdateContract};
-pub use incr_iter::{IncrIterEngine, IncrParams, IncrRunReport};
+pub use delta_iter::{DeltaIterativeSpec, UpdateContract};
+pub use incr_iter::IncrParams;
 pub use ingest::{FeedItem, IngestBatch, IngestCursor, IngestSource, MemSource};
 pub use iter_engine::{
-    build_partitioned, build_small_state, PartitionedData, PartitionedIterEngine, RunReport,
-    SmallStateData, SmallStateIterEngine,
+    build_partitioned, build_small_state, PartitionedData, RunReport, SmallStateData,
+    SmallStateIterEngine,
 };
 pub use iterative::{
     DependencyKind, IterParams, IterationStats, IterativeSpec, PreserveMode, SmallStateSpec,

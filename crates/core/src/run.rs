@@ -1,12 +1,9 @@
-//! The unified engine front door: [`RunBuilder`] → [`RunSession`].
+//! The engine front door: [`RunBuilder`] → [`RunSession`].
 //!
-//! Before this module, every refresh mode had its own constructor —
-//! `PartitionedIterEngine::new`, `IncrIterEngine::new`,
-//! `DeltaIterEngine::new` — each taking a slightly different parameter
-//! bundle, and every caller re-assembled the same scaffolding around them:
-//! a worker pool, a [`StoreManager`] over a directory, an optional
-//! [`IterCheckpointer`], and a hand-rolled end-of-run settle of the store
-//! plane. The builder collapses that into one surface:
+//! A run needs a worker pool, usually a [`StoreManager`] over a directory,
+//! optionally an [`IterCheckpointer`], and an end-of-run settle of the
+//! store plane. The builder assembles all of it from one validated
+//! [`EngineConfig`]:
 //!
 //! ```text
 //! RunBuilder::new(&spec)          // what to compute
@@ -17,28 +14,27 @@
 //!     .build()?                   // -> RunSession
 //! ```
 //!
-//! The session then exposes the three refresh modes as methods —
+//! The session exposes the run modes as methods —
 //! [`RunSession::run_initial`], [`RunSession::run_incremental`],
-//! [`RunSession::run_delta`] — plus the serving plane
-//! ([`RunSession::serve`]) and a single [`RunSession::finish`] that settles
-//! the store plane (fence overlapped compactions, commit dirty shards,
-//! drain trailing counters) exactly once and hands the stores back.
-//!
-//! The legacy constructors remain as `#[deprecated]` shims so downstream
-//! code keeps compiling while it migrates; they delegate to the same
-//! `assemble` internals the session uses, so both paths are bit-identical
-//! (see `crates/core/tests/builder_equivalence.rs`).
+//! [`RunSession::run_delta`], all one fixed-point driver returning a
+//! [`RunReport`] — plus the serving plane ([`RunSession::serve`]) and a
+//! single [`RunSession::finish`] that settles the store plane (fence
+//! overlapped compactions, commit dirty shards, drain trailing counters)
+//! exactly once and hands the stores back. `tests/builder_equivalence.rs`
+//! pins seeded runs of all three modes to fingerprints of their state,
+//! store exports and checkpoint writes.
 
 use crate::checkpoint::IterCheckpointer;
 use crate::delta::Delta;
-use crate::delta_iter::{DeltaIterEngine, DeltaIterativeSpec, DeltaRunReport};
-use crate::incr_iter::{IncrIterEngine, IncrParams, IncrRunReport};
-use crate::iter_engine::{PartitionedData, PartitionedIterEngine, RunReport};
-use crate::iterative::{IterParams, IterativeSpec};
+use crate::delta_iter::{DeltaIterativeSpec, UpdateContract};
+use crate::driver::{Admissible, Driver, Refresh};
+use crate::incr_iter::IncrParams;
+use crate::iter_engine::{PartitionedData, RunReport};
+use crate::iterative::{IterParams, IterativeSpec, PreserveMode};
 use crate::trace::Telemetry;
 use crate::tuning::EngineTuner;
 use i2mr_common::error::{Error, Result};
-use i2mr_common::metrics::{IoStats, JobMetrics};
+use i2mr_common::metrics::JobMetrics;
 use i2mr_common::telemetry::{MetricsSnapshot, TelemetryConfig, TraceLog};
 use i2mr_common::tuner::{TuningConfig, TuningMode};
 use i2mr_dfs::MiniDfs;
@@ -58,10 +54,10 @@ use std::sync::Arc;
 pub struct EngineConfig {
     /// Task/worker counts and retry budget.
     pub job: JobConfig,
-    /// Full-run iteration knobs; also the fallback parameters an
-    /// incremental/delta run uses after a P∆-triggered MRBG turn-off.
+    /// Full-run iteration knobs; `epsilon` is also where a refresh's full
+    /// passes converge after a P∆-triggered switch.
     pub iter: IterParams,
-    /// Incremental-run knobs (CPC thresholds, P∆ monitor, MRBG toggle).
+    /// Incremental-run knobs (CPC thresholds, P∆ monitor, budget).
     pub incr: IncrParams,
     /// Store plane tunables (per-shard config, compaction policy, plane).
     pub store: StoreRuntimeConfig,
@@ -587,55 +583,69 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         &self,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
     ) -> Result<RunReport> {
-        let engine =
-            PartitionedIterEngine::assemble(self.spec, self.config.job.clone(), self.config.iter)?
-                .with_tuner(self.tuner.clone())
-                .with_recorder(self.telemetry.recorder_handle());
-        match self.checkpointer() {
-            Some(ck) => engine.run_checkpointed(&self.pool, data, self.stores(), ck),
-            None => engine.run(&self.pool, data, self.stores()),
-        }
+        self.driver().iterate(data, self.config.iter, None)
     }
 
     /// Run an incremental refresh (`config.incr`) of a previously
-    /// converged computation against `delta`. Requires a store plane.
+    /// converged computation against `delta`: workset-driven MRBG passes,
+    /// switching to full passes if the P∆ monitor trips. Requires a store
+    /// plane.
     pub fn run_incremental(
         &self,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         delta: &Delta<S::SK, S::SV>,
-    ) -> Result<IncrRunReport> {
-        let stores = self.stores_required("run_incremental")?;
-        let engine = IncrIterEngine::assemble(
-            self.spec,
-            self.config.job.clone(),
-            self.config.incr,
-            self.config.iter,
-        )?
-        .with_tuner(self.tuner.clone())
-        .with_recorder(self.telemetry.recorder_handle());
-        engine.run(&self.pool, data, stores, delta, self.checkpointer())
+    ) -> Result<RunReport> {
+        self.refresh("run_incremental", data, delta, None)
     }
 
-    /// Run a workset-driven delta refresh of a previously converged
-    /// computation against `delta`. Requires a store plane.
+    /// [`RunSession::run_incremental`] for a spec that declares its update
+    /// contract: the same refresh, with [`DeltaIterativeSpec::admissible`]
+    /// debug-asserted on every reduce output of a `Monotonic` spec.
     pub fn run_delta(
         &self,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         delta: &Delta<S::SK, S::SV>,
-    ) -> Result<DeltaRunReport>
+    ) -> Result<RunReport>
     where
         S: DeltaIterativeSpec,
     {
-        let stores = self.stores_required("run_delta")?;
-        let engine = DeltaIterEngine::assemble(
+        let spec = self.spec;
+        let admissible = move |candidate: &S::DV, prev: &S::DV| spec.admissible(candidate, prev);
+        let monotonic = spec.contract() == UpdateContract::Monotonic;
+        self.refresh("run_delta", data, delta, monotonic.then_some(&admissible))
+    }
+
+    fn refresh(
+        &self,
+        what: &str,
+        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        delta: &Delta<S::SK, S::SV>,
+        admissible: Option<&Admissible<'_, S>>,
+    ) -> Result<RunReport> {
+        let refresh = Refresh {
+            delta,
+            params: self.config.incr,
+            stores: self.stores_required(what)?,
+            admissible,
+        };
+        let iter = IterParams {
+            max_iterations: self.config.incr.max_iterations,
+            epsilon: self.config.iter.epsilon,
+            preserve: PreserveMode::None,
+        };
+        self.driver().iterate(data, iter, Some(refresh))
+    }
+
+    fn driver(&self) -> Driver<'_, S> {
+        Driver::new(
             self.spec,
-            self.config.job.clone(),
-            self.config.incr,
-            self.config.iter,
-        )?
-        .with_tuner(self.tuner.clone())
-        .with_recorder(self.telemetry.recorder_handle());
-        engine.run(&self.pool, data, stores, delta, self.checkpointer())
+            self.config.job.n_reduce,
+            &self.pool,
+            self.stores(),
+            self.checkpointer(),
+            self.tuner.as_deref(),
+            self.telemetry.recorder(),
+        )
     }
 
     /// Open the serving plane over the session's store plane: concurrent
@@ -664,10 +674,9 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
 
     /// Settle the store plane exactly once — fence overlapped compactions,
     /// commit dirty shards, drain trailing counters — and hand the
-    /// stores back. This replaces the per-engine end-of-run epilogues as
-    /// the *session-level* settle point: individual runs still settle
-    /// their own reports (via `settle_trailing`), `finish` catches any
-    /// store work scheduled after the last run returned.
+    /// stores back. This is the *session-level* settle point: individual
+    /// runs still settle their own reports, `finish` catches any store
+    /// work scheduled after the last run returned.
     pub fn finish(self) -> Result<SessionFinish> {
         let mut trailing = JobMetrics::default();
         if let Some(stores) = &self.stores {
@@ -703,34 +712,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
                 "{what} requires a store plane — configure RunBuilder::store_dir / open_store_dir / stores"
             ))
         })
-    }
-}
-
-/// Fold the trailing store-plane counters of a finished run into its
-/// per-iteration metrics: settle into the last iteration's slot, or — with
-/// no recorded iteration — into a fresh slot kept only if it carries
-/// anything (a bare fence would silently drop retired compactions'
-/// counters in the manager's destructor).
-///
-/// This is the one implementation behind what used to be three
-/// near-identical per-engine epilogues.
-pub(crate) fn settle_trailing(
-    stores: &StoreManager,
-    per_iteration: &mut Vec<JobMetrics>,
-) -> Result<()> {
-    match per_iteration.last_mut() {
-        Some(last) => stores.settle_into(last),
-        None => {
-            let mut trailing = JobMetrics::default();
-            stores.settle_into(&mut trailing)?;
-            if trailing.store_compactions > 0
-                || trailing.store_bytes_reclaimed > 0
-                || trailing.store_io != IoStats::default()
-            {
-                per_iteration.push(trailing);
-            }
-            Ok(())
-        }
     }
 }
 

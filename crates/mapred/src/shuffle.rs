@@ -224,9 +224,9 @@ pub fn sort_run<K2: Ord, V2>(run: &mut [ShuffleRecord<K2, V2>]) {
     run.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
 }
 
-/// Sort every run in parallel, one [`TaskKind::Sort`] task per run on the
-/// worker pool (replacing the old ad-hoc scoped threads, so sort work is
-/// scheduled, retried, and timeline-recorded like any other task).
+/// Sort every run in parallel, one [`TaskKind::Sort`] task per non-empty
+/// run on the worker pool (replacing the old ad-hoc scoped threads, so sort
+/// work is scheduled, retried, and timeline-recorded like any other task).
 pub fn sort_runs<K2, V2>(
     pool: &WorkerPool,
     runs: &mut [Vec<ShuffleRecord<K2, V2>>],
@@ -236,40 +236,19 @@ where
     K2: Ord + Send,
     V2: Send,
 {
-    sort_runs_adaptive(pool, runs, iteration, 0, false)
+    sort_runs_adaptive(pool, runs, iteration, 0)
 }
 
-/// [`sort_runs`] scheduling Sort tasks **only for non-empty runs**.
-///
-/// The workset-driven delta-iteration engine routinely leaves most
-/// partitions' runs empty (only changed keys shuffle), and an empty run
-/// needs no task — sorting it is a no-op that would still pay scheduling
-/// and timeline-recording overhead per partition per iteration. Task ids
-/// keep the run's partition index so timelines stay comparable with
-/// [`sort_runs`].
-pub fn sort_runs_nonempty<K2, V2>(
-    pool: &WorkerPool,
-    runs: &mut [Vec<ShuffleRecord<K2, V2>>],
-    iteration: u64,
-) -> Result<()>
-where
-    K2: Ord + Send,
-    V2: Send,
-{
-    sort_runs_adaptive(pool, runs, iteration, 0, true)
-}
-
-/// The general run-sorting entry point behind [`sort_runs`] /
-/// [`sort_runs_nonempty`], with a live inlining threshold for the online
-/// tuner.
+/// [`sort_runs`] with a live inlining threshold for the online tuner.
 ///
 /// Runs shorter than `inline_below` records are sorted directly on the
 /// calling thread — a short run's `sort_unstable` is cheaper than the
 /// dispatch + timeline recording of a scheduled task — while longer runs
-/// go to the pool as [`TaskKind::Sort`] tasks as before. With
-/// `inline_below == 0` nothing is inlined and the behaviour is exactly
-/// the historical one. `nonempty_only` skips empty runs entirely (the
-/// delta-engine convention).
+/// go to the pool as [`TaskKind::Sort`] tasks. With `inline_below == 0`
+/// nothing is inlined. Empty runs never get a task: a workset-driven pass
+/// routinely leaves most partitions' runs empty, and sorting one would
+/// still pay scheduling and timeline recording. Task ids keep the run's
+/// partition index.
 ///
 /// Purely a scheduling decision: every run ends up sorted by the same
 /// comparator regardless of where the sort executed, so the tuner may
@@ -279,7 +258,6 @@ pub fn sort_runs_adaptive<K2, V2>(
     runs: &mut [Vec<ShuffleRecord<K2, V2>>],
     iteration: u64,
     inline_below: usize,
-    nonempty_only: bool,
 ) -> Result<()>
 where
     K2: Ord + Send,
@@ -287,7 +265,7 @@ where
 {
     let mut scheduled: Vec<(usize, Mutex<&mut Vec<ShuffleRecord<K2, V2>>>)> = Vec::new();
     for (i, run) in runs.iter_mut().enumerate() {
-        if nonempty_only && run.is_empty() {
+        if run.is_empty() {
             continue;
         }
         if run.len() < inline_below {

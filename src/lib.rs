@@ -14,9 +14,8 @@
 //! * supporting general-purpose **iterative** computation with
 //!   structure/state separation and the Project API (`core::iterative`),
 //! * refreshing iterative results from the previous converged state with
-//!   **change propagation control** (`core::incr_iter`),
-//! * scheduling **only changed keys** through the data plane with the
-//!   workset-driven delta-iteration engine (`core::delta_iter`).
+//!   **change propagation control**, scheduling **only changed keys**
+//!   through the data plane (`core::incr_iter`).
 //!
 //! This facade crate re-exports the whole workspace:
 //!
@@ -47,10 +46,9 @@ pub use i2mr_store as store;
 pub mod prelude {
     pub use i2mr_common::tuner::{TuningConfig, TuningMode};
     pub use i2mr_core::{
-        Accumulator, AccumulatorEngine, Delta, DeltaIterEngine, DeltaIterativeSpec, EngineConfig,
-        IncrIterEngine, IncrParams, IterParams, IterativeSpec, OneStepEngine,
-        PartitionedIterEngine, PreserveMode, RunBuilder, RunSession, SmallStateSpec,
-        UpdateContract,
+        Accumulator, AccumulatorEngine, Delta, DeltaIterativeSpec, EngineConfig, IncrParams,
+        IterParams, IterativeSpec, OneStepEngine, PreserveMode, RunBuilder, RunReport, RunSession,
+        SmallStateSpec, UpdateContract,
     };
     pub use i2mr_mapred::{
         Emitter, HashPartitioner, JobConfig, Mapper, Reducer, Values, WorkerPool,

@@ -1,17 +1,17 @@
-//! The `RunBuilder` surface is a pure re-fronting of the engines:
+//! The `RunBuilder` surface end to end:
 //!
-//! * **Builder ≡ legacy**: a session-built run produces bit-identical
-//!   state and byte-identical store exports to the deprecated
-//!   per-engine constructors, for both the initial and the refresh
-//!   paths (seeded PageRank and SSSP).
+//! * **Pinned fingerprints**: seeded runs of every mode — a checkpointed
+//!   PageRank refresh through the P∆ switch, an SSSP `run_delta`, a
+//!   PageRank initial run preserving and checkpointing every iteration —
+//!   hash their state bits, store exports and checkpoint writes to
+//!   recorded constants, so a change to the fixed-point driver that alters
+//!   any result or any checkpoint byte fails here.
 //! * **Read-your-writes through serving**: a `ServeHandle` opened on a
 //!   session's store plane observes an incremental refresh's writes,
 //!   across a forced compaction generation bump.
 //! * **Cursor ingestion**: invalidations recompute exactly the affected
 //!   keys, a producer-side config bump stales the cursor, and
 //!   re-beginning it recovers.
-
-#![allow(deprecated)] // the point: legacy constructors vs the builder
 
 use i2mapreduce::algos::{pagerank::PageRank, sssp::Sssp};
 use i2mapreduce::core::build_partitioned;
@@ -202,130 +202,6 @@ fn fingerprint_pagerank_initial_every_iteration_checkpointed() {
         got,
         0xebd9_8aef_4a63_3c2b,
     );
-}
-
-/// PageRank: initial run + incremental refresh through the builder and
-/// through the deprecated constructors, from the same seeded inputs.
-#[test]
-fn pagerank_builder_matches_legacy_engines() {
-    let cfg = JobConfig::symmetric(N);
-    let pool = WorkerPool::new(N);
-    let spec = PageRank::default();
-    let graph = GraphGen::new(300, 2100, 0xB11D).generate();
-    let delta = graph_delta(&graph, DeltaSpec::ten_percent(0xB11D));
-    let initial = IterParams {
-        max_iterations: 80,
-        epsilon: 1e-9,
-        preserve: PreserveMode::FinalOnly,
-    };
-    let incr = IncrParams {
-        convergence_epsilon: 1e-9,
-        max_iterations: 80,
-        ..Default::default()
-    };
-
-    // Legacy path.
-    let legacy_stores =
-        StoreManager::create(&pool, scratch("pr-legacy"), N, Default::default()).unwrap();
-    let mut legacy_data = build_partitioned(&spec, N, graph.clone());
-    PartitionedIterEngine::new(&spec, cfg.clone(), initial)
-        .unwrap()
-        .run(&pool, &mut legacy_data, Some(&legacy_stores))
-        .unwrap();
-    IncrIterEngine::new(&spec, cfg.clone(), incr, IterParams::default())
-        .unwrap()
-        .run(&pool, &mut legacy_data, &legacy_stores, &delta, None)
-        .unwrap();
-
-    // Builder path.
-    let session = RunBuilder::new(&spec)
-        .pool(&pool)
-        .job(cfg.clone())
-        .iter(initial)
-        .store_dir(scratch("pr-builder"))
-        .build()
-        .unwrap();
-    let mut data = build_partitioned(&spec, N, graph);
-    session.run_initial(&mut data).unwrap();
-    let stores = session.finish().unwrap().stores.expect("session-owned");
-    let refresh = RunBuilder::new(&spec)
-        .pool(&pool)
-        .job(cfg)
-        .incr(incr)
-        .stores_ref(&stores)
-        .build()
-        .unwrap();
-    refresh.run_incremental(&mut data, &delta).unwrap();
-
-    assert_eq!(legacy_data.state_snapshot(), data.state_snapshot());
-    assert_eq!(exports(&legacy_stores), exports(&stores));
-}
-
-/// SSSP: workset-driven delta refresh through the builder and through
-/// the deprecated `DeltaIterEngine` constructor.
-#[test]
-fn sssp_builder_matches_legacy_delta_engine() {
-    let cfg = JobConfig::symmetric(N);
-    let pool = WorkerPool::new(N);
-    let spec = Sssp { source: 0 };
-    let graph = GraphGen::new(400, 2400, 0x55E1).weighted();
-    let delta = weighted_graph_delta(
-        &graph,
-        DeltaSpec {
-            change_fraction: 0.05,
-            delete_fraction: 0.0,
-            insert_fraction: 0.01,
-            seed: 0x55E1,
-        },
-    );
-    let initial = IterParams {
-        max_iterations: 300,
-        epsilon: 1e-12,
-        preserve: PreserveMode::FinalOnly,
-    };
-    let incr = IncrParams {
-        filter_threshold: Some(0.0),
-        convergence_epsilon: 1e-12,
-        max_iterations: 300,
-        ..Default::default()
-    };
-
-    let converge = |tag: &str| {
-        let stores = StoreManager::create(&pool, scratch(tag), N, Default::default()).unwrap();
-        let mut data = build_partitioned(&spec, N, graph.clone());
-        let session = RunBuilder::new(&spec)
-            .pool(&pool)
-            .job(cfg.clone())
-            .iter(initial)
-            .stores_ref(&stores)
-            .build()
-            .unwrap();
-        assert!(session.run_initial(&mut data).unwrap().converged);
-        drop(session);
-        (data, stores)
-    };
-
-    let (mut legacy_data, legacy_stores) = converge("sssp-legacy");
-    let legacy_rep = DeltaIterEngine::new(&spec, cfg.clone(), incr, IterParams::default())
-        .unwrap()
-        .run(&pool, &mut legacy_data, &legacy_stores, &delta, None)
-        .unwrap();
-
-    let (mut data, stores) = converge("sssp-builder");
-    let rep = RunBuilder::new(&spec)
-        .pool(&pool)
-        .job(cfg)
-        .incr(incr)
-        .stores_ref(&stores)
-        .build()
-        .unwrap()
-        .run_delta(&mut data, &delta)
-        .unwrap();
-
-    assert_eq!(legacy_rep.converged, rep.converged);
-    assert_eq!(legacy_rep.worksets, rep.worksets);
-    assert_eq!(legacy_data.state_snapshot(), data.state_snapshot());
-    assert_eq!(exports(&legacy_stores), exports(&stores));
 }
 
 /// A serving handle on a session's store plane sees the writes of an

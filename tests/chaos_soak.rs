@@ -17,6 +17,10 @@
 //! 3. store-plane I/O faults absorbed by task retries (SSSP, delta-iter),
 //! 4. **torn tails** tampered onto shard chunk files, salvaged on reopen
 //!    (SSSP, delta-iter).
+//!
+//! A fifth scenario replays scenario 1 on a delta that trips the P∆
+//! monitor, so faults land in the full passes after the switch (PageRank,
+//! both `run_incremental` and `run_delta`).
 
 use i2mapreduce::algos::{pagerank, sssp};
 use i2mapreduce::core::checkpoint::IterCheckpointer;
@@ -72,11 +76,21 @@ fn pr_params() -> IncrParams {
     }
 }
 
-/// Converged PageRank workload: (data, shard payloads, delta, reference
-/// state, reference exports).
+/// The PageRank delta of scenarios 1 and 2.
+const PR_DELTA: DeltaSpec = DeltaSpec {
+    change_fraction: 0.08,
+    delete_fraction: 0.1,
+    insert_fraction: 0.02,
+    seed: 0xFACE,
+};
+
+/// Converged PageRank workload refreshed by `delta` under `params`: (data,
+/// shard payloads, delta, reference state, reference exports).
 #[allow(clippy::type_complexity)]
 fn pagerank_workload(
     tag: &str,
+    delta: DeltaSpec,
+    params: IncrParams,
 ) -> (
     i2mapreduce::core::iter_engine::PartitionedData<u64, Vec<u64>, u64, f64>,
     Vec<Vec<u8>>,
@@ -103,31 +117,15 @@ fn pagerank_workload(
     let payloads: Vec<Vec<u8>> = (0..N).map(|p| st0.export(p).unwrap()).collect();
     drop(st0);
 
-    let delta = graph_delta(
-        &graph,
-        DeltaSpec {
-            change_fraction: 0.08,
-            delete_fraction: 0.1,
-            insert_fraction: 0.02,
-            seed: 0xFACE,
-        },
-    );
+    let delta = graph_delta(&graph, delta);
 
     // Fault-free reference on a clean pool.
     let dir = scratch(&format!("pr-{tag}-ref"));
     let st = import_stores(&pool, &dir, &payloads);
     let mut data = data0.clone();
-    let (rep, _) = pagerank::i2mr_incremental(
-        &pool,
-        &cfg,
-        &mut data,
-        &st,
-        &spec,
-        &delta,
-        pr_params(),
-        None,
-    )
-    .unwrap();
+    let (rep, _) =
+        pagerank::i2mr_incremental(&pool, &cfg, &mut data, &st, &spec, &delta, params, None)
+            .unwrap();
     assert!(rep.converged, "{tag}: reference refresh did not converge");
     let exports: Vec<Vec<u8>> = (0..N).map(|p| st.export(p).unwrap()).collect();
     drop(st);
@@ -192,7 +190,8 @@ fn sssp_workload(
 fn task_faults_escape_to_checkpoint_rewind() {
     let cfg = JobConfig::symmetric(N);
     let spec = pagerank::PageRank::default();
-    let (data0, payloads, delta, want_state, want_exports) = pagerank_workload("rewind");
+    let (data0, payloads, delta, want_state, want_exports) =
+        pagerank_workload("rewind", PR_DELTA, pr_params());
 
     for r in 0..rounds() {
         let budget = 1 + (r % 3) as u32;
@@ -252,7 +251,8 @@ fn task_faults_escape_to_checkpoint_rewind() {
 fn worker_deaths_absorbed_by_rescheduling() {
     let cfg = JobConfig::symmetric(N);
     let spec = pagerank::PageRank::default();
-    let (data0, payloads, delta, want_state, want_exports) = pagerank_workload("panic");
+    let (data0, payloads, delta, want_state, want_exports) =
+        pagerank_workload("panic", PR_DELTA, pr_params());
 
     let mut total_fired = 0u64;
     let mut total_retries = 0u64;
@@ -396,4 +396,104 @@ fn torn_tails_salvaged_on_reopen() {
         drop(st);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Scenario 5: scenario 1's no-retry task faults on a delta that trips the
+/// P∆ monitor after iteration 1, at a rate low enough that faults land in
+/// the full passes after the switch. The rewind resumes from the last MRBG
+/// pass's checkpoint and re-enters full passes; the result must be
+/// bit-identical to the fault-free run, on both refresh entry points.
+fn faults_after_pdelta_switch(delta_iter: bool) {
+    let cfg = JobConfig::symmetric(N);
+    let spec = pagerank::PageRank::default();
+    let params = IncrParams {
+        max_iterations: 400,
+        ..Default::default()
+    };
+    let big = DeltaSpec {
+        change_fraction: 0.5,
+        ..PR_DELTA
+    };
+    let tag = if delta_iter {
+        "switch-delta"
+    } else {
+        "switch-incr"
+    };
+    let (data0, payloads, delta, want_state, want_exports) = pagerank_workload(tag, big, params);
+
+    let mut faults_after_switch = 0;
+    for r in 0..rounds().min(8) {
+        let budget = 1 + (r % 2) as u32;
+        let fp = Arc::new(FailpointRegistry::seeded(0x5A17 + r, budget).arm(
+            FailSite::TaskRun,
+            0.05,
+            FailAction::Error,
+        ));
+        let pool = WorkerPool::with_config(PoolConfig {
+            max_attempts: 1,
+            failpoints: Arc::clone(&fp),
+            ..PoolConfig::new(N)
+        });
+        let dir = scratch(&format!("{tag}-{r}"));
+        let st = import_stores(&pool, &dir, &payloads);
+        let dfs = MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
+        let ck = IterCheckpointer::new(&dfs, format!("chaos-{tag}-{r}"), N);
+        let mut data = data0.clone();
+
+        let (rep, _) = if delta_iter {
+            pagerank::i2mr_delta(
+                &pool,
+                &cfg,
+                &mut data,
+                &st,
+                &spec,
+                &delta,
+                params,
+                Some(&ck),
+            )
+        } else {
+            pagerank::i2mr_incremental(
+                &pool,
+                &cfg,
+                &mut data,
+                &st,
+                &spec,
+                &delta,
+                params,
+                Some(&ck),
+            )
+        }
+        .unwrap();
+        assert!(rep.converged, "round {r}: faulted refresh did not converge");
+        assert_eq!(rep.mrbg_turned_off_at, Some(1), "round {r}: P∆ must trip");
+        // A rewind charges its cost to the pass it resumes with; any pass
+        // after the first resumed from a fault after the switch.
+        if rep.per_iteration[1..].iter().any(|m| m.recovery_ms > 0) {
+            faults_after_switch += 1;
+        }
+        assert_eq!(want_state, data.state, "round {r}: state diverged");
+        for (p, want) in want_exports.iter().enumerate() {
+            assert_eq!(
+                *want,
+                st.export(p).unwrap(),
+                "round {r}: shard {p} export diverged"
+            );
+        }
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        faults_after_switch > 0,
+        "no fault landed after the P∆ switch — test is vacuous"
+    );
+}
+
+#[test]
+fn faults_after_pdelta_switch_rewind_bit_identical_incremental() {
+    faults_after_pdelta_switch(false);
+}
+
+#[test]
+fn faults_after_pdelta_switch_rewind_bit_identical_delta() {
+    faults_after_pdelta_switch(true);
 }

@@ -19,15 +19,12 @@
 //! * [`failpoint`] — seeded, deterministic fault-injection sites used by the
 //!   chaos suites to strike inside store I/O, DFS reads, checkpoint writes,
 //!   and task bodies (paper §8.8 / Fig. 13).
-//! * [`tuner`] — pure controller math for the self-tuning runtime: damped
-//!   bang-bang [`tuner::KnobController`]s, the [`tuner::TuningConfig`]
-//!   surface, decision records, and the serving-lane latency histogram
-//!   (see `TUNING.md` and DESIGN.md §10).
 //! * [`telemetry`] — the telemetry plane: a lock-light span/event
 //!   [`telemetry::TraceRecorder`] with per-worker ring buffers and explicit
-//!   drop counters, a live [`telemetry::MetricsRegistry`], Chrome/JSONL
-//!   trace exporters, and the paper-table extractors
-//!   [`telemetry::fig9`] / [`telemetry::table4`] (see DESIGN.md §11).
+//!   drop counters, a live [`telemetry::MetricsRegistry`] with its
+//!   [`telemetry::LatencyHistogram`]s, Chrome/JSONL trace exporters, and
+//!   the paper-table extractors [`telemetry::fig9`] / [`telemetry::table4`]
+//!   (see DESIGN.md §10).
 
 #![warn(missing_docs)]
 
@@ -38,7 +35,6 @@ pub mod failpoint;
 pub mod hash;
 pub mod metrics;
 pub mod telemetry;
-pub mod tuner;
 
 pub use codec::{decode_from, encode_to, Codec};
 pub use error::{Error, Result};
@@ -46,10 +42,7 @@ pub use failpoint::{FailAction, FailSite, FailpointRegistry};
 pub use hash::{stable_hash128, stable_hash64, MapKey};
 pub use metrics::{IoStats, JobMetrics, Stage, StageTimes};
 pub use telemetry::{
-    EventKind, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ServeOutcome, StoreOpKind,
-    TaskRef, TelemetryConfig, TelemetryMode, TraceEvent, TraceLog, TraceRecorder, WorkerTrace,
-};
-pub use tuner::{
-    KnobController, KnobSpec, KnobUpdate, LatencyHistogram, TuningConfig, TuningDecision,
-    TuningMode,
+    EventKind, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ServeOutcome,
+    StoreOpKind, TaskRef, TelemetryConfig, TelemetryMode, TraceEvent, TraceLog, TraceRecorder,
+    WorkerTrace,
 };

@@ -205,13 +205,6 @@ pub struct JobMetrics {
     /// MRBG-Store keys targeted for recomputation by ingestion
     /// invalidations (corrections/reorgs; see `core::ingest`).
     pub invalidated_keys: u64,
-    /// Knob moves the online tuner proposed this window (applied in
-    /// `Active` mode, logged-only in `Observe`; see `common::tuner`).
-    pub tuner_adjustments: u64,
-    /// Tuner moves truncated by a knob's `[lo, hi]` clamp (a controller
-    /// pushing against a rail — a sign the bounds, not the signal, are
-    /// what is limiting the policy).
-    pub tuner_clamps: u64,
 }
 
 impl JobMetrics {
@@ -250,8 +243,6 @@ impl JobMetrics {
             serve_misses,
             ingested_records,
             invalidated_keys,
-            tuner_adjustments,
-            tuner_clamps,
         } = other;
         self.jobs_started += jobs_started;
         self.stages += *stages;
@@ -275,8 +266,6 @@ impl JobMetrics {
         self.serve_misses += serve_misses;
         self.ingested_records += ingested_records;
         self.invalidated_keys += invalidated_keys;
-        self.tuner_adjustments += tuner_adjustments;
-        self.tuner_clamps += tuner_clamps;
     }
 
     /// Every counter as `name value` report lines, in declaration order.
@@ -307,8 +296,6 @@ impl JobMetrics {
             serve_misses,
             ingested_records,
             invalidated_keys,
-            tuner_adjustments,
-            tuner_clamps,
         } = self;
         let mut out = vec![format!("jobs_started {jobs_started}")];
         for stage in Stage::ALL {
@@ -346,8 +333,6 @@ impl JobMetrics {
         out.push(format!("serve_misses {serve_misses}"));
         out.push(format!("ingested_records {ingested_records}"));
         out.push(format!("invalidated_keys {invalidated_keys}"));
-        out.push(format!("tuner_adjustments {tuner_adjustments}"));
-        out.push(format!("tuner_clamps {tuner_clamps}"));
         out
     }
 }
@@ -426,8 +411,6 @@ mod tests {
             serve_misses: 2,
             ingested_records: 30,
             invalidated_keys: 5,
-            tuner_adjustments: 7,
-            tuner_clamps: 2,
             ..Default::default()
         };
         b.store_io.record_read(9);
@@ -452,8 +435,6 @@ mod tests {
         assert_eq!(a.serve_misses, 2);
         assert_eq!(a.ingested_records, 30);
         assert_eq!(a.invalidated_keys, 5);
-        assert_eq!(a.tuner_adjustments, 7);
-        assert_eq!(a.tuner_clamps, 2);
         assert_eq!(a.measured(), Duration::from_millis(4));
     }
 
@@ -461,18 +442,18 @@ mod tests {
     fn report_lines_cover_every_counter() {
         let mut m = JobMetrics {
             serve_hits: 7,
-            tuner_clamps: 3,
+            invalidated_keys: 3,
             ..Default::default()
         };
         m.store_io.record_read(100);
         let lines = m.report_lines();
         assert!(lines.contains(&"serve_hits 7".to_string()));
-        assert!(lines.contains(&"tuner_clamps 3".to_string()));
+        assert!(lines.contains(&"invalidated_keys 3".to_string()));
         assert!(lines.contains(&"store_io_bytes_read 100".to_string()));
         m.store_io.record_sync();
         assert!(m.report_lines().contains(&"store_io_syncs 1".to_string()));
-        // 1 jobs + 4 stages + 2*6 io blocks + 20 scalar counters.
-        assert_eq!(lines.len(), 37);
+        // 1 jobs + 4 stages + 2*6 io blocks + 18 scalar counters.
+        assert_eq!(lines.len(), 35);
     }
 
     #[test]

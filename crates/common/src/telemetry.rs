@@ -1,12 +1,12 @@
 //! Telemetry plane: a lock-light span/event recorder, a live metrics
-//! registry, and exporters for run timelines (see DESIGN.md §11).
+//! registry, and exporters for run timelines (see DESIGN.md §10).
 //!
-//! The runtime has six interacting planes (executor lanes, sharded store,
-//! serving, ingestion, fault recovery, online tuner); until this module the
-//! only windows into a run were end-of-run [`crate::metrics::JobMetrics`]
-//! aggregates and the executor's private timeline. The telemetry plane adds
-//! the per-task / per-shard / per-decision record needed to reconstruct
-//! *why* a run behaved the way it did:
+//! The runtime has five interacting planes (executor lanes, sharded store,
+//! serving, ingestion, fault recovery); until this module the only windows
+//! into a run were end-of-run [`crate::metrics::JobMetrics`] aggregates and
+//! the executor's private timeline. The telemetry plane adds the per-task /
+//! per-shard / per-lookup record needed to reconstruct *why* a run behaved
+//! the way it did:
 //!
 //! * [`TraceRecorder`] — per-worker ring buffers of sequence-stamped,
 //!   typed [`TraceEvent`]s. Each worker (plus one *driver* slot for the
@@ -43,7 +43,6 @@
 //! 5% of `Off` on the shuffle data plane (`micro_trace` bench, gated).
 
 use crate::metrics::{IoStats, Stage, StageTimes};
-use crate::tuner::{LatencyHistogram, TuningDecision};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -266,11 +265,6 @@ pub enum EventKind {
         /// Wall nanoseconds the restore took.
         nanos: u64,
     },
-    /// One online-tuner decision (applied or observed).
-    Tuning {
-        /// The decision record, verbatim.
-        decision: TuningDecision,
-    },
     /// The exact duration an engine added to its per-stage wall-time
     /// accumulator — [`fig9`] sums these.
     StageSample {
@@ -301,7 +295,7 @@ pub enum EventKind {
 }
 
 /// Number of distinct [`EventKind`] variants (per-kind counter array size).
-const N_KINDS: usize = 13;
+const N_KINDS: usize = 12;
 
 /// Stable per-kind names, indexed by [`kind_index`]. Used for registry
 /// snapshots and the JSONL `type` field.
@@ -316,7 +310,6 @@ const KIND_NAMES: [&str; N_KINDS] = [
     "ingest_commit",
     "checkpoint_save",
     "checkpoint_restore",
-    "tuning",
     "stage",
     "store_io",
 ];
@@ -333,9 +326,8 @@ fn kind_index(kind: &EventKind) -> usize {
         EventKind::IngestCommit { .. } => 7,
         EventKind::CheckpointSave { .. } => 8,
         EventKind::CheckpointRestore { .. } => 9,
-        EventKind::Tuning { .. } => 10,
-        EventKind::StageSample { .. } => 11,
-        EventKind::StoreIoSample { .. } => 12,
+        EventKind::StageSample { .. } => 10,
+        EventKind::StoreIoSample { .. } => 11,
     }
 }
 
@@ -804,21 +796,6 @@ impl TraceLog {
                     | EventKind::CheckpointRestore { iteration, nanos } => {
                         let _ = write!(out, ",\"iteration\":{iteration},\"nanos\":{nanos}");
                     }
-                    EventKind::Tuning { decision } => {
-                        let _ = write!(
-                            out,
-                            ",\"knob\":\"{}\",\"shard\":{},\"iteration\":{},\"signal\":{},\
-                             \"before\":{},\"after\":{},\"applied\":{},\"clamped\":{}",
-                            decision.knob,
-                            decision.shard.map_or(-1i64, |s| s as i64),
-                            decision.iteration,
-                            decision.signal,
-                            decision.before,
-                            decision.after,
-                            decision.applied,
-                            decision.clamped
-                        );
-                    }
                     EventKind::StageSample {
                         stage,
                         iteration,
@@ -956,6 +933,88 @@ pub fn table4_from_jsonl(text: &str) -> IoStats {
         io.syncs += jsonl_u64(line, "syncs").unwrap_or(0);
     }
     io
+}
+
+/// Number of power-of-two latency buckets tracked by [`LatencyHistogram`].
+const HIST_BUCKETS: usize = 64;
+
+/// A lock-free log2-bucketed latency histogram.
+///
+/// Recording is one relaxed atomic increment, cheap enough for the serving
+/// plane's per-lookup read path. Bucket `i` holds samples with
+/// `floor(log2(nanos)) == i`, so a quantile estimate is an upper bound
+/// within 2× of the true value — the resolution a tail-latency dashboard
+/// or [`MetricsRegistry::snapshot`] needs.
+#[derive(Debug)]
+pub struct LatencyHistogram {
+    buckets: [AtomicU64; HIST_BUCKETS],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// Create an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record one sample of `nanos` nanoseconds.
+    pub fn record(&self, nanos: u64) {
+        let b = (64 - nanos.leading_zeros()).saturating_sub(1) as usize;
+        self.buckets[b.min(HIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Total number of recorded samples.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Upper-bound estimate of the 99th-percentile sample in nanoseconds.
+    /// Returns `0` for an empty histogram.
+    pub fn p99(&self) -> u64 {
+        self.quantile(0.99)
+    }
+
+    /// Upper-bound estimate of quantile `q ∈ [0, 1]` in nanoseconds.
+    /// Returns `0` for an empty histogram.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                // Upper edge of bucket i: 2^(i+1) - 1.
+                return if i + 1 >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                };
+            }
+        }
+        unreachable!("rank <= total")
+    }
+
+    /// Reset every bucket to zero (used when metrics are drained).
+    pub fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Point-in-time view of a [`LatencyHistogram`].
@@ -1338,6 +1397,31 @@ mod tests {
         hits.fetch_add(1, Ordering::Relaxed);
         assert_eq!(reg.snapshot().counter("serve.hits"), 4);
         assert!(snap.render().contains("counter serve.hits 3"));
+    }
+
+    #[test]
+    fn histogram_p99_and_reset() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.p99(), 0);
+        for _ in 0..99 {
+            h.record(100); // bucket 6, upper edge 127
+        }
+        h.record(100_000); // bucket 16, upper edge 131071
+        assert_eq!(h.count(), 100);
+        assert_eq!(h.p99(), 127);
+        assert_eq!(h.quantile(1.0), 131_071);
+        h.reset();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.p99(), 0);
+    }
+
+    #[test]
+    fn histogram_zero_nanos_goes_to_bucket_zero() {
+        let h = LatencyHistogram::new();
+        h.record(0);
+        h.record(1);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.quantile(1.0), 1);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! `max_iterations − k`, at least one pass, converging at `iter.epsilon`).
 //!
 //! Around every pass the driver runs the same fence — executor recovery
-//! counters, store-plane counters, the tuner tick, the checkpoint, the
-//! compaction schedule — and when a fault escapes the executor it rewinds
-//! to the last sealed checkpoint and resumes (§6.1). Checkpoints are the
+//! counters, store-plane counters, the checkpoint, the compaction
+//! schedule — and when a fault escapes the executor it rewinds to the
+//! last sealed checkpoint and resumes (§6.1). Checkpoints are the
 //! iteration-0 baseline, every pass of an initial run (with the stores
 //! when they are preserved every iteration), and every MRBG pass (with the
 //! stores and the workset); full passes after the P∆ switch write none,
@@ -37,7 +37,6 @@ use crate::incr_iter::{apply_structure_delta, IncrParams};
 use crate::iter_engine::{PartitionedData, RunReport};
 use crate::iterative::{IterParams, IterationStats, IterativeSpec, PreserveMode};
 use crate::trace::{add_stage, emit_checkpoint_restore, emit_checkpoint_save};
-use crate::tuning::EngineTuner;
 use i2mr_common::codec::{decode_exact, encode_to};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::{IoStats, JobMetrics, Stage};
@@ -73,7 +72,6 @@ pub(crate) struct Driver<'r, S: IterativeSpec> {
     pub(crate) pool: &'r WorkerPool,
     pub(crate) stores: Option<&'r StoreManager>,
     pub(crate) ckpt: Option<&'r IterCheckpointer>,
-    pub(crate) tuner: Option<&'r EngineTuner>,
     pub(crate) recorder: Option<&'r Arc<TraceRecorder>>,
     /// Shuffle runs and map-side buffers of full passes, reused across
     /// iterations instead of reallocated.
@@ -89,7 +87,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
         pool: &'r WorkerPool,
         stores: Option<&'r StoreManager>,
         ckpt: Option<&'r IterCheckpointer>,
-        tuner: Option<&'r EngineTuner>,
         recorder: Option<&'r Arc<TraceRecorder>>,
     ) -> Self {
         Driver {
@@ -98,7 +95,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
             pool,
             stores,
             ckpt,
-            tuner,
             recorder,
             full_runs: RunPool::new(),
             delta_runs: RunPool::new(),
@@ -187,11 +183,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                     // Drain before scheduling: the drain takes every shard's
                     // write lock and would queue behind new compactions.
                     stores.drain_metrics(&mut metrics);
-                }
-                if let Some(tuner) = self.tuner {
-                    // Fold this pass's signals into policy moves before
-                    // scheduling, so they shape this fence's due-shard scan.
-                    tuner.tick(iteration, stores, self.pool, self.n, &mut metrics);
                 }
                 if let Some(ck) = checkpoint {
                     let t = Instant::now();
@@ -300,9 +291,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                 emit_checkpoint_save(self.recorder, it, t);
             }
         }
-        if let Some(tuner) = self.tuner {
-            report.tuning = tuner.drain_decisions();
-        }
         Ok(report)
     }
 
@@ -348,12 +336,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
     /// Record one stage's wall time since `t` (metrics and trace alike).
     pub(crate) fn stage(&self, metrics: &mut JobMetrics, stage: Stage, iteration: u64, t: Instant) {
         add_stage(self.recorder, metrics, stage, iteration, t.elapsed());
-    }
-
-    /// The tuner's live sort-inlining threshold (0, nothing inlined, when
-    /// tuning is off).
-    pub(crate) fn inline_below(&self) -> usize {
-        self.tuner.map_or(0, EngineTuner::sort_inline_threshold)
     }
 }
 

@@ -44,7 +44,7 @@ use i2mr_common::metrics::{JobMetrics, Stage};
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::TaskSpec;
-use i2mr_mapred::shuffle::{groups, sort_runs_adaptive, transpose_pooled, ShuffleBuffers};
+use i2mr_mapred::shuffle::{groups, sort_runs, transpose_pooled, ShuffleBuffers};
 use i2mr_mapred::types::Values;
 use i2mr_store::merge::{DeltaChunk, DeltaEntry, MergeOutcome};
 use parking_lot::Mutex;
@@ -130,7 +130,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
         self.stage(metrics, Stage::Shuffle, iteration, t);
 
         let t = Instant::now();
-        sort_runs_adaptive(self.pool, &mut runs, iteration, self.inline_below())?;
+        sort_runs(self.pool, &mut runs, iteration)?;
         self.stage(metrics, Stage::Sort, iteration, t);
 
         // MRBGraph point merge: one StoreMerge task per shard whose run (or

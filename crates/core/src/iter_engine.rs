@@ -25,13 +25,12 @@ use i2mr_common::codec::encode_to;
 use i2mr_common::error::Result;
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
-use i2mr_common::tuner::TuningDecision;
 use i2mr_mapred::config::JobConfig;
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{
-    groups, sort_run, sort_runs_adaptive, transpose_pooled, RunPool, ShuffleBuffers, ShuffleRecord,
+    groups, sort_run, sort_runs, transpose_pooled, RunPool, ShuffleBuffers, ShuffleRecord,
 };
 use i2mr_mapred::types::{Emitter, Values};
 use i2mr_store::format::{Chunk, ChunkEntry};
@@ -193,9 +192,6 @@ pub struct RunReport {
     /// Workset size entering each MRBG pass (the Fig. 11a series measured
     /// at the scheduler).
     pub worksets: Vec<u64>,
-    /// Per-fence tuner decisions (empty when tuning is off; see
-    /// [`crate::tuning::EngineTuner`]).
-    pub tuning: Vec<TuningDecision>,
 }
 
 impl RunReport {
@@ -432,10 +428,9 @@ impl<S: IterativeSpec> Driver<'_, S> {
         metrics.shuffled_bytes += bytes;
         self.stage(metrics, Stage::Shuffle, iteration, t);
 
-        // Sort (pool-scheduled, unstable, one task per non-empty run; runs
-        // under the tuner's inline threshold are sorted on the caller).
+        // Sort (pool-scheduled, unstable, one task per non-empty run).
         let t = Instant::now();
-        sort_runs_adaptive(self.pool, &mut runs, iteration, self.inline_below())?;
+        sort_runs(self.pool, &mut runs, iteration)?;
         self.stage(metrics, Stage::Sort, iteration, t);
         Ok((runs, invocations))
     }

@@ -96,7 +96,6 @@ pub mod output;
 pub mod run;
 pub mod tasklevel;
 pub mod trace;
-pub mod tuning;
 
 pub use accumulator::{Accumulator, AccumulatorEngine};
 pub use checkpoint::IterCheckpointer;
@@ -117,4 +116,3 @@ pub use output::ResultStore;
 pub use run::{EngineConfig, RunBuilder, RunSession, SessionFinish};
 pub use tasklevel::{ReuseStats, TaskLevelEngine};
 pub use trace::{render_report, Telemetry};
-pub use tuning::EngineTuner;

@@ -32,11 +32,9 @@ use crate::incr_iter::IncrParams;
 use crate::iter_engine::{PartitionedData, RunReport};
 use crate::iterative::{IterParams, IterativeSpec, PreserveMode};
 use crate::trace::Telemetry;
-use crate::tuning::EngineTuner;
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::JobMetrics;
 use i2mr_common::telemetry::{MetricsSnapshot, TelemetryConfig, TraceLog};
-use i2mr_common::tuner::{TuningConfig, TuningMode};
 use i2mr_dfs::MiniDfs;
 use i2mr_mapred::{JobConfig, WorkerPool};
 use i2mr_store::runtime::{StoreManager, StoreRuntimeConfig};
@@ -68,16 +66,10 @@ pub struct EngineConfig {
     pub checkpoint_every: u64,
     /// Serving-plane tunables ([`RunSession::serve`]).
     pub serve: ServeConfig,
-    /// Online-tuning surface: `Off` (default, historical behaviour),
-    /// `Observe` (controllers run, decisions logged, nothing applied), or
-    /// `Active` (decisions applied to the live actuators). See
-    /// `TUNING.md` for the control loop and DESIGN.md §10 for the
-    /// lifecycle.
-    pub tuning: TuningConfig,
     /// Telemetry plane: `Off` (default — no recorder, bit-identical to
     /// the untraced engine), `Counters` (per-kind atomic counters only),
     /// or `Full` (typed spans into per-worker rings, exportable as Chrome
-    /// trace / JSONL). See DESIGN.md §11.
+    /// trace / JSONL). See DESIGN.md §10.
     pub telemetry: TelemetryConfig,
 }
 
@@ -90,7 +82,6 @@ impl Default for EngineConfig {
             store: StoreRuntimeConfig::default(),
             checkpoint_every: 1,
             serve: ServeConfig::default(),
-            tuning: TuningConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -129,11 +120,6 @@ impl EngineConfig {
         if self.checkpoint_every == 0 {
             return Err(Error::config("checkpoint_every must be >= 1"));
         }
-        if !self.tuning.is_valid() {
-            return Err(Error::config(
-                "tuning knob specs must be finite with lo <= hi (and floors in range)",
-            ));
-        }
         if !self.telemetry.is_valid() {
             return Err(Error::config(
                 "telemetry.ring_capacity must be > 0 for Full tracing",
@@ -158,14 +144,8 @@ impl EngineConfig {
     /// bit-identical across modes).
     pub fn config_hash(&self) -> u64 {
         let repr = format!(
-            "{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
-            self.job,
-            self.iter,
-            self.incr,
-            self.store,
-            self.checkpoint_every,
-            self.serve,
-            self.tuning
+            "{:?}|{:?}|{:?}|{:?}|{}|{:?}",
+            self.job, self.iter, self.incr, self.store, self.checkpoint_every, self.serve
         );
         fnv1a64(repr.as_bytes())
     }
@@ -265,49 +245,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
     /// Set the serving-plane tunables.
     pub fn serve_config(mut self, serve: ServeConfig) -> Self {
         self.config.serve = serve;
-        self
-    }
-
-    /// Enable the online tuner (see `TUNING.md`). Off by default.
-    ///
-    /// ```
-    /// use i2mr_core::run::RunBuilder;
-    /// # use i2mr_core::iterative::{DependencyKind, IterativeSpec};
-    /// # use i2mr_mapred::types::{Emitter, Values};
-    /// use i2mr_common::tuner::{TuningConfig, TuningMode};
-    /// # struct Noop;
-    /// # impl IterativeSpec for Noop {
-    /// #     type SK = u64; type SV = u64; type DK = u64; type DV = f64; type V2 = f64;
-    /// #     fn project(&self, sk: &u64) -> u64 { *sk }
-    /// #     fn map(&self, _s: &u64, _v: &u64, dk: &u64, dv: &f64, out: &mut Emitter<u64, f64>) {
-    /// #         out.emit(*dk, *dv);
-    /// #     }
-    /// #     fn reduce(&self, _k: &u64, _p: &f64, vs: Values<'_, u64, f64>) -> f64 {
-    /// #         vs.iter().sum()
-    /// #     }
-    /// #     fn init(&self, _k: &u64) -> f64 { 0.0 }
-    /// #     fn difference(&self, c: &f64, p: &f64) -> f64 { (c - p).abs() }
-    /// #     fn dependency(&self) -> DependencyKind { DependencyKind::OneToOne }
-    /// # }
-    /// # let spec = Noop;
-    /// // Observe first: log what the controller *would* do, apply nothing.
-    /// let session = RunBuilder::new(&spec)
-    ///     .tuning(TuningConfig::with_mode(TuningMode::Observe))
-    ///     .build()
-    ///     .unwrap();
-    /// assert!(session.tuner().is_some());
-    ///
-    /// // Active mode applies moves; results stay bit-identical to Off
-    /// // (the tuner only moves scheduling knobs), so it is safe to flip
-    /// // on for any workload once the Observe log looks sane.
-    /// let mut active = TuningConfig::with_mode(TuningMode::Active);
-    /// active.serve_p99_ceiling_nanos = 2_000_000; // guard serving tail
-    /// let session = RunBuilder::new(&spec).tuning(active).build().unwrap();
-    /// let report = session; // run_initial / run_incremental / run_delta...
-    /// # let _ = report;
-    /// ```
-    pub fn tuning(mut self, tuning: TuningConfig) -> Self {
-        self.config.tuning = tuning;
         self
     }
 
@@ -459,13 +396,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
             ),
             borrowed => borrowed,
         });
-        let tuner = match self.config.tuning.mode {
-            TuningMode::Off => None,
-            _ => Some(Arc::new(EngineTuner::new(
-                self.config.tuning,
-                self.config.store.policy,
-            ))),
-        };
         // Telemetry plane: one recorder sized to the pool (plus its driver
         // slot), installed on every subsystem that emits. With mode `Off`
         // there is no recorder and every install is a no-op `None`.
@@ -474,16 +404,12 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         if let Some(stores) = &stores {
             stores.get().set_recorder(telemetry.recorder_handle());
         }
-        if let Some(tuner) = &tuner {
-            tuner.set_recorder(telemetry.recorder_handle());
-        }
         Ok(RunSession {
             spec: self.spec,
             config: self.config,
             pool,
             stores,
             checkpointer,
-            tuner,
             telemetry,
         })
     }
@@ -498,12 +424,9 @@ pub struct RunSession<'s, S: IterativeSpec> {
     pool: WorkerPool,
     stores: Option<MaybeOwned<'s, StoreManager>>,
     checkpointer: Option<MaybeOwned<'s, IterCheckpointer>>,
-    /// The session's online controller (`None` when tuning is `Off`).
-    /// Shared with every engine run and serving handle the session opens.
-    tuner: Option<Arc<EngineTuner>>,
     /// The session's telemetry plane (recorder + live metrics registry).
-    /// The recorder handle is installed on the pool, stores, and tuner at
-    /// build time and detached by [`RunSession::finish`].
+    /// The recorder handle is installed on the pool and stores at build
+    /// time and detached by [`RunSession::finish`].
     telemetry: Telemetry,
 }
 
@@ -547,12 +470,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     /// The session's checkpointer, if configured.
     pub fn checkpointer(&self) -> Option<&IterCheckpointer> {
         self.checkpointer.as_ref().map(MaybeOwned::get)
-    }
-
-    /// The session's online tuner, if tuning is enabled (`Observe` or
-    /// `Active`).
-    pub fn tuner(&self) -> Option<&Arc<EngineTuner>> {
-        self.tuner.as_ref()
     }
 
     /// The session's telemetry plane.
@@ -643,7 +560,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
             &self.pool,
             self.stores(),
             self.checkpointer(),
-            self.tuner.as_deref(),
             self.telemetry.recorder(),
         )
     }
@@ -654,12 +570,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     /// may run concurrently with serving on other threads of the caller.
     pub fn serve(&self) -> Result<ServeHandle<'_>> {
         let handle = self.stores_required("serve")?.serve(self.config.serve);
-        // With tuning on, route lookup latencies into the tuner's shared
-        // histogram so its serve-p99 guard observes this handle.
-        let handle = match &self.tuner {
-            Some(t) => handle.with_latency_sink(t.serve_latency()),
-            None => handle,
-        };
         // Route hit/miss/chase counters (and spans, in Full mode) into the
         // session's registry so `ServeHandle::snapshot` stays live across
         // metric drains.
@@ -690,9 +600,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         self.pool.set_recorder(None);
         if let Some(stores) = &self.stores {
             stores.get().set_recorder(None);
-        }
-        if let Some(tuner) = &self.tuner {
-            tuner.set_recorder(None);
         }
         let stores = match self.stores {
             Some(MaybeOwned::Owned(stores)) => Some(stores),
@@ -813,6 +720,18 @@ mod tests {
 
         let mut c = EngineConfig::default();
         c.serve.cache_capacity += 1;
+        assert_ne!(h0, c.config_hash());
+
+        let mut c = EngineConfig::default();
+        c.job.n_workers += 1;
+        assert_ne!(h0, c.config_hash());
+
+        let mut c = EngineConfig::default();
+        c.incr.pdelta_threshold = 0.25;
+        assert_ne!(h0, c.config_hash());
+
+        let mut c = EngineConfig::default();
+        c.store.policy.min_batches += 1;
         assert_ne!(h0, c.config_hash());
     }
 

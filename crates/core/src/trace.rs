@@ -9,9 +9,9 @@
 //!    pool (`n_workers` slots plus the driver slot for coordinator /
 //!    store-plane / serving emissions) and allocates the session's
 //!    [`MetricsRegistry`].
-//! 2. `RunSession::build` installs the recorder on the executor, the store
-//!    plane, and the tuner; the ingestion front and the engines emit
-//!    through the same handle.
+//! 2. `RunSession::build` installs the recorder on the executor and the
+//!    store plane; the ingestion front and the engines emit through the
+//!    same handle.
 //! 3. Mid-run, [`Telemetry::snapshot`] folds the recorder's per-kind
 //!    counters and the executor's timeline-truncation flag into a cheap
 //!    point-in-time [`MetricsSnapshot`] — live visibility, replacing the

@@ -46,17 +46,6 @@ impl TaskKind {
             TaskKind::ServeRead => "serve-read",
         }
     }
-
-    /// Whether the inline-grain fast path may run a batch of this kind on
-    /// the calling thread. True for pure-compute phases (map, sort,
-    /// reduce), where a small batch's dispatch round-trip dwarfs the work.
-    /// False for I/O-bound store and serve phases: their tasks block on
-    /// fsync/pread, so even a two-task batch gains from running the waits
-    /// in parallel — inlining would serialize the latencies, not save a
-    /// dispatch.
-    pub fn inline_eligible(self) -> bool {
-        matches!(self, TaskKind::Map | TaskKind::Sort | TaskKind::Reduce)
-    }
 }
 
 /// Identity of one logical task within one iteration of a computation.

@@ -93,7 +93,7 @@ use i2mr_common::telemetry::{self, TaskRef, TraceRecorder};
 use parking_lot::Mutex as PlMutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -194,15 +194,6 @@ pub struct PoolConfig {
     /// When set, a task attempt still running past this deadline gets one
     /// speculative duplicate attempt (first completion wins).
     pub speculation_deadline: Option<Duration>,
-    /// Inline-grain threshold: [`WorkerPool::run_tasks`] batches of at
-    /// most this many *compute* tasks (see [`crate::fault::TaskKind::inline_eligible`])
-    /// run sequentially on the calling thread (same attempt/retry/
-    /// failpoint semantics, no scheduling round-trip) instead of being
-    /// queued to the workers. I/O-bound batches are never inlined. `0`
-    /// (the default) disables inlining. Adjustable live via
-    /// [`WorkerPool::set_grain`] — the online tuner raises it when
-    /// per-task work is too small to amortize a dispatch.
-    pub grain: usize,
 }
 
 impl PoolConfig {
@@ -216,7 +207,6 @@ impl PoolConfig {
             fault_plan: Arc::new(FaultPlan::none()),
             failpoints: Arc::new(FailpointRegistry::disarmed()),
             speculation_deadline: None,
-            grain: 0,
         }
     }
 }
@@ -326,8 +316,6 @@ struct Core {
     retries: AtomicU64,
     /// Speculative duplicate attempts launched since last drain.
     respeculations: AtomicU64,
-    /// Live inline-grain threshold (see [`PoolConfig::grain`]).
-    grain: AtomicUsize,
     /// Telemetry-plane recorder (see `i2mr_common::telemetry`). `None`
     /// unless a session installed one via [`WorkerPool::set_recorder`] —
     /// the `Off` path never allocates or emits.
@@ -780,7 +768,6 @@ impl WorkerPool {
             fault_plan,
             failpoints,
             speculation_deadline,
-            grain,
         } = config;
         assert!(n_workers > 0, "pool needs at least one worker");
         assert!(max_attempts > 0, "tasks need at least one attempt");
@@ -808,7 +795,6 @@ impl WorkerPool {
             epoch_counter: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             respeculations: AtomicU64::new(0),
-            grain: AtomicUsize::new(grain),
             recorder: PlMutex::new(None),
         });
         let threads = (0..n_workers)
@@ -831,20 +817,6 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn n_workers(&self) -> usize {
         self.shared.core.n_workers
-    }
-
-    /// Current inline-grain threshold (see [`PoolConfig::grain`]).
-    pub fn grain(&self) -> usize {
-        self.shared.core.grain.load(Ordering::Relaxed)
-    }
-
-    /// Retarget the inline-grain threshold live: `run_tasks` batches of at
-    /// most `grain` tasks from now on run inline on the calling thread.
-    /// Purely a scheduling decision — results, retry budgets, and
-    /// failpoint semantics are identical either way — so the online tuner
-    /// may move it mid-run without affecting computed state.
-    pub fn set_grain(&self, grain: usize) {
-        self.shared.core.grain.store(grain, Ordering::Relaxed);
     }
 
     /// Install (or with `None`, remove) the telemetry recorder that task
@@ -920,19 +892,6 @@ impl WorkerPool {
             return Ok(Vec::new());
         }
         let core = &self.shared.core;
-        // Inline grain: compute batches too small to amortize a dispatch
-        // run sequentially right here — same attempts, backoff, fault
-        // injection, and terminal-error shape as the scheduled path, just
-        // no queueing (and no speculation: there is no straggler to
-        // duplicate when the caller runs every attempt itself). I/O-bound
-        // kinds (store merges, compactions, serve reads) never inline:
-        // their latencies overlap when scheduled but would serialize on
-        // the calling thread (see [`crate::fault::TaskKind::inline_eligible`]).
-        if n <= core.grain.load(Ordering::Relaxed)
-            && tasks.iter().all(|t| t.id.kind.inline_eligible())
-        {
-            return self.run_tasks_inline(tasks);
-        }
         let batch: Batch<T> = Batch {
             slots: PlMutex::new((0..n).map(|_| None).collect()),
             remaining: Mutex::new(0),
@@ -1167,63 +1126,6 @@ impl WorkerPool {
         }
         let collected: Option<Vec<T>> = batch.slots.into_inner().into_iter().collect();
         collected.ok_or_else(|| Error::corrupt("task result missing without error"))
-    }
-
-    /// The inline small-batch path of [`WorkerPool::run_tasks`]: the
-    /// calling thread executes every task (as the virtual worker
-    /// `n_workers`, like a helping fence), looping attempts with the same
-    /// backoff and budget the coordinator would apply. On a terminal
-    /// failure the remaining tasks are abandoned, matching the scheduled
-    /// path's batch abort.
-    fn run_tasks_inline<T: Send>(&self, tasks: Vec<TaskSpec<'_, T>>) -> Result<Vec<T>> {
-        let core = &self.shared.core;
-        let inline_worker = core.n_workers;
-        tasks
-            .into_iter()
-            .map(|spec| {
-                let mut attempt = 1u32;
-                loop {
-                    // Mark the thread as a pool worker for the body's
-                    // duration so nested-blocking misuse inside an inlined
-                    // task trips the same debug assertions it would on a
-                    // real worker.
-                    let was = IS_POOL_WORKER.with(|w| w.replace(true));
-                    let outcome = core.run_one_attempt(
-                        inline_worker,
-                        spec.id,
-                        attempt,
-                        spec.lane,
-                        &*spec.run,
-                    );
-                    IS_POOL_WORKER.with(|w| w.set(was));
-                    match outcome {
-                        Ok(v) => break Ok(v),
-                        Err(e) if attempt >= core.max_attempts => {
-                            break Err(Error::TaskFailed {
-                                task: spec.id.label(),
-                                attempts: attempt,
-                                reason: e.to_string(),
-                            });
-                        }
-                        Err(_) => {
-                            core.retries.fetch_add(1, Ordering::Relaxed);
-                            core.emit(
-                                inline_worker,
-                                telemetry::EventKind::Retry {
-                                    task: task_ref(spec.id),
-                                    next_attempt: attempt + 1,
-                                },
-                            );
-                            let backoff = backoff_for(core.detection_delay, attempt);
-                            if !backoff.is_zero() {
-                                std::thread::sleep(backoff);
-                            }
-                            attempt += 1;
-                        }
-                    }
-                }
-            })
-            .collect()
     }
 
     /// Allocate the next background epoch (monotonic, pool-global).

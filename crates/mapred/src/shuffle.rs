@@ -225,8 +225,11 @@ pub fn sort_run<K2: Ord, V2>(run: &mut [ShuffleRecord<K2, V2>]) {
 }
 
 /// Sort every run in parallel, one [`TaskKind::Sort`] task per non-empty
-/// run on the worker pool (replacing the old ad-hoc scoped threads, so sort
-/// work is scheduled, retried, and timeline-recorded like any other task).
+/// run on the worker pool, so sort work is scheduled, retried, and
+/// timeline-recorded like any other task. Empty runs never get a task: a
+/// workset-driven pass routinely leaves most partitions' runs empty, and
+/// sorting one would still pay scheduling and timeline recording. Task ids
+/// keep the run's partition index.
 pub fn sort_runs<K2, V2>(
     pool: &WorkerPool,
     runs: &mut [Vec<ShuffleRecord<K2, V2>>],
@@ -236,44 +239,12 @@ where
     K2: Ord + Send,
     V2: Send,
 {
-    sort_runs_adaptive(pool, runs, iteration, 0)
-}
-
-/// [`sort_runs`] with a live inlining threshold for the online tuner.
-///
-/// Runs shorter than `inline_below` records are sorted directly on the
-/// calling thread — a short run's `sort_unstable` is cheaper than the
-/// dispatch + timeline recording of a scheduled task — while longer runs
-/// go to the pool as [`TaskKind::Sort`] tasks. With `inline_below == 0`
-/// nothing is inlined. Empty runs never get a task: a workset-driven pass
-/// routinely leaves most partitions' runs empty, and sorting one would
-/// still pay scheduling and timeline recording. Task ids keep the run's
-/// partition index.
-///
-/// Purely a scheduling decision: every run ends up sorted by the same
-/// comparator regardless of where the sort executed, so the tuner may
-/// move the threshold mid-run without affecting computed state.
-pub fn sort_runs_adaptive<K2, V2>(
-    pool: &WorkerPool,
-    runs: &mut [Vec<ShuffleRecord<K2, V2>>],
-    iteration: u64,
-    inline_below: usize,
-) -> Result<()>
-where
-    K2: Ord + Send,
-    V2: Send,
-{
-    let mut scheduled: Vec<(usize, Mutex<&mut Vec<ShuffleRecord<K2, V2>>>)> = Vec::new();
-    for (i, run) in runs.iter_mut().enumerate() {
-        if run.is_empty() {
-            continue;
-        }
-        if run.len() < inline_below {
-            sort_run(run);
-        } else {
-            scheduled.push((i, Mutex::new(run)));
-        }
-    }
+    let scheduled: Vec<(usize, Mutex<&mut Vec<ShuffleRecord<K2, V2>>>)> = runs
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, run)| !run.is_empty())
+        .map(|(i, run)| (i, Mutex::new(run)))
+        .collect();
     if scheduled.is_empty() {
         return Ok(());
     }
@@ -472,5 +443,39 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.task.kind == TaskKind::Sort && e.task.iteration == 4));
+    }
+
+    #[test]
+    fn sort_runs_schedules_only_non_empty_runs() {
+        let wp = WorkerPool::new(2);
+        let non_empty = [1usize, 2, 5];
+        let mut runs: Vec<Vec<ShuffleRecord<u64, u64>>> = (0..7)
+            .map(|r| {
+                if non_empty.contains(&r) {
+                    (0..20u64)
+                        .rev()
+                        .map(|i| (i % 7, mk(i as u128), i))
+                        .collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        sort_runs(&wp, &mut runs, 1).unwrap();
+        for run in &runs {
+            assert!(run
+                .windows(2)
+                .all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
+        }
+        let mut sorted: Vec<usize> = wp
+            .take_timeline()
+            .events()
+            .iter()
+            .filter(|e| e.task.kind == TaskKind::Sort)
+            .map(|e| e.task.index)
+            .collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted, non_empty);
     }
 }

@@ -8,8 +8,6 @@
 //! worth reconstructing — the dynamic-maintenance cost trade-off the store
 //! runtime ([`crate::runtime`]) applies between iterations.
 
-use i2mr_common::costmodel::ClusterCostModel;
-
 /// When to schedule a partition's offline reconstruction.
 ///
 /// A compaction reads every live chunk and rewrites it, so it costs roughly
@@ -56,25 +54,6 @@ impl CompactionPolicy {
             min_garbage_ratio: 0.0,
             min_batches: 2,
             min_file_bytes: 0,
-        }
-    }
-
-    /// Derive a garbage-ratio threshold from the §4 cluster cost model.
-    ///
-    /// Compacting costs `(file + live) / disk_bw`. Deferring it for `m`
-    /// more merge passes costs about `m × garbage / disk_bw` of window
-    /// over-read. With `g = garbage / live`, break-even is
-    /// `m·g·live ≥ (2 + g)·live`, i.e. `g ≥ 2 / (m - 1)`; expressed as a
-    /// fraction of the file that is `g / (1 + g)`. The disk bandwidth
-    /// cancels, so the model only shapes the amortization horizon — but
-    /// taking it as a parameter keeps the derivation honest if the model
-    /// ever charges reads and writes differently.
-    pub fn from_cost_model(_model: &ClusterCostModel, merges_between_compactions: u64) -> Self {
-        let m = merges_between_compactions.max(2) as f64;
-        let g = 2.0 / (m - 1.0);
-        CompactionPolicy {
-            min_garbage_ratio: (g / (1.0 + g)).clamp(0.05, 0.9),
-            ..Default::default()
         }
     }
 
@@ -152,15 +131,5 @@ mod tests {
         // always() still skips a fresh single-batch store (no garbage
         // possible, nothing to collapse).
         assert!(!CompactionPolicy::always().should_compact(10, 10, 1));
-    }
-
-    #[test]
-    fn policy_from_cost_model_scales_with_horizon() {
-        let model = ClusterCostModel::default();
-        let patient = CompactionPolicy::from_cost_model(&model, 32);
-        let eager = CompactionPolicy::from_cost_model(&model, 4);
-        assert!(patient.min_garbage_ratio < eager.min_garbage_ratio);
-        assert!(patient.min_garbage_ratio >= 0.05);
-        assert!(eager.min_garbage_ratio <= 0.9);
     }
 }

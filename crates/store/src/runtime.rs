@@ -32,9 +32,8 @@
 //!   reader; only merges, appends, and compactions take the write lock.)
 //! * **Cross-iteration overlapped compaction** —
 //!   [`StoreManager::schedule_compactions`] consults the
-//!   [`CompactionPolicy`] (garbage-ratio + batch-count thresholds,
-//!   derivable from the §4 cost model via
-//!   [`CompactionPolicy::from_cost_model`]) and submits
+//!   [`CompactionPolicy`] (garbage-ratio, batch-count and file-size
+//!   thresholds) and submits
 //!   [`TaskKind::Compact`] tasks as *detached background work* on the
 //!   executor, tagged with a fence epoch. Engines call it at the end of an
 //!   iteration: the compactions then run concurrently with the **next**
@@ -132,11 +131,6 @@ struct Shard {
     /// entries stamped with this version stay valid across generation
     /// bumps (the detached readers chase generations independently).
     data_version: AtomicU64,
-    /// Per-shard compaction-policy override installed by the online tuner
-    /// (`None` ⇒ the plane-wide `StoreRuntimeConfig::policy` applies).
-    /// Interior mutability so the tuner can retarget one shard mid-run
-    /// without exclusive access to the whole manager.
-    policy_override: Mutex<Option<CompactionPolicy>>,
 }
 
 impl Shard {
@@ -148,7 +142,6 @@ impl Shard {
             compacting: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
             data_version: AtomicU64::new(0),
-            policy_override: Mutex::new(None),
         }))
     }
 
@@ -331,38 +324,6 @@ impl StoreManager {
     /// The shared executor handle this manager schedules on.
     pub fn executor(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// Replace the plane-wide compaction policy (per-shard overrides, if
-    /// any, still win for their shards).
-    pub fn set_policy(&mut self, policy: CompactionPolicy) {
-        self.config.policy = policy;
-    }
-
-    /// Install (`Some`) or clear (`None`) a per-shard compaction-policy
-    /// override. The online tuner uses this to retarget individual shards
-    /// between iterations; everything that consults the policy
-    /// ([`StoreManager::schedule_compactions`],
-    /// [`StoreManager::maybe_compact`]) sees the override immediately.
-    pub fn set_shard_policy(&self, p: usize, policy: Option<CompactionPolicy>) {
-        *self.shards[p].policy_override.lock() = policy;
-    }
-
-    /// The policy currently in effect for shard `p`: its override if one
-    /// is installed, the plane-wide policy otherwise.
-    pub fn shard_policy(&self, p: usize) -> CompactionPolicy {
-        self.shards[p]
-            .policy_override
-            .lock()
-            .unwrap_or(self.config.policy)
-    }
-
-    /// Live sizing signals for shard `p`: `(file_len, live_bytes,
-    /// n_batches)` — the same triple the compaction policy consults. The
-    /// tuner derives each shard's garbage fraction from this.
-    pub fn shard_vitals(&self, p: usize) -> (u64, u64, usize) {
-        let s = self.shards[p].store.read();
-        (s.file_len(), s.live_bytes(), s.n_batches())
     }
 
     /// Run `f` with exclusive access to shard `p`'s store.
@@ -690,9 +651,10 @@ impl StoreManager {
                 if shard.compacting.load(Ordering::Acquire) {
                     return false;
                 }
-                let policy = shard.policy_override.lock().unwrap_or(self.config.policy);
                 let s = shard.store.read();
-                policy.should_compact(s.file_len(), s.live_bytes(), s.n_batches())
+                self.config
+                    .policy
+                    .should_compact(s.file_len(), s.live_bytes(), s.n_batches())
             })
             .map(|(p, _)| p)
             .collect()

@@ -48,9 +48,8 @@ use crate::store::StoreReader;
 use i2mr_common::error::Result;
 use i2mr_common::metrics::JobMetrics;
 use i2mr_common::telemetry::{
-    EventKind, MetricsRegistry, MetricsSnapshot, ServeOutcome, TraceRecorder,
+    EventKind, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ServeOutcome, TraceRecorder,
 };
-use i2mr_common::tuner::LatencyHistogram;
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::pool::{Lane, TaskSpec};
 use parking_lot::Mutex;
@@ -176,8 +175,8 @@ pub struct ServeMetrics {
     pub stale_evictions: u64,
     /// Upper-bound estimate of the point-lookup latency p99 in
     /// nanoseconds since the last drain (log2-bucketed; `0` when no
-    /// lookups were recorded). The online tuner's serving-lane guard
-    /// reads this to veto policy moves that would regress tail latency.
+    /// lookups were recorded): the serving lane's tail latency, which the
+    /// `micro_serve` bench gates under a concurrent merge.
     pub p99_nanos: u64,
 }
 
@@ -202,10 +201,9 @@ pub struct ServeHandle<'a> {
     hits: AtomicU64,
     misses: AtomicU64,
     stale: AtomicU64,
-    /// Point-lookup latency samples. Private per handle by default; the
-    /// tuner swaps in a shared histogram via
-    /// [`ServeHandle::with_latency_sink`] so its serving-lane guard sees
-    /// live tail latency.
+    /// Point-lookup latency samples, reset by [`ServeHandle::drain_into`].
+    /// `Arc`-shared so [`ServeHandle::with_telemetry`] can register the
+    /// same histogram as the registry's `serve.latency` instrument.
     latency: Arc<LatencyHistogram>,
     telemetry: Option<ServeTelemetry>,
 }
@@ -231,20 +229,6 @@ impl StoreManager {
 }
 
 impl ServeHandle<'_> {
-    /// Route this handle's point-lookup latency samples into `sink`
-    /// (replacing the handle-private histogram). The online tuner shares
-    /// one sink across serving handles so its p99 guard observes the
-    /// whole serving lane.
-    pub fn with_latency_sink(mut self, sink: Arc<LatencyHistogram>) -> Self {
-        self.latency = sink;
-        if let Some(t) = &self.telemetry {
-            // Keep the registry's view pointed at the live sink.
-            t.registry
-                .register_histogram("serve.latency", Arc::clone(&self.latency));
-        }
-        self
-    }
-
     /// Attach the telemetry plane: registry-backed live counters
     /// (`serve.hits` / `serve.misses` / `serve.generation_chases`, never
     /// reset), the `serve.latency` histogram, and — when `recorder` is

@@ -12,9 +12,7 @@
 #   full     -> delta     (micro_delta: the workset-driven delta-iteration win)
 #   idle     -> merging   (micro_serve: bounded serving-tail cost under churn)
 #   faultfree -> faulted  (fig13_fault: bounded fault-recovery overhead)
-#   static   -> tuned     (micro_tuner: the online-controller win over a
-#                          one-shot cost-model compaction policy)
-#   off      -> full      (micro_trace: full span tracing must stay within
+#   off     -> full      (micro_trace: full span tracing must stay within
 #                          5% of tracing disabled)
 #
 # For every benchmark group the geometric-mean speedup of the fresh run
@@ -40,12 +38,9 @@
 # 0.333 is the serving plane's shipping bar — the point-lookup p99 under
 # an active merge+compact churn must stay within 3x of the idle p99. The
 # churn thread needs a real measurement window to overlap, so gate it at
-# full size (I2MR_BENCH_QUICK=0). micro_tuner's workload is fixed-size
-# (quick mode does not scale it), and its two groups carry the self-tuning
-# acceptance bars as absolute floors: tuned >= 1.15x static on the
-# shifting-churn schedule and >= 0.95x on the steady one. micro_trace's
-# "speedup" is the off/full ratio (~1 by construction: tracing must not
-# slow the pipeline); its workload is also fixed-size, and the telemetry
+# full size (I2MR_BENCH_QUICK=0). micro_trace's "speedup" is the off/full
+# ratio (~1 by construction: tracing must not slow the pipeline); its
+# workload is fixed-size (quick mode does not scale it), and the telemetry
 # plane's shipping bar is an absolute floor — Full span retention must
 # stay >= 0.95x of tracing disabled on the data-plane hot path.
 #
@@ -64,7 +59,6 @@ out_for() {
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
     fig13_fault) echo "BENCH_fig13.json" ;;
-    micro_tuner) echo "BENCH_tuner.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
     *) echo "BENCH_$1.json" ;;
   esac
@@ -72,7 +66,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_tuner micro_trace)
+  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_trace)
 fi
 
 tol="${BENCH_TOLERANCE:-0.25}"
@@ -99,7 +93,6 @@ PAIRS = [
     ("full", "delta"),
     ("idle", "merging"),
     ("faultfree", "faulted"),
-    ("static", "tuned"),
     ("off", "full"),
 ]
 # Absolute speedup floors (group -> min geomean on the FRESH run), on top
@@ -112,8 +105,6 @@ FLOORS = {
     "micro_delta/churn1pct": 3.0,
     "micro_serve/lookup": 0.333,
     "fig13/run": 0.667,
-    "micro_tuner/shifting": 1.15,
-    "micro_tuner/steady": 0.95,
     "micro_trace/pipeline": 0.95,
 }
 

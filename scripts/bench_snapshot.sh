@@ -12,7 +12,6 @@
 #   micro_delta   -> BENCH_delta.json    (full-pass vs workset delta iteration)
 #   micro_serve   -> BENCH_serve.json    (serving p99: idle vs under merge churn)
 #   fig13_fault   -> BENCH_fig13.json    (fault-free vs 3-fault recovery run)
-#   micro_tuner   -> BENCH_tuner.json    (static cost-model policy vs online tuner)
 #   micro_trace   -> BENCH_trace.json    (telemetry overhead: tracing off vs full)
 #
 # Usage:
@@ -30,7 +29,6 @@ out_for() {
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
     fig13_fault) echo "BENCH_fig13.json" ;;
-    micro_tuner) echo "BENCH_tuner.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
     *) echo "BENCH_$1.json" ;;
   esac
@@ -38,7 +36,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_tuner micro_trace)
+  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_trace)
 fi
 
 for target in "${targets[@]}"; do
@@ -47,5 +45,5 @@ for target in "${targets[@]}"; do
   echo
   echo "== snapshot: $out =="
   # Print the headline comparisons (no jq dependency: plain grep).
-  grep -oE '"id": "[^"]*/(zerocopy|baseline|serial|sharded|spawn|persistent|full|delta|idle|merging|faultfree|faulted|static|tuned|off|counters)/[^}]*' "$out" || true
+  grep -oE '"id": "[^"]*/(zerocopy|baseline|serial|sharded|spawn|persistent|full|delta|idle|merging|faultfree|faulted|off|counters)/[^}]*' "$out" || true
 done

@@ -3,8 +3,8 @@
 #
 # `cargo doc -D warnings` already fails the docs job on broken *rustdoc*
 # intra-doc links; this script covers what rustdoc cannot see — the
-# markdown cross-references between README.md, DESIGN.md, TUNING.md,
-# ROADMAP.md, and friends:
+# markdown cross-references between README.md, DESIGN.md, ROADMAP.md,
+# and friends:
 #
 #   * every relative link target `[text](path)` must exist on disk;
 #   * every fragment link into a markdown file (`DESIGN.md#anchor`,
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 files=("$@")
 if [ ${#files[@]} -eq 0 ]; then
-  files=(README.md DESIGN.md TUNING.md ROADMAP.md PAPER.md CHANGES.md shims/README.md)
+  files=(README.md DESIGN.md ROADMAP.md PAPER.md CHANGES.md shims/README.md)
 fi
 
 python3 - "${files[@]}" <<'PY'

@@ -44,7 +44,6 @@ pub use i2mr_store as store;
 
 /// Convenience prelude for applications.
 pub mod prelude {
-    pub use i2mr_common::tuner::{TuningConfig, TuningMode};
     pub use i2mr_core::{
         Accumulator, AccumulatorEngine, Delta, DeltaIterativeSpec, EngineConfig, IncrParams,
         IterParams, IterativeSpec, OneStepEngine, PreserveMode, RunBuilder, RunReport, RunSession,

@@ -924,100 +924,3 @@ proptest! {
         prop_assert_eq!(data.state_snapshot(), before);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Tuner controller laws (the invariants TUNING.md promises)
-// ---------------------------------------------------------------------------
-//
-// * **Bounded**: for any valid spec, any initial value, and any signal
-//   sequence, the knob never leaves `[lo, hi]` and never moves by more
-//   than `|step|` in one update.
-// * **Monotone in the driving signal**: from identical controller state,
-//   a larger signal never yields a smaller knob value (for positive
-//   step; the order flips with negative step).
-
-use i2mapreduce::common::tuner::{KnobController, KnobSpec};
-
-/// Arbitrary *valid* knob spec: finite bounds with `lo <= hi`,
-/// non-negative deadband (the `KnobSpec::is_valid` contract).
-fn knob_spec() -> impl Strategy<Value = KnobSpec> {
-    (
-        -100.0f64..100.0,
-        0.0f64..200.0,
-        -50.0f64..50.0,
-        -100.0f64..100.0,
-        0.0f64..20.0,
-        0u32..3,
-    )
-        .prop_map(|(lo, width, step, target, deadband, cooldown)| KnobSpec {
-            lo,
-            hi: lo + width,
-            step,
-            target,
-            deadband,
-            cooldown,
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn knob_updates_stay_within_clamp_bounds(
-        spec in knob_spec(),
-        initial in -200.0f64..200.0,
-        signals in proptest::collection::vec(
-            prop_oneof![
-                -1e6f64..1e6,
-                Just(f64::NAN),
-                Just(f64::INFINITY),
-                Just(f64::NEG_INFINITY),
-            ],
-            1..32,
-        ),
-    ) {
-        prop_assert!(spec.is_valid());
-        let mut c = KnobController::new(spec, initial);
-        prop_assert!(c.value() >= spec.lo && c.value() <= spec.hi);
-        for s in signals {
-            let before = c.value();
-            let u = c.update(s);
-            prop_assert_eq!(u.before, before);
-            prop_assert_eq!(u.after, c.value());
-            // Always inside the clamp…
-            prop_assert!(c.value() >= spec.lo && c.value() <= spec.hi,
-                "value {} escaped [{}, {}]", c.value(), spec.lo, spec.hi);
-            // …and one update moves by at most |step|.
-            prop_assert!((u.after - u.before).abs() <= spec.step.abs() + 1e-12,
-                "move {} exceeded |step| {}", (u.after - u.before).abs(), spec.step.abs());
-            // A hold reports itself as one.
-            if !u.moved {
-                prop_assert_eq!(u.before, u.after);
-            }
-        }
-    }
-
-    #[test]
-    fn knob_update_is_monotone_in_the_driving_signal(
-        spec in knob_spec(),
-        initial in -200.0f64..200.0,
-        s1 in -1e6f64..1e6,
-        s2 in -1e6f64..1e6,
-    ) {
-        let (lo_sig, hi_sig) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        // Identical controller state, two signals: the response ordering
-        // follows the step's orientation.
-        let base = KnobController::new(spec, initial);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        let after_lo = a.update(lo_sig).after;
-        let after_hi = b.update(hi_sig).after;
-        if spec.step >= 0.0 {
-            prop_assert!(after_lo <= after_hi,
-                "positive step must not respond to a larger signal with a smaller knob: {after_lo} > {after_hi}");
-        } else {
-            prop_assert!(after_lo >= after_hi,
-                "negative step must not respond to a larger signal with a larger knob: {after_lo} < {after_hi}");
-        }
-    }
-}

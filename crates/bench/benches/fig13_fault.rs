@@ -6,23 +6,19 @@
 //! detection + relaunch) and failures that finish before the iteration
 //! barrier do not prolong the computation.
 //!
-//! Here the figure is split into a measured pair and a shape check:
-//!
-//! * **`fig13/run`** — the same 7-iteration PageRank job, `faultfree`
-//!   (no injection) vs `faulted` (the paper's 3 task errors, with a
-//!   scaled-down detection delay so recovery cost is proportionate to the
-//!   scaled run length). `scripts/bench_check.sh` gates on the
-//!   faultfree→faulted "speedup" staying ≥ 0.667× — i.e. the faulted run
-//!   may cost at most 1.5× the fault-free run, the figure's claim that
-//!   recovery is bounded by detection + relaunch rather than a rerun.
-//! * **`summarize`** — the original figure shape at the paper-faithful
-//!   40 ms detection delay: exactly 3 failures fire, each recovers within
-//!   a bounded latency window, and the faulty run's ranks are bit-exact
-//!   against a clean run.
+//! Here the same 7-iteration PageRank job runs with the paper's 3 task
+//! errors at a 40 ms detection delay, traced in `TelemetryMode::Full`, and
+//! the figure's data is read off that trace: exactly 3 attempts fail, each
+//! failed task restarts within a bounded window past the detection delay,
+//! and the faulty run's ranks are bit-exact against a clean run. This is a
+//! printing target: at this scale a faulted-vs-clean wall-time ratio is
+//! within run-to-run noise, so no timing is gated.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use i2mr_algos::pagerank::PageRank;
-use i2mr_bench::sized;
+use i2mr_bench::{banner, sized};
+use i2mr_common::telemetry::{
+    recovery_latencies, EventKind, TelemetryConfig, TelemetryMode, TraceLog,
+};
 use i2mr_core::iter_engine::build_partitioned;
 use i2mr_core::iterative::{IterParams, PreserveMode};
 use i2mr_core::run::RunBuilder;
@@ -35,16 +31,6 @@ use std::time::Duration;
 const N_TASKS: usize = 16;
 const N_WORKERS: usize = 8;
 const ITERS: u64 = 7;
-
-fn job_config(detection: Duration) -> JobConfig {
-    JobConfig {
-        n_map: N_TASKS,
-        n_reduce: N_TASKS,
-        n_workers: N_WORKERS,
-        max_attempts: 3,
-        detection_delay: detection,
-    }
-}
 
 /// The paper's three errors: map task in iteration 3, reduce task in
 /// iteration 6, map task in iteration 7 (all on their first attempt).
@@ -71,57 +57,50 @@ fn paper_faults() -> Arc<FaultPlan> {
     ]))
 }
 
-/// One full 7-iteration PageRank job on `pool`; returns the final ranks.
-fn run_job(pool: &WorkerPool, cfg: &JobConfig) -> Vec<(u64, f64)> {
+/// One full 7-iteration PageRank job on `pool`, traced in `Full` mode;
+/// returns the final ranks and the session's trace.
+fn run_job(pool: &WorkerPool) -> (Vec<(u64, f64)>, TraceLog) {
     let spec = PageRank::default();
     let graph = GraphGen::new(sized(3000), sized(24_000), 0xF13).generate();
     let session = RunBuilder::new(&spec)
         .pool(pool)
-        .job(cfg.clone())
+        .job(JobConfig {
+            n_map: N_TASKS,
+            n_reduce: N_TASKS,
+            n_workers: N_WORKERS,
+        })
         .iter(IterParams {
             max_iterations: ITERS,
             epsilon: 0.0,
             preserve: PreserveMode::None,
         })
+        .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full))
         .build()
         .unwrap();
     let mut data = build_partitioned(&spec, N_TASKS, graph);
     let report = session.run_initial(&mut data).expect("run");
     assert_eq!(report.iterations.len(), ITERS as usize);
-    data.state_snapshot()
-}
-
-/// Measured pair: the identical job with and without the injected faults.
-/// The bench detection delay is scaled to the job length (the paper's 12 s
-/// heartbeat against multi-minute iterations ≈ 2 ms against this run), so
-/// the gated ratio measures *bounded recovery*, not an arbitrary sleep.
-fn bench_run(c: &mut Criterion) {
-    let detection = Duration::from_millis(2);
-    let cfg = job_config(detection);
-    let clean_pool = WorkerPool::new(N_WORKERS);
-    let faulty_pool =
-        WorkerPool::with_faults(N_WORKERS, cfg.max_attempts, detection, paper_faults());
-
-    let mut g = c.benchmark_group("fig13/run");
-    g.bench_function(BenchmarkId::new("faultfree", N_TASKS), |b| {
-        b.iter(|| black_box(run_job(&clean_pool, &cfg)))
-    });
-    g.bench_function(BenchmarkId::new("faulted", N_TASKS), |b| {
-        b.iter(|| black_box(run_job(&faulty_pool, &cfg)))
-    });
-    g.finish();
+    let trace = session.finish().expect("finish").trace.expect("Full trace");
+    (data.state_snapshot(), trace)
 }
 
 /// Figure shape at the paper-faithful 40 ms detection delay: 3 failures,
 /// each recovered within a bounded window, result bit-exact vs clean.
-fn summarize(_c: &mut Criterion) {
+fn summarize() {
     let detection = Duration::from_millis(40);
-    let cfg = job_config(detection);
-    let faulty_pool =
-        WorkerPool::with_faults(N_WORKERS, cfg.max_attempts, detection, paper_faults());
-    let faulted = run_job(&faulty_pool, &cfg);
-    let clean_pool = WorkerPool::new(N_WORKERS);
-    let clean = run_job(&clean_pool, &cfg);
+    banner(
+        "Fig. 13",
+        "fault recovery: 3 injected task errors, recoveries read from the trace",
+        &format!(
+            "{}-vertex PageRank, {N_TASKS} prime map/reduce tasks, {ITERS} iterations, \
+             {} ms detection delay",
+            sized(3000),
+            detection.as_millis()
+        ),
+    );
+    let faulty_pool = WorkerPool::with_faults(N_WORKERS, 3, detection, paper_faults());
+    let (faulted, trace) = run_job(&faulty_pool);
+    let (clean, _) = run_job(&WorkerPool::new(N_WORKERS));
 
     let max_diff = faulted
         .iter()
@@ -129,13 +108,14 @@ fn summarize(_c: &mut Criterion) {
         .map(|((_, x), (_, y))| (x - y).abs())
         .fold(0.0, f64::max);
 
-    let timeline = faulty_pool.take_timeline();
-    let failures = timeline.failures();
-    let recoveries = timeline.recovery_latencies();
+    let failures = trace.count_matching(|k| matches!(k, EventKind::TaskEnd { ok: false, .. }));
+    let recoveries = recovery_latencies(&trace);
     for (task, latency) in &recoveries {
         println!(
-            "   {} recovered in {:.1} ms (paper: within 12 s)",
-            task.label(),
+            "   {}-{}@iter-{} recovered in {:.1} ms (paper: within 12 s)",
+            task.kind,
+            task.index,
+            task.iteration,
             latency.as_secs_f64() * 1e3
         );
     }
@@ -145,7 +125,7 @@ fn summarize(_c: &mut Criterion) {
         println!("shape: {msg} .. {}", if cond { "OK" } else { "MISMATCH" });
         ok &= cond;
     };
-    shape(failures.len() == 3, "exactly 3 injected failures fired");
+    shape(failures == 3, "exactly 3 injected failures fired");
     shape(recoveries.len() == 3, "every failure has a recovery");
     shape(
         recoveries
@@ -157,29 +137,9 @@ fn summarize(_c: &mut Criterion) {
         max_diff < 1e-12,
         "failures do not change the computed result",
     );
-
-    let recs = criterion::completed_records();
-    let median = |id: &str| recs.iter().find(|r| r.id == id).map(|r| r.median_ns as f64);
-    let free = median(&format!("fig13/run/faultfree/{N_TASKS}"));
-    let faulty = median(&format!("fig13/run/faulted/{N_TASKS}"));
-    if let (Some(f), Some(x)) = (free, faulty) {
-        if x > 0.0 {
-            let ratio = f / x;
-            let verdict = if ratio >= 0.667 { "OK" } else { "MISMATCH" };
-            println!(
-                "shape: faulted run costs {:.2}x the fault-free run \
-                 (recovery bounded: target <= 1.5x, ratio >= 0.667) .. {verdict}",
-                x / f
-            );
-            ok &= ratio >= 0.667;
-        }
-    }
     assert!(ok, "Fig. 13 shape checks failed");
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_run, summarize
+fn main() {
+    summarize();
 }
-criterion_main!(benches);

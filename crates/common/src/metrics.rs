@@ -186,8 +186,6 @@ pub struct JobMetrics {
     /// Failed task attempts that were rescheduled onto another worker
     /// (paper §8.8: re-execution after a task failure).
     pub retries: u64,
-    /// Speculative duplicate attempts launched for straggling tasks.
-    pub respeculations: u64,
     /// Bytes of torn store-file tail discarded by crash salvage on open.
     pub salvaged_bytes: u64,
     /// Store shards rebuilt in place from the latest complete checkpoint.
@@ -235,7 +233,6 @@ impl JobMetrics {
             workset_skipped,
             delta_iterations,
             retries,
-            respeculations,
             salvaged_bytes,
             rebuilt_shards,
             recovery_ms,
@@ -258,7 +255,6 @@ impl JobMetrics {
         self.workset_skipped += workset_skipped;
         self.delta_iterations += delta_iterations;
         self.retries += retries;
-        self.respeculations += respeculations;
         self.salvaged_bytes += salvaged_bytes;
         self.rebuilt_shards += rebuilt_shards;
         self.recovery_ms += recovery_ms;
@@ -288,7 +284,6 @@ impl JobMetrics {
             workset_skipped,
             delta_iterations,
             retries,
-            respeculations,
             salvaged_bytes,
             rebuilt_shards,
             recovery_ms,
@@ -325,7 +320,6 @@ impl JobMetrics {
         out.push(format!("workset_skipped {workset_skipped}"));
         out.push(format!("delta_iterations {delta_iterations}"));
         out.push(format!("retries {retries}"));
-        out.push(format!("respeculations {respeculations}"));
         out.push(format!("salvaged_bytes {salvaged_bytes}"));
         out.push(format!("rebuilt_shards {rebuilt_shards}"));
         out.push(format!("recovery_ms {recovery_ms}"));
@@ -403,7 +397,6 @@ mod tests {
             workset_skipped: 4,
             delta_iterations: 2,
             retries: 3,
-            respeculations: 1,
             salvaged_bytes: 64,
             rebuilt_shards: 2,
             recovery_ms: 17,
@@ -427,7 +420,6 @@ mod tests {
         assert_eq!(a.workset_skipped, 4);
         assert_eq!(a.delta_iterations, 2);
         assert_eq!(a.retries, 3);
-        assert_eq!(a.respeculations, 1);
         assert_eq!(a.salvaged_bytes, 64);
         assert_eq!(a.rebuilt_shards, 2);
         assert_eq!(a.recovery_ms, 17);
@@ -452,8 +444,8 @@ mod tests {
         assert!(lines.contains(&"store_io_bytes_read 100".to_string()));
         m.store_io.record_sync();
         assert!(m.report_lines().contains(&"store_io_syncs 1".to_string()));
-        // 1 jobs + 4 stages + 2*6 io blocks + 18 scalar counters.
-        assert_eq!(lines.len(), 35);
+        // 1 jobs + 4 stages + 2*6 io blocks + 17 scalar counters.
+        assert_eq!(lines.len(), 34);
     }
 
     #[test]

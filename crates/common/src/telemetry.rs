@@ -3,10 +3,10 @@
 //!
 //! The runtime has five interacting planes (executor lanes, sharded store,
 //! serving, ingestion, fault recovery); until this module the only windows
-//! into a run were end-of-run [`crate::metrics::JobMetrics`] aggregates and
-//! the executor's private timeline. The telemetry plane adds the per-task /
-//! per-shard / per-lookup record needed to reconstruct *why* a run behaved
-//! the way it did:
+//! into a run were end-of-run [`crate::metrics::JobMetrics`] aggregates.
+//! The telemetry plane adds the per-task / per-shard / per-lookup record
+//! needed to reconstruct *why* a run behaved the way it did — and it is
+//! the executor's only record of task attempts:
 //!
 //! * [`TraceRecorder`] — per-worker ring buffers of sequence-stamped,
 //!   typed [`TraceEvent`]s. Each worker (plus one *driver* slot for the
@@ -22,7 +22,8 @@
 //!   ([`TraceLog::to_chrome_json`]), a line-per-event JSONL sink
 //!   ([`TraceLog::to_jsonl`]), and the paper-table extractors
 //!   [`fig9`] / [`table4`] (plus `*_from_jsonl` variants that reproduce
-//!   the tables directly from a trace file).
+//!   the tables directly from a trace file) and the Fig. 13 query
+//!   [`recovery_latencies`].
 //!
 //! # Exactness contract
 //!
@@ -189,9 +190,9 @@ pub enum EventKind {
         task: TaskRef,
         /// Scheduling lane index (0 = serve, 1 = data, 2 = compact).
         lane: u8,
-        /// 1-based attempt number (retries and speculative duplicates get
-        /// fresh numbers; lineage is reconstructed from [`EventKind::Retry`]
-        /// / [`EventKind::Speculate`] events).
+        /// 1-based attempt number. Only the failure of attempt `a` mints
+        /// attempt `a + 1` (see [`EventKind::Retry`]), so a task's attempt
+        /// numbers form one chain.
         attempt: u32,
     },
     /// The same attempt finished (`ok`) or failed / panicked (`!ok`).
@@ -211,14 +212,6 @@ pub enum EventKind {
         task: TaskRef,
         /// The attempt number the rescheduled attempt will carry.
         next_attempt: u32,
-    },
-    /// A speculative duplicate attempt was launched for a straggler.
-    /// Trace count equals `JobMetrics::respeculations`.
-    Speculate {
-        /// The straggling task.
-        task: TaskRef,
-        /// The duplicate's attempt number.
-        attempt: u32,
     },
     /// One store-plane operation on one shard.
     StoreOp {
@@ -295,7 +288,7 @@ pub enum EventKind {
 }
 
 /// Number of distinct [`EventKind`] variants (per-kind counter array size).
-const N_KINDS: usize = 12;
+const N_KINDS: usize = 11;
 
 /// Stable per-kind names, indexed by [`kind_index`]. Used for registry
 /// snapshots and the JSONL `type` field.
@@ -303,7 +296,6 @@ const KIND_NAMES: [&str; N_KINDS] = [
     "task_start",
     "task_end",
     "retry",
-    "speculate",
     "store_op",
     "serve_lookup",
     "ingest_poll",
@@ -319,15 +311,14 @@ fn kind_index(kind: &EventKind) -> usize {
         EventKind::TaskStart { .. } => 0,
         EventKind::TaskEnd { .. } => 1,
         EventKind::Retry { .. } => 2,
-        EventKind::Speculate { .. } => 3,
-        EventKind::StoreOp { .. } => 4,
-        EventKind::ServeLookup { .. } => 5,
-        EventKind::IngestPoll { .. } => 6,
-        EventKind::IngestCommit { .. } => 7,
-        EventKind::CheckpointSave { .. } => 8,
-        EventKind::CheckpointRestore { .. } => 9,
-        EventKind::StageSample { .. } => 10,
-        EventKind::StoreIoSample { .. } => 11,
+        EventKind::StoreOp { .. } => 3,
+        EventKind::ServeLookup { .. } => 4,
+        EventKind::IngestPoll { .. } => 5,
+        EventKind::IngestCommit { .. } => 6,
+        EventKind::CheckpointSave { .. } => 7,
+        EventKind::CheckpointRestore { .. } => 8,
+        EventKind::StageSample { .. } => 9,
+        EventKind::StoreIoSample { .. } => 10,
     }
 }
 
@@ -750,13 +741,6 @@ impl TraceLog {
                             task.kind, task.index, task.iteration, next_attempt
                         );
                     }
-                    EventKind::Speculate { task, attempt } => {
-                        let _ = write!(
-                            out,
-                            ",\"kind\":\"{}\",\"index\":{},\"iteration\":{},\"attempt\":{}",
-                            task.kind, task.index, task.iteration, attempt
-                        );
-                    }
                     EventKind::StoreOp {
                         op,
                         shard,
@@ -876,6 +860,50 @@ pub fn table4(log: &TraceLog) -> IoStats {
         }
     }
     io
+}
+
+/// Reproduce the paper's Fig. 13 recovery latencies from a trace: for each
+/// failed attempt (`TaskEnd { ok: false }` of attempt `a`), the time until
+/// the `TaskStart` of attempt `a + 1` of the same task — detection delay
+/// plus relaunch. Only a failure mints the next attempt, so the restart is
+/// found by key, not by position: slots are not globally ordered, and a
+/// restart may sit in an earlier slot than its failure. When a rewind
+/// replays an iteration, the same key recurs; a failure pairs with the
+/// first matching start at or after it. Unrecovered failures (attempt
+/// budget exhausted) report nothing. Sorted by failure time.
+pub fn recovery_latencies(log: &TraceLog) -> Vec<(TaskRef, Duration)> {
+    let key = |t: &TaskRef, attempt: u32| (t.kind, t.index, t.iteration, attempt);
+    let mut starts: BTreeMap<_, Vec<u64>> = BTreeMap::new();
+    for e in log.iter() {
+        if let EventKind::TaskStart { task, attempt, .. } = &e.kind {
+            starts
+                .entry(key(task, *attempt))
+                .or_default()
+                .push(e.at_nanos);
+        }
+    }
+    let mut out: Vec<(u64, TaskRef, Duration)> = log
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::TaskEnd {
+                task,
+                attempt,
+                ok: false,
+            } => {
+                let failed = e.at_nanos;
+                let restart = starts
+                    .get(&key(task, attempt + 1))?
+                    .iter()
+                    .copied()
+                    .filter(|&s| s >= failed)
+                    .min()?;
+                Some((failed, *task, Duration::from_nanos(restart - failed)))
+            }
+            _ => None,
+        })
+        .collect();
+    out.sort_by_key(|(failed, ..)| *failed);
+    out.into_iter().map(|(_, task, lat)| (task, lat)).collect()
 }
 
 /// Extract one unsigned-integer JSON field from a [`TraceLog::to_jsonl`]
@@ -1386,17 +1414,120 @@ mod tests {
         let reg = MetricsRegistry::new();
         let hits = reg.counter("serve.hits");
         hits.fetch_add(3, Ordering::Relaxed);
-        reg.set_gauge("pool.timeline_truncated", 1);
         reg.histogram("serve.latency").record(1_000);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.hits"), 3);
-        assert_eq!(snap.gauge("pool.timeline_truncated"), 1);
         assert_eq!(snap.histograms["serve.latency"].count, 1);
         assert_eq!(snap.counter("absent"), 0);
         // Counters are shared handles, not copies.
         hits.fetch_add(1, Ordering::Relaxed);
         assert_eq!(reg.snapshot().counter("serve.hits"), 4);
         assert!(snap.render().contains("counter serve.hits 3"));
+    }
+
+    /// One trace event on `slot` at `ms` milliseconds.
+    fn at(slot: u32, seq: u64, ms: u64, kind: EventKind) -> TraceEvent {
+        TraceEvent {
+            seq,
+            at_nanos: ms * 1_000_000,
+            worker: slot,
+            kind,
+        }
+    }
+
+    fn start(t: TaskRef, attempt: u32) -> EventKind {
+        EventKind::TaskStart {
+            task: t,
+            lane: 1,
+            attempt,
+        }
+    }
+
+    fn end(t: TaskRef, attempt: u32, ok: bool) -> EventKind {
+        EventKind::TaskEnd {
+            task: t,
+            attempt,
+            ok,
+        }
+    }
+
+    fn one_slot(events: Vec<TraceEvent>) -> TraceLog {
+        TraceLog {
+            workers: vec![WorkerTrace {
+                worker: 0,
+                events,
+                dropped: 0,
+            }],
+        }
+    }
+
+    #[test]
+    fn recovery_latency_measures_fail_to_restart() {
+        let t = task(1);
+        let log = one_slot(vec![
+            at(0, 0, 10, start(t, 1)),
+            at(0, 1, 20, end(t, 1, false)),
+            at(0, 2, 32, start(t, 2)),
+            at(0, 3, 50, end(t, 2, true)),
+        ]);
+        assert_eq!(
+            recovery_latencies(&log),
+            vec![(t, Duration::from_millis(12))]
+        );
+        // An unrecovered failure (budget exhausted) reports nothing.
+        let log = one_slot(vec![
+            at(0, 0, 5, start(t, 1)),
+            at(0, 1, 9, end(t, 1, false)),
+        ]);
+        assert!(recovery_latencies(&log).is_empty());
+    }
+
+    #[test]
+    fn recovery_latency_attributes_to_the_matching_attempt() {
+        // Attempt 1 fails on slot 1; the restart runs on slot 0, which the
+        // log lists first — slot-major order puts the restart *before*
+        // its failure. An unrelated task's attempt 2 on slot 0 must not be
+        // paired with it, and neither may the restart of an earlier batch
+        // that reused the same task id (fail at 2 ms, restart at 4 ms).
+        let t = TaskRef {
+            kind: "reduce",
+            index: 4,
+            iteration: 2,
+        };
+        let log = TraceLog {
+            workers: vec![
+                WorkerTrace {
+                    worker: 0,
+                    events: vec![
+                        at(0, 0, 4, start(t, 2)),
+                        at(0, 1, 6, end(t, 2, true)),
+                        at(0, 2, 22, start(task(4), 2)),
+                        at(0, 3, 23, end(task(4), 2, true)),
+                        at(0, 4, 32, start(t, 2)),
+                        at(0, 5, 40, end(t, 2, true)),
+                    ],
+                    dropped: 0,
+                },
+                WorkerTrace {
+                    worker: 1,
+                    events: vec![
+                        at(1, 0, 1, start(t, 1)),
+                        at(1, 1, 2, end(t, 1, false)),
+                        at(1, 2, 10, start(t, 1)),
+                        at(1, 3, 20, end(t, 1, false)),
+                    ],
+                    dropped: 0,
+                },
+            ],
+        };
+        log.validate().unwrap();
+        assert_eq!(
+            recovery_latencies(&log),
+            vec![
+                (t, Duration::from_millis(2)),
+                (t, Duration::from_millis(12))
+            ]
+        );
     }
 
     #[test]

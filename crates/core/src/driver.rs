@@ -175,9 +175,7 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                 _ => self.full_pass(data, iteration, full_stores, &mut metrics),
             };
             let pass = pass.and_then(|stats| {
-                let (retries, respeculations) = self.pool.drain_recovery();
-                metrics.retries += retries;
-                metrics.respeculations += respeculations;
+                metrics.retries += self.pool.drain_recovery();
                 metrics.recovery_ms += std::mem::take(&mut pending_recovery_ms);
                 if let Some(stores) = stores {
                     // Drain before scheduling: the drain takes every shard's

@@ -482,14 +482,13 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     /// thread, no drain or fence required (see
     /// [`crate::trace::Telemetry::snapshot`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.telemetry.snapshot(&self.pool)
+        self.telemetry.snapshot()
     }
 
     /// Render the human-readable run report for `per_iteration` metrics
-    /// (any run's `report.per_iteration`), including the telemetry section
-    /// and the executor timeline's truncation flag.
+    /// (any run's `report.per_iteration`), including the telemetry section.
     pub fn render_report(&self, per_iteration: &[JobMetrics]) -> String {
-        crate::trace::render_report(per_iteration, Some(&self.telemetry), &self.pool)
+        crate::trace::render_report(per_iteration, Some(&self.telemetry))
     }
 
     /// Run a full iterative computation (`config.iter`) until convergence

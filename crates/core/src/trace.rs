@@ -13,9 +13,10 @@
 //!    store plane; the ingestion front and the engines emit through the
 //!    same handle.
 //! 3. Mid-run, [`Telemetry::snapshot`] folds the recorder's per-kind
-//!    counters and the executor's timeline-truncation flag into a cheap
-//!    point-in-time [`MetricsSnapshot`] — live visibility, replacing the
-//!    old drain-only-at-fence model.
+//!    counters and drop counter into a cheap point-in-time
+//!    [`MetricsSnapshot`] — live visibility, replacing the old
+//!    drain-only-at-fence model. The recorder is the executor's only
+//!    record of task attempts; nothing else buffers them.
 //! 4. `RunSession::finish` takes the accumulated [`TraceLog`], writes the
 //!    configured Chrome-trace / JSONL sinks, and detaches the recorder
 //!    from every subsystem.
@@ -30,7 +31,6 @@ use i2mr_common::telemetry::{
     EventKind, MetricsRegistry, MetricsSnapshot, TelemetryConfig, TelemetryMode, TraceLog,
     TraceRecorder,
 };
-use i2mr_mapred::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,10 +85,9 @@ impl Telemetry {
 
     /// A cheap point-in-time snapshot of everything live: registry
     /// counters/gauges/histograms, the recorder's per-kind event counters
-    /// (`trace.*`) and drop counter (`trace.dropped_events`), and the
-    /// executor's timeline retention-cap truncation flag
-    /// (`executor.timeline_truncated`) — callable mid-run, no drains.
-    pub fn snapshot(&self, pool: &WorkerPool) -> MetricsSnapshot {
+    /// (`trace.*`) and drop counter (`trace.dropped_events`) — callable
+    /// mid-run, no drains.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.registry.snapshot();
         if let Some(rec) = &self.recorder {
             for (name, count) in rec.kind_counts() {
@@ -97,10 +96,6 @@ impl Telemetry {
             snap.counters
                 .insert("trace.dropped_events".to_string(), rec.dropped_events());
         }
-        snap.gauges.insert(
-            "executor.timeline_truncated".to_string(),
-            u64::from(pool.timeline_truncated()),
-        );
         snap
     }
 
@@ -179,14 +174,9 @@ pub(crate) fn emit_checkpoint_restore(
 /// wall times and headline counters), a totals section covering **every**
 /// [`JobMetrics`] counter (via the drift-proof
 /// [`JobMetrics::report_lines`]), and a telemetry section with per-kind
-/// event counts, the recorder's drop counter, and the executor timeline's
-/// retention-cap truncation flag — surfaced here so a capped timeline is
-/// never mistaken for a complete one.
-pub fn render_report(
-    per_iteration: &[JobMetrics],
-    telemetry: Option<&Telemetry>,
-    pool: &WorkerPool,
-) -> String {
+/// event counts and the recorder's drop counter — surfaced here so a
+/// truncated trace is never mistaken for a complete one.
+pub fn render_report(per_iteration: &[JobMetrics], telemetry: Option<&Telemetry>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "run report ({} iterations)\n",
@@ -196,7 +186,7 @@ pub fn render_report(
     for (i, m) in per_iteration.iter().enumerate() {
         out.push_str(&format!(
             "  iter {:>3}: map {:.2}ms shuffle {:.2}ms sort {:.2}ms reduce {:.2}ms \
-             | shuffled {} rec | retries {} respec {}\n",
+             | shuffled {} rec | retries {}\n",
             i + 1,
             ms(m.stages.get(Stage::Map)),
             ms(m.stages.get(Stage::Shuffle)),
@@ -204,7 +194,6 @@ pub fn render_report(
             ms(m.stages.get(Stage::Reduce)),
             m.shuffled_records,
             m.retries,
-            m.respeculations,
         ));
     }
     let mut total = JobMetrics::default();
@@ -230,9 +219,5 @@ pub fn render_report(
         }
         None => out.push_str("  (tracing off)\n"),
     }
-    out.push_str(&format!(
-        "  executor timeline truncated: {}\n",
-        pool.timeline_truncated()
-    ));
     out
 }

@@ -1,9 +1,10 @@
 //! Job and cluster configuration.
 
 use i2mr_common::error::{Error, Result};
-use std::time::Duration;
 
-/// Configuration shared by every engine in the workspace.
+/// Configuration shared by every engine in the workspace. Attempt budgets
+/// and failure-detection delay belong to the executor, not the job: see
+/// [`PoolConfig`](crate::pool::PoolConfig).
 #[derive(Clone, Debug)]
 pub struct JobConfig {
     /// Number of map tasks (and input splits). Paper §2: one per block;
@@ -14,13 +15,6 @@ pub struct JobConfig {
     pub n_reduce: usize,
     /// Worker threads simulating cluster nodes.
     pub n_workers: usize,
-    /// Attempts per task before the job is failed (first run + retries).
-    pub max_attempts: u32,
-    /// Simulated failure-detection latency: the delay between a task failure
-    /// and its rescheduled attempt. Hadoop detects via 3-second heartbeats
-    /// (paper §6.1); default zero so tests run instantly, set by the Fig. 13
-    /// harness for a realistic timeline.
-    pub detection_delay: Duration,
 }
 
 impl Default for JobConfig {
@@ -29,8 +23,6 @@ impl Default for JobConfig {
             n_map: 4,
             n_reduce: 4,
             n_workers: 4,
-            max_attempts: 3,
-            detection_delay: Duration::ZERO,
         }
     }
 }
@@ -42,7 +34,6 @@ impl JobConfig {
             n_map: n,
             n_reduce: n,
             n_workers: n,
-            ..Default::default()
         }
     }
 
@@ -50,9 +41,6 @@ impl JobConfig {
     pub fn validate(&self) -> Result<()> {
         if self.n_map == 0 || self.n_reduce == 0 || self.n_workers == 0 {
             return Err(Error::config("n_map, n_reduce, n_workers must be > 0"));
-        }
-        if self.max_attempts == 0 {
-            return Err(Error::config("max_attempts must be > 0"));
         }
         Ok(())
     }
@@ -78,11 +66,6 @@ mod tests {
     fn zero_fields_rejected() {
         let c = JobConfig {
             n_map: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = JobConfig {
-            max_attempts: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

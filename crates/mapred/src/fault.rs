@@ -1,9 +1,11 @@
-//! Deterministic fault injection and task timelines.
+//! Deterministic fault injection.
 //!
 //! The paper's §8.8 experiment (Fig. 13) manually injects errors into
 //! running map/reduce tasks and plots per-task execution progress including
-//! recovery. [`FaultPlan`] reproduces the injection deterministically;
-//! [`Timeline`] records exactly the events the figure plots.
+//! recovery. [`FaultPlan`] reproduces the injection deterministically; the
+//! executor's `TaskStart`/`TaskEnd` trace events carry the progress, and
+//! `i2mr_common::telemetry::recovery_latencies` reads the recoveries off
+//! the trace.
 //!
 //! Targeted one-shot task faults are only half the story: the seeded
 //! [`FailpointRegistry`] (re-exported from `i2mr-common` so the store and
@@ -14,7 +16,6 @@
 
 pub use i2mr_common::failpoint::{FailAction, FailSite, FailpointRegistry};
 use parking_lot::Mutex;
-use std::time::Duration;
 
 /// Which phase a schedulable task belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +36,7 @@ pub enum TaskKind {
 }
 
 impl TaskKind {
-    /// Display name used in timelines and error messages.
+    /// Display name used in trace events and error messages.
     pub fn name(self) -> &'static str {
         match self {
             TaskKind::Map => "map",
@@ -126,96 +127,6 @@ impl FaultPlan {
     }
 }
 
-/// What happened to a task attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskEventKind {
-    /// Attempt started executing on a worker.
-    Start,
-    /// Attempt finished successfully.
-    Finish,
-    /// Attempt failed (injected or real); a retry follows if budget remains.
-    Fail,
-}
-
-/// One timeline entry.
-#[derive(Clone, Copy, Debug)]
-pub struct TaskEvent {
-    /// Offset from the pool's epoch.
-    pub at: Duration,
-    /// Worker thread index that executed the attempt.
-    pub worker: usize,
-    pub task: TaskId,
-    pub attempt: u32,
-    pub kind: TaskEventKind,
-}
-
-/// Recorded sequence of task events (Fig. 13's raw data).
-#[derive(Debug, Default)]
-pub struct Timeline {
-    events: Vec<TaskEvent>,
-}
-
-impl Timeline {
-    /// Append one event.
-    pub fn record(&mut self, ev: TaskEvent) {
-        self.events.push(ev);
-    }
-
-    /// All events in record order.
-    pub fn events(&self) -> &[TaskEvent] {
-        &self.events
-    }
-
-    /// Events for one specific task, in record order.
-    pub fn for_task(&self, task: TaskId) -> Vec<TaskEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.task == task)
-            .collect()
-    }
-
-    /// All recorded failures.
-    pub fn failures(&self) -> Vec<TaskEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.kind == TaskEventKind::Fail)
-            .collect()
-    }
-
-    /// Recovery latency per failure: time from the `Fail` of attempt `a` to
-    /// the `Start` of attempt `a + 1` of the same task (the rescheduled
-    /// attempt). A single linear pass over the timeline: each `Fail` parks
-    /// its timestamp keyed by `(task, a + 1)` and the matching restart
-    /// claims it, so a `Fail` is never paired with an unrelated later
-    /// `Start` (e.g. a speculative duplicate of an earlier attempt).
-    pub fn recovery_latencies(&self) -> Vec<(TaskId, Duration)> {
-        let mut pending: std::collections::HashMap<(TaskId, u32), Duration> =
-            std::collections::HashMap::new();
-        let mut out = Vec::new();
-        for ev in &self.events {
-            match ev.kind {
-                TaskEventKind::Fail => {
-                    pending.insert((ev.task, ev.attempt + 1), ev.at);
-                }
-                TaskEventKind::Start => {
-                    if let Some(failed_at) = pending.remove(&(ev.task, ev.attempt)) {
-                        out.push((ev.task, ev.at.saturating_sub(failed_at)));
-                    }
-                }
-                TaskEventKind::Finish => {}
-            }
-        }
-        out
-    }
-
-    /// Merge another timeline (e.g. per-iteration timelines) into this one.
-    pub fn extend(&mut self, other: Timeline) {
-        self.events.extend(other.events);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,75 +177,6 @@ mod tests {
             attempt: 1,
         }]);
         assert!(plan.should_fail(tid(TaskKind::Map, 0, 99), 1));
-    }
-
-    #[test]
-    fn recovery_latency_measures_fail_to_restart() {
-        let mut tl = Timeline::default();
-        let t = tid(TaskKind::Map, 1, 0);
-        tl.record(TaskEvent {
-            at: Duration::from_millis(10),
-            worker: 0,
-            task: t,
-            attempt: 1,
-            kind: TaskEventKind::Start,
-        });
-        tl.record(TaskEvent {
-            at: Duration::from_millis(20),
-            worker: 0,
-            task: t,
-            attempt: 1,
-            kind: TaskEventKind::Fail,
-        });
-        tl.record(TaskEvent {
-            at: Duration::from_millis(32),
-            worker: 0,
-            task: t,
-            attempt: 2,
-            kind: TaskEventKind::Start,
-        });
-        tl.record(TaskEvent {
-            at: Duration::from_millis(50),
-            worker: 0,
-            task: t,
-            attempt: 2,
-            kind: TaskEventKind::Finish,
-        });
-        let lat = tl.recovery_latencies();
-        assert_eq!(lat.len(), 1);
-        assert_eq!(lat[0].1, Duration::from_millis(12));
-        assert_eq!(tl.failures().len(), 1);
-        assert_eq!(tl.for_task(t).len(), 4);
-    }
-
-    #[test]
-    fn recovery_latency_attributes_to_the_matching_attempt() {
-        // A speculative duplicate of attempt 1 starts AFTER attempt 1's
-        // failure; the old "next Start of the same task" pairing would
-        // blame the failure on the speculative start (2ms). Only the
-        // genuine attempt-2 restart (12ms) may be counted.
-        let mut tl = Timeline::default();
-        let t = tid(TaskKind::Reduce, 4, 2);
-        let ev = |ms, attempt, kind| TaskEvent {
-            at: Duration::from_millis(ms),
-            worker: 0,
-            task: t,
-            attempt,
-            kind,
-        };
-        tl.record(ev(10, 1, TaskEventKind::Start));
-        tl.record(ev(20, 1, TaskEventKind::Fail));
-        tl.record(ev(22, 1, TaskEventKind::Start)); // speculative duplicate of attempt 1
-        tl.record(ev(32, 2, TaskEventKind::Start)); // the rescheduled attempt
-        tl.record(ev(40, 2, TaskEventKind::Finish));
-        let lat = tl.recovery_latencies();
-        assert_eq!(lat.len(), 1);
-        assert_eq!(lat[0].1, Duration::from_millis(12));
-        // An unrecovered failure (budget exhausted) reports nothing.
-        let mut tl2 = Timeline::default();
-        tl2.record(ev(5, 1, TaskEventKind::Start));
-        tl2.record(ev(9, 1, TaskEventKind::Fail));
-        assert!(tl2.recovery_latencies().is_empty());
     }
 
     #[test]

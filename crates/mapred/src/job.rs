@@ -85,7 +85,7 @@ where
 
     /// Execute the job over `input` on `pool`.
     ///
-    /// `iteration` tags task ids for fault matching and timelines; one-step
+    /// `iteration` tags task ids for fault matching and trace events; one-step
     /// jobs pass 0.
     pub fn run(
         &self,

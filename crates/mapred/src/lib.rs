@@ -9,8 +9,10 @@
 //! * [`partition`] — the `Partitioner` abstraction plus the stable
 //!   [`partition::HashPartitioner`] every engine shares. Stability across
 //!   jobs is what lets job `A'` find the MRBG-Store chunks job `A` wrote.
-//! * [`pool`] — a worker-thread pool with task affinity, retry-on-failure,
-//!   and a recorded [`fault::Timeline`] (used by the Fig. 13 reproduction).
+//! * [`pool`] — a worker-thread pool with task affinity and
+//!   retry-on-failure; every attempt is traced as `TaskStart`/`TaskEnd`
+//!   events to the installed recorder (the Fig. 13 reproduction reads its
+//!   recoveries from there).
 //! * [`fault`] — deterministic fault injection plans.
 //! * [`shuffle`] — partitioning, byte metering, sorting, and key-grouping
 //!   helpers shared by the vanilla engine and the i2MapReduce engines.
@@ -31,7 +33,7 @@ pub mod shuffle;
 pub mod types;
 
 pub use config::JobConfig;
-pub use fault::{FaultPlan, FaultSpec, TaskEvent, TaskEventKind, TaskId, TaskKind, Timeline};
+pub use fault::{FaultPlan, FaultSpec, TaskId, TaskKind};
 pub use job::{JobRun, MapReduceJob};
 pub use partition::{HashPartitioner, Partitioner};
 pub use pool::{TaskSpec, WorkerPool};

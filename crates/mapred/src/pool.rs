@@ -1,5 +1,5 @@
 //! Persistent work-stealing executor with task affinity, cross-worker
-//! recovery, epochs, and a recorded timeline.
+//! recovery, and epochs.
 //!
 //! The pool plays the role of the cluster's TaskTrackers plus the
 //! JobTracker's scheduling loop (paper §2, §6.1), but unlike the original
@@ -53,11 +53,12 @@
 //!   budget is exhausted — the paper's same-TaskTracker retry cannot
 //!   survive a lost worker, which the ROADMAP's distributed tier requires.
 //!   A panicking task body is caught and isolated into an attempt failure
-//!   (a dying worker fails the *task*, never the run), and tasks running
-//!   past an optional deadline get one speculative duplicate attempt
-//!   (first completion wins). Every attempt's start/finish/fail is
-//!   recorded against a single epoch so multi-iteration computations
-//!   produce one coherent timeline (Fig. 13).
+//!   (a dying worker fails the *task*, never the run). Only a failed
+//!   attempt `a` mints attempt `a + 1`, so a task has at most one live
+//!   attempt. Every attempt's start and end is emitted as a
+//!   `TaskStart`/`TaskEnd` event to the installed [`TraceRecorder`] —
+//!   the executor keeps no record of its own; Fig. 13 reads recoveries off
+//!   the trace (`i2mr_common::telemetry::recovery_latencies`).
 //! * **Seeded failpoints.** Beyond the targeted one-shot [`FaultPlan`],
 //!   an armed [`FailpointRegistry`] fires inside task bodies
 //!   ([`FailSite::TaskRun`]) as injected errors or simulated worker death
@@ -77,23 +78,21 @@
 //!
 //! [`WorkerPool::run_tasks`] accepts tasks that borrow job-local data
 //! (`'a`), yet workers are `'static` threads. The lifetime is erased with
-//! a well-fenced `transmute`: every job of a batch (initial attempts,
-//! retries, and speculative duplicates — all of which are minted by the
-//! coordinating `run_tasks` call itself, never by workers) borrows state
+//! a well-fenced `transmute`: every job of a batch (initial attempts and
+//! retries — both minted by the coordinating `run_tasks` call itself,
+//! never by workers) borrows state
 //! owned by the `run_tasks` stack frame and holds a guard whose drop
 //! releases the batch fence. `run_tasks` returns only once every guard has
 //! been released *and* no retry ticket is outstanding, so no borrow
 //! outlives the call — the same discipline scoped-thread libraries use.
 
-use crate::fault::{
-    FailSite, FailpointRegistry, FaultPlan, TaskEvent, TaskEventKind, TaskId, Timeline,
-};
+use crate::fault::{FailSite, FailpointRegistry, FaultPlan, TaskId};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::telemetry::{self, TaskRef, TraceRecorder};
 use parking_lot::Mutex as PlMutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -132,15 +131,15 @@ impl Lane {
 /// runs) instead of cloning it per task.
 pub struct TaskSpec<'a, T> {
     /// Logical identity (kind, index, iteration) — used for fault matching
-    /// and timeline recording.
+    /// and trace events.
     pub id: TaskId,
     /// Preferred worker index; `None` lets the pool round-robin.
     pub preferred_worker: Option<usize>,
     /// Scheduling priority lane ([`Lane::Data`] unless overridden).
     pub lane: Lane,
     /// The work. Receives the attempt number (1-based); may be invoked
-    /// multiple times on retry — and concurrently with its own speculative
-    /// duplicate (hence `Sync`) — so it must be idempotent.
+    /// multiple times on retry, each time from whichever worker runs the
+    /// attempt (hence `Sync`), so it must be idempotent.
     pub run: Box<dyn Fn(u32) -> Result<T> + Send + Sync + 'a>,
 }
 
@@ -191,14 +190,11 @@ pub struct PoolConfig {
     /// Seeded chaos failpoints; [`FailSite::TaskRun`] fires inside task
     /// bodies.
     pub failpoints: Arc<FailpointRegistry>,
-    /// When set, a task attempt still running past this deadline gets one
-    /// speculative duplicate attempt (first completion wins).
-    pub speculation_deadline: Option<Duration>,
 }
 
 impl PoolConfig {
     /// Defaults matching [`WorkerPool::new`]: 3 attempts, zero detection
-    /// delay, no faults, no speculation.
+    /// delay, no faults.
     pub fn new(n_workers: usize) -> Self {
         PoolConfig {
             n_workers,
@@ -206,7 +202,6 @@ impl PoolConfig {
             detection_delay: Duration::ZERO,
             fault_plan: Arc::new(FaultPlan::none()),
             failpoints: Arc::new(FailpointRegistry::disarmed()),
-            speculation_deadline: None,
         }
     }
 }
@@ -241,15 +236,6 @@ std::thread_local! {
     /// the debug assertion makes that failure loud instead of a hang.
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
-
-/// Upper bound on retained timeline events. The executor now lives for the
-/// process (engines and store managers hold handles), so an unbounded
-/// event log would grow forever on a long-running service; past the cap,
-/// recording saturates (newest events dropped, flagged via
-/// [`WorkerPool::timeline_truncated`]) until [`WorkerPool::take_timeline`]
-/// resets it. Fig. 13-style analyses operate on per-run timelines far
-/// below this bound.
-const TIMELINE_CAP: usize = 1 << 18;
 
 /// Lock a std mutex, transparently recovering from poisoning (matching the
 /// no-poisoning contract the rest of the workspace gets from parking_lot).
@@ -303,10 +289,6 @@ struct Core {
     detection_delay: Duration,
     fault_plan: Arc<FaultPlan>,
     failpoints: Arc<FailpointRegistry>,
-    speculation_deadline: Option<Duration>,
-    timeline: PlMutex<Timeline>,
-    timeline_truncated: AtomicBool,
-    epoch0: Instant,
     sched: Mutex<Sched>,
     work: Condvar,
     fences: Mutex<FenceTable>,
@@ -314,8 +296,6 @@ struct Core {
     epoch_counter: AtomicU64,
     /// Failed attempts rescheduled onto another worker since last drain.
     retries: AtomicU64,
-    /// Speculative duplicate attempts launched since last drain.
-    respeculations: AtomicU64,
     /// Telemetry-plane recorder (see `i2mr_common::telemetry`). `None`
     /// unless a session installed one via [`WorkerPool::set_recorder`] —
     /// the `Off` path never allocates or emits.
@@ -339,23 +319,8 @@ impl Core {
         }
     }
 
-    fn record(&self, worker: usize, task: TaskId, attempt: u32, kind: TaskEventKind) {
-        let mut tl = self.timeline.lock();
-        if tl.events().len() >= TIMELINE_CAP {
-            self.timeline_truncated.store(true, Ordering::Relaxed);
-            return;
-        }
-        tl.record(TaskEvent {
-            at: self.epoch0.elapsed(),
-            worker,
-            task,
-            attempt,
-            kind,
-        });
-    }
-
     /// Execute exactly one attempt of a task on `worker`: fault-plan and
-    /// failpoint injection, timeline events, and panic isolation — a panic
+    /// failpoint injection, trace events, and panic isolation — a panic
     /// inside the body (injected worker death or a real bug) is caught and
     /// converted into an attempt failure, so a dying worker can only ever
     /// fail the task, never abort the run.
@@ -367,7 +332,6 @@ impl Core {
         lane: Lane,
         run: &(dyn Fn(u32) -> Result<T> + Send + Sync + '_),
     ) -> Result<T> {
-        self.record(worker, id, attempt, TaskEventKind::Start);
         self.emit(
             worker,
             telemetry::EventKind::TaskStart {
@@ -387,23 +351,12 @@ impl Core {
             self.failpoints.check(FailSite::TaskRun, &id.label())?;
             run(attempt)
         }));
-        let ok = matches!(outcome, Ok(Ok(_)));
-        self.record(
-            worker,
-            id,
-            attempt,
-            if ok {
-                TaskEventKind::Finish
-            } else {
-                TaskEventKind::Fail
-            },
-        );
         self.emit(
             worker,
             telemetry::EventKind::TaskEnd {
                 task: task_ref(id),
                 attempt,
-                ok,
+                ok: matches!(outcome, Ok(Ok(_))),
             },
         );
         match outcome {
@@ -673,26 +626,15 @@ struct RetryTicket {
 struct TaskState<'a, T> {
     spec: TaskSpec<'a, T>,
     slot: usize,
-    /// First terminal completion wins; losers (speculative duplicates)
-    /// discard their result.
-    done: AtomicBool,
-    /// Highest attempt number handed out for this task.
-    attempts: AtomicU32,
-    /// Attempts currently executing (speculation can make this 2).
-    running: AtomicU32,
-    /// Most recent attempt start, for straggler detection.
-    started_at: PlMutex<Option<Instant>>,
     /// Set by a failed attempt with budget left; drained by the coordinator.
     pending_retry: PlMutex<Option<RetryTicket>>,
-    /// One speculative duplicate per task, ever.
-    speculated: AtomicBool,
 }
 
 /// One `run_tasks` batch: result slots plus the completion fence.
 struct Batch<T> {
     slots: PlMutex<Vec<Option<T>>>,
-    /// Live job guards (initial attempts + retries + speculative
-    /// duplicates). The fence requires this to reach zero.
+    /// Live job guards (initial attempts + retries). The fence requires
+    /// this to reach zero.
     remaining: Mutex<usize>,
     done: Condvar,
     abort: AtomicBool,
@@ -767,7 +709,6 @@ impl WorkerPool {
             detection_delay,
             fault_plan,
             failpoints,
-            speculation_deadline,
         } = config;
         assert!(n_workers > 0, "pool needs at least one worker");
         assert!(max_attempts > 0, "tasks need at least one attempt");
@@ -777,10 +718,6 @@ impl WorkerPool {
             detection_delay,
             fault_plan,
             failpoints,
-            speculation_deadline,
-            timeline: PlMutex::new(Timeline::default()),
-            timeline_truncated: AtomicBool::new(false),
-            epoch0: Instant::now(),
             sched: Mutex::new(Sched {
                 injectors: std::array::from_fn(|_| VecDeque::new()),
                 locals: (0..n_workers)
@@ -794,7 +731,6 @@ impl WorkerPool {
             fence_done: Condvar::new(),
             epoch_counter: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            respeculations: AtomicU64::new(0),
             recorder: PlMutex::new(None),
         });
         let threads = (0..n_workers)
@@ -820,8 +756,8 @@ impl WorkerPool {
     }
 
     /// Install (or with `None`, remove) the telemetry recorder that task
-    /// spans, retry/speculation lineage, and per-kind counters are
-    /// emitted to.
+    /// spans, retry lineage, and per-kind counters are emitted to — the
+    /// only record of task attempts the executor produces.
     ///
     /// The recorder must have been created for at least
     /// [`WorkerPool::n_workers`] workers — the coordinator / inline path
@@ -838,33 +774,11 @@ impl WorkerPool {
         self.shared.core.recorder.lock().clone()
     }
 
-    /// Take ownership of the recorded timeline, leaving an empty one (and
-    /// re-arming recording if the retention cap had been hit).
-    pub fn take_timeline(&self) -> Timeline {
-        let tl = std::mem::take(&mut *self.shared.core.timeline.lock());
-        self.shared
-            .core
-            .timeline_truncated
-            .store(false, Ordering::Relaxed);
-        tl
-    }
-
-    /// True when events were dropped because the retained timeline hit its
-    /// cap since the last [`WorkerPool::take_timeline`].
-    pub fn timeline_truncated(&self) -> bool {
-        self.shared.core.timeline_truncated.load(Ordering::Relaxed)
-    }
-
-    /// Take and reset the recovery counters accumulated since the last
-    /// call: `(retries, respeculations)` — failed attempts rescheduled
-    /// onto another worker, and speculative duplicates launched. Engines
-    /// drain these into `JobMetrics` per iteration.
-    pub fn drain_recovery(&self) -> (u64, u64) {
-        let core = &self.shared.core;
-        (
-            core.retries.swap(0, Ordering::Relaxed),
-            core.respeculations.swap(0, Ordering::Relaxed),
-        )
+    /// Take and reset the number of failed attempts rescheduled onto
+    /// another worker since the last call. Engines drain it into
+    /// `JobMetrics::retries` per iteration.
+    pub fn drain_recovery(&self) -> u64 {
+        self.shared.core.retries.swap(0, Ordering::Relaxed)
     }
 
     /// Run all tasks to completion, in parallel on the persistent workers,
@@ -877,9 +791,7 @@ impl WorkerPool {
     ///
     /// The calling thread doubles as the batch *coordinator*: failed
     /// attempts park a retry ticket and the coordinator launches the
-    /// rescheduled attempt on a different worker once the backoff expires;
-    /// with a speculation deadline configured it also launches duplicate
-    /// attempts for stragglers.
+    /// rescheduled attempt on a different worker once the backoff expires.
     pub fn run_tasks<'a, T: Send>(&self, tasks: Vec<TaskSpec<'a, T>>) -> Result<Vec<T>> {
         debug_assert!(
             !IS_POOL_WORKER.with(|w| w.get()),
@@ -905,12 +817,7 @@ impl WorkerPool {
             .map(|(slot, spec)| TaskState {
                 spec,
                 slot,
-                done: AtomicBool::new(false),
-                attempts: AtomicU32::new(1),
-                running: AtomicU32::new(0),
-                started_at: PlMutex::new(None),
                 pending_retry: PlMutex::new(None),
-                speculated: AtomicBool::new(false),
             })
             .collect();
 
@@ -920,19 +827,17 @@ impl WorkerPool {
         let token = batch_ref as *const Batch<T> as usize;
         let core_ref: &Core = core;
         let states_ref = &states;
-        // Mint one attempt job. All jobs — initial, retry, speculative —
-        // come from here, on the coordinator thread, inside this frame.
+        // Mint one attempt job. All jobs — initial and retry — come from
+        // here, on the coordinator thread, inside this frame.
         let make_job = |idx: usize, attempt: u32| -> Job {
             let job: Box<dyn FnOnce(usize) + Send + '_> = Box::new(move |worker: usize| {
                 // Declared first so it drops *last*: the fence is released
                 // only after every borrow in this body is dead.
                 let _signal = BatchGuard { batch: batch_ref };
                 let ts = &states_ref[idx];
-                if batch_ref.abort.load(Ordering::Relaxed) || ts.done.load(Ordering::Acquire) {
+                if batch_ref.abort.load(Ordering::Relaxed) {
                     return;
                 }
-                ts.running.fetch_add(1, Ordering::SeqCst);
-                *ts.started_at.lock() = Some(Instant::now());
                 let outcome = core_ref.run_one_attempt(
                     worker,
                     ts.spec.id,
@@ -940,19 +845,10 @@ impl WorkerPool {
                     ts.spec.lane,
                     &*ts.spec.run,
                 );
-                ts.running.fetch_sub(1, Ordering::SeqCst);
                 match outcome {
-                    Ok(v) => {
-                        // First terminal completion wins; a speculative
-                        // loser's result is discarded.
-                        if !ts.done.swap(true, Ordering::AcqRel) {
-                            batch_ref.slots.lock()[ts.slot] = Some(v);
-                        }
-                    }
+                    Ok(v) => batch_ref.slots.lock()[ts.slot] = Some(v),
                     Err(e) => {
-                        if ts.done.load(Ordering::Acquire)
-                            || batch_ref.abort.load(Ordering::Relaxed)
-                        {
+                        if batch_ref.abort.load(Ordering::Relaxed) {
                             return;
                         }
                         if attempt >= core_ref.max_attempts {
@@ -967,7 +863,7 @@ impl WorkerPool {
                             batch_ref.abort.store(true, Ordering::Relaxed);
                         } else {
                             core_ref.retries.fetch_add(1, Ordering::Relaxed);
-                            let next = ts.attempts.fetch_add(1, Ordering::SeqCst) + 1;
+                            let next = attempt + 1;
                             core_ref.emit(
                                 worker,
                                 telemetry::EventKind::Retry {
@@ -1015,7 +911,7 @@ impl WorkerPool {
         core.submit_jobs(jobs);
 
         // Coordinator loop: wait for the fence while claiming due retry
-        // tickets and (optionally) launching speculative duplicates.
+        // tickets.
         let mut remaining = lock(&batch.remaining);
         loop {
             let now = Instant::now();
@@ -1023,9 +919,6 @@ impl WorkerPool {
             let mut to_spawn: Vec<(usize, u32, Option<usize>)> = Vec::new();
             // Nearest future instant we must wake at without being notified.
             let mut next_deadline: Option<Instant> = None;
-            let note = |d: Instant, nd: &mut Option<Instant>| {
-                *nd = Some(nd.map_or(d, |cur| cur.min(d)));
-            };
             for (i, ts) in states.iter().enumerate() {
                 let mut ticket = ts.pending_retry.lock();
                 if let Some(t) = *ticket {
@@ -1035,38 +928,8 @@ impl WorkerPool {
                         *ticket = None;
                         to_spawn.push((i, t.attempt, t.preferred));
                     } else {
-                        note(t.not_before, &mut next_deadline);
-                    }
-                }
-            }
-            if let (Some(deadline), false) = (core.speculation_deadline, aborting) {
-                for (i, ts) in states.iter().enumerate() {
-                    if ts.done.load(Ordering::Acquire)
-                        || ts.speculated.load(Ordering::Relaxed)
-                        || ts.running.load(Ordering::SeqCst) == 0
-                    {
-                        continue;
-                    }
-                    let Some(started) = *ts.started_at.lock() else {
-                        continue;
-                    };
-                    if now.duration_since(started) >= deadline {
-                        ts.speculated.store(true, Ordering::Relaxed);
-                        core.respeculations.fetch_add(1, Ordering::Relaxed);
-                        let attempt = ts.attempts.fetch_add(1, Ordering::SeqCst) + 1;
-                        // The coordinator thread emits from the driver slot
-                        // (index n_workers, like a helping fence).
-                        core.emit(
-                            core.n_workers,
-                            telemetry::EventKind::Speculate {
-                                task: task_ref(ts.spec.id),
-                                attempt,
-                            },
-                        );
-                        // No placement preference: any idle worker takes it.
-                        to_spawn.push((i, attempt, None));
-                    } else {
-                        note(started + deadline, &mut next_deadline);
+                        next_deadline =
+                            Some(next_deadline.map_or(t.not_before, |d| d.min(t.not_before)));
                     }
                 }
             }
@@ -1087,27 +950,22 @@ impl WorkerPool {
             if *remaining == 0 && next_deadline.is_none() {
                 break;
             }
-            remaining = match (next_deadline, core.speculation_deadline) {
-                // Wake at the next backoff expiry / straggler deadline even
-                // if no job signals; tickets parked after our scan are
-                // always followed by a guard drop that notifies.
-                (Some(d), _) => wait_timeout(
+            remaining = match next_deadline {
+                // Wake at the next backoff expiry even if no job signals;
+                // tickets parked after our scan are always followed by a
+                // guard drop that notifies.
+                Some(d) => wait_timeout(
                     &batch.done,
                     remaining,
                     d.saturating_duration_since(now)
                         .max(Duration::from_micros(100)),
                 ),
-                // Speculation poll floor: if every task straggles, no
-                // completion ever notifies us, so bound the wait.
-                (None, Some(deadline)) if *remaining > 0 => {
-                    wait_timeout(&batch.done, remaining, deadline)
-                }
                 // No deadline to honor: help instead of parking. The
                 // coordinator claims one of its *own* queued jobs and runs
                 // it inline — the batch fence is waiting on it regardless,
                 // so helping can only shorten the wait. Park only when
                 // nothing of ours is queued (all attempts are executing).
-                (None, _) => {
+                None => {
                     drop(remaining);
                     let helped = core.help_one(&|s| s == HelpScope::Batch(token));
                     let guard = lock(&batch.remaining);
@@ -1138,7 +996,7 @@ impl WorkerPool {
     }
 
     /// Submit detached background work tagged with `epoch`. The task runs
-    /// with the full retry/fault/timeline machinery — failed attempts are
+    /// with the full retry/fault machinery — failed attempts are
     /// rescheduled onto the next worker with exponential backoff — and a
     /// terminal error is held until the next [`WorkerPool::fence`]
     /// covering its epoch. A panicking attempt is isolated into an attempt
@@ -1242,6 +1100,9 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::fault::{FailAction, FaultSpec, TaskKind};
+    use i2mr_common::telemetry::{
+        recovery_latencies, EventKind as Ek, TelemetryMode, TraceLog, TraceRecorder,
+    };
     use std::sync::atomic::AtomicU64;
 
     fn tid(index: usize) -> TaskId {
@@ -1250,6 +1111,44 @@ mod tests {
             index,
             iteration: 0,
         }
+    }
+
+    /// Install a `Full` recorder on `pool`: the trace is the executor's
+    /// only record of task attempts.
+    fn traced(pool: &WorkerPool) -> Arc<TraceRecorder> {
+        let rec = Arc::new(TraceRecorder::new(
+            TelemetryMode::Full,
+            pool.n_workers(),
+            1 << 12,
+        ));
+        pool.set_recorder(Some(Arc::clone(&rec)));
+        rec
+    }
+
+    /// Failed attempts in the trace.
+    fn failures(log: &TraceLog) -> u64 {
+        log.count_matching(|k| matches!(k, Ek::TaskEnd { ok: false, .. }))
+    }
+
+    /// `(slot, attempt, outcome)` of each traced span event of `id`, in
+    /// attempt order: `None` for its `TaskStart`, `Some(ok)` for its
+    /// `TaskEnd`.
+    fn attempts_of(log: &TraceLog, id: TaskId) -> Vec<(u32, u32, Option<bool>)> {
+        let want = task_ref(id);
+        let mut evs: Vec<_> = log
+            .iter()
+            .filter_map(|e| match &e.kind {
+                Ek::TaskStart { task, attempt, .. } if *task == want => {
+                    Some((e.worker, *attempt, None))
+                }
+                Ek::TaskEnd { task, attempt, ok } if *task == want => {
+                    Some((e.worker, *attempt, Some(*ok)))
+                }
+                _ => None,
+            })
+            .collect();
+        evs.sort_by_key(|&(_, attempt, end)| (attempt, end.is_some()));
+        evs
     }
 
     #[test]
@@ -1272,10 +1171,11 @@ mod tests {
     #[test]
     fn workers_persist_across_batches() {
         // The same threads serve many run_tasks calls: the recorded worker
-        // indices stay within range and the timeline accumulates. Index
+        // indices stay within range and the trace accumulates. Index
         // `n_workers` (= 2 here) is the *virtual caller*: the coordinator
         // helping with its own queued jobs instead of parking.
         let pool = WorkerPool::new(2);
+        let rec = traced(&pool);
         for round in 0..20 {
             let tasks: Vec<TaskSpec<usize>> = (0..6)
                 .map(|i| TaskSpec::new(tid(i), move |_| Ok(i + round)))
@@ -1283,9 +1183,9 @@ mod tests {
             let out = pool.run_tasks(tasks).unwrap();
             assert_eq!(out, (0..6).map(|i| i + round).collect::<Vec<_>>());
         }
-        let tl = pool.take_timeline();
-        assert_eq!(tl.events().len(), 20 * 6 * 2, "start+finish per task");
-        assert!(tl.events().iter().all(|e| e.worker <= 2));
+        let log = rec.take();
+        assert_eq!(log.len(), 20 * 6 * 2, "start+end per task");
+        assert!(log.iter().all(|e| e.worker <= 2));
     }
 
     #[test]
@@ -1297,38 +1197,31 @@ mod tests {
             attempt: 1,
         }]));
         let pool = WorkerPool::with_faults(3, 3, Duration::ZERO, plan);
+        let rec = traced(&pool);
         // A single task keeps placement deterministic: nothing else runs,
         // so no busy victim exists for the steal path to reroute the retry.
         let tasks: Vec<TaskSpec<usize>> = vec![TaskSpec::pinned(tid(2), 2, |_| Ok(42))];
         let out = pool.run_tasks(tasks).unwrap();
         assert_eq!(out, vec![42]);
-        assert_eq!(pool.drain_recovery(), (1, 0));
+        assert_eq!(pool.drain_recovery(), 1);
 
-        let tl = pool.take_timeline();
-        let evs = tl.for_task(tid(2));
-        let kinds: Vec<_> = evs.iter().map(|e| e.kind).collect();
+        let evs = attempts_of(&rec.take(), tid(2));
+        let outcomes: Vec<_> = evs
+            .iter()
+            .map(|&(_, attempt, end)| (attempt, end))
+            .collect();
         assert_eq!(
-            kinds,
-            vec![
-                TaskEventKind::Start,
-                TaskEventKind::Fail,
-                TaskEventKind::Start,
-                TaskEventKind::Finish
-            ]
+            outcomes,
+            vec![(1, None), (1, Some(false)), (2, None), (2, Some(true))]
         );
         // Cross-worker rescheduling: the retry must NOT land on the worker
         // that just failed (it may be dead) — unlike the paper's
         // same-TaskTracker reassignment.
-        assert_ne!(
-            evs[2].worker, evs[1].worker,
-            "retry must move to a different worker"
-        );
-        assert_eq!(evs[2].attempt, 2);
+        assert_ne!(evs[2].0, evs[1].0, "retry must move to a different worker");
     }
 
     #[test]
     fn recorder_captures_spans_and_retry_lineage() {
-        use i2mr_common::telemetry::{EventKind as Ek, TelemetryMode, TraceRecorder};
         let plan = Arc::new(FaultPlan::new(vec![FaultSpec {
             kind: TaskKind::Map,
             index: 2,
@@ -1336,12 +1229,7 @@ mod tests {
             attempt: 1,
         }]));
         let pool = WorkerPool::with_faults(3, 3, Duration::ZERO, plan);
-        let rec = Arc::new(TraceRecorder::new(
-            TelemetryMode::Full,
-            pool.n_workers(),
-            1024,
-        ));
-        pool.set_recorder(Some(Arc::clone(&rec)));
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<usize>> = (0..4)
             .map(|i| TaskSpec::pinned(tid(i), i % 3, move |_| Ok(i)))
             .collect();
@@ -1354,12 +1242,9 @@ mod tests {
         assert_eq!(log.count_matching(|k| matches!(k, Ek::TaskEnd { .. })), 5);
         assert_eq!(
             log.count_matching(|k| matches!(k, Ek::Retry { .. })),
-            pool.drain_recovery().0
+            pool.drain_recovery()
         );
-        assert_eq!(
-            log.count_matching(|k| matches!(k, Ek::TaskEnd { ok: false, .. })),
-            1
-        );
+        assert_eq!(failures(&log), 1);
         assert_eq!(log.dropped(), 0);
         // Clearing the recorder stops emission.
         pool.set_recorder(None);
@@ -1413,6 +1298,7 @@ mod tests {
         // Attempt 1 panics (simulated worker death); the rescheduled
         // attempt succeeds and the batch completes normally.
         let pool = WorkerPool::new(2);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<u32>> = vec![
             TaskSpec::new(tid(0), |attempt| {
                 if attempt == 1 {
@@ -1423,8 +1309,7 @@ mod tests {
             TaskSpec::new(tid(1), |_| Ok(6)),
         ];
         assert_eq!(pool.run_tasks(tasks).unwrap(), vec![5, 6]);
-        let tl = pool.take_timeline();
-        assert_eq!(tl.failures().len(), 1, "panic recorded as a Fail event");
+        assert_eq!(failures(&rec.take()), 1, "panic traced as a failed attempt");
     }
 
     #[test]
@@ -1458,13 +1343,13 @@ mod tests {
             FailAction::Error,
         ));
         let pool = WorkerPool::with_config(cfg);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<usize>> = (0..4)
             .map(|i| TaskSpec::new(tid(i), move |_| Ok(i)))
             .collect();
         assert_eq!(pool.run_tasks(tasks).unwrap(), vec![0, 1, 2, 3]);
-        let tl = pool.take_timeline();
-        assert_eq!(tl.failures().len(), 1);
-        assert_eq!(pool.drain_recovery().0, 1);
+        assert_eq!(failures(&rec.take()), 1);
+        assert_eq!(pool.drain_recovery(), 1);
     }
 
     #[test]
@@ -1477,11 +1362,12 @@ mod tests {
             FailAction::Panic,
         ));
         let pool = WorkerPool::with_config(cfg);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<usize>> = (0..6)
             .map(|i| TaskSpec::new(tid(i), move |_| Ok(i)))
             .collect();
         assert_eq!(pool.run_tasks(tasks).unwrap(), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(pool.take_timeline().failures().len(), 2);
+        assert_eq!(failures(&rec.take()), 2);
     }
 
     #[test]
@@ -1490,6 +1376,7 @@ mod tests {
         // second >= 2x base.
         let pool =
             WorkerPool::with_faults(2, 3, Duration::from_millis(10), Arc::new(FaultPlan::none()));
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<u32>> = vec![TaskSpec::new(tid(0), |attempt| {
             if attempt <= 2 {
                 Err(Error::corrupt("transient"))
@@ -1498,8 +1385,7 @@ mod tests {
             }
         })];
         assert_eq!(pool.run_tasks(tasks).unwrap(), vec![1]);
-        let tl = pool.take_timeline();
-        let lat = tl.recovery_latencies();
+        let lat = recovery_latencies(&rec.take());
         assert_eq!(lat.len(), 2);
         assert!(
             lat[0].1 >= Duration::from_millis(10),
@@ -1514,42 +1400,12 @@ mod tests {
     }
 
     #[test]
-    fn speculation_duplicates_a_straggler_first_completion_wins() {
-        let mut cfg = PoolConfig::new(3);
-        cfg.speculation_deadline = Some(Duration::from_millis(25));
-        let pool = WorkerPool::with_config(cfg);
-        // Attempt 1 straggles; the speculative duplicate (attempt 2)
-        // finishes first and its result is the one returned — both return
-        // the same value, as idempotent tasks must.
-        let tasks: Vec<TaskSpec<u32>> = vec![
-            TaskSpec::new(tid(0), |attempt| {
-                if attempt == 1 {
-                    std::thread::sleep(Duration::from_millis(120));
-                }
-                Ok(42)
-            }),
-            TaskSpec::new(tid(1), |_| Ok(7)),
-        ];
-        assert_eq!(pool.run_tasks(tasks).unwrap(), vec![42, 7]);
-        let (retries, respecs) = pool.drain_recovery();
-        assert_eq!(retries, 0);
-        assert_eq!(respecs, 1, "exactly one speculative duplicate");
-        let tl = pool.take_timeline();
-        let evs = tl.for_task(tid(0));
-        assert!(
-            evs.iter()
-                .any(|e| e.attempt == 2 && e.kind == TaskEventKind::Start),
-            "speculative attempt recorded"
-        );
-        assert_eq!(tl.failures().len(), 0, "stragglers are not failures");
-    }
-
-    #[test]
     fn pinned_tasks_run_on_their_idle_preferred_worker() {
         // One task per worker, submitted while all workers are idle: no
         // steal predicate can fire (idle peers are never victims), so
         // placement is deterministic.
         let pool = WorkerPool::new(4);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<()>> = (0..4)
             .map(|i| {
                 TaskSpec::pinned(tid(i), i, |_| {
@@ -1559,10 +1415,13 @@ mod tests {
             })
             .collect();
         pool.run_tasks(tasks).unwrap();
-        let tl = pool.take_timeline();
-        assert_eq!(tl.events().len(), 8);
-        for ev in tl.events() {
-            assert_eq!(ev.worker, ev.task.index % 4);
+        let log = rec.take();
+        assert_eq!(log.len(), 8);
+        for ev in log.iter() {
+            let (Ek::TaskStart { task, .. } | Ek::TaskEnd { task, .. }) = &ev.kind else {
+                panic!("unexpected event {:?}", ev.kind);
+            };
+            assert_eq!(u64::from(ev.worker), task.index % 4);
         }
     }
 
@@ -1570,8 +1429,9 @@ mod tests {
     fn idle_workers_steal_from_an_overloaded_one() {
         // 8 sleepy tasks all pinned to worker 0: thieves must take over
         // once worker 0 is busy, so wall clock beats the serial 8 * 20 ms
-        // and more than one worker appears on the timeline.
+        // and more than one worker appears in the trace.
         let pool = WorkerPool::new(4);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<()>> = (0..8)
             .map(|i| {
                 TaskSpec::pinned(tid(i), 0, |_| {
@@ -1583,8 +1443,8 @@ mod tests {
         let start = Instant::now();
         pool.run_tasks(tasks).unwrap();
         assert!(start.elapsed() < Duration::from_millis(120));
-        let tl = pool.take_timeline();
-        let workers: std::collections::HashSet<_> = tl.events().iter().map(|e| e.worker).collect();
+        let log = rec.take();
+        let workers: std::collections::HashSet<_> = log.iter().map(|e| e.worker).collect();
         assert!(workers.len() > 1, "no stealing happened");
     }
 
@@ -1597,10 +1457,10 @@ mod tests {
             attempt: 1,
         }]));
         let pool = WorkerPool::with_faults(1, 2, Duration::from_millis(20), plan);
+        let rec = traced(&pool);
         let tasks: Vec<TaskSpec<u32>> = vec![TaskSpec::new(tid(0), |_| Ok(7))];
         pool.run_tasks(tasks).unwrap();
-        let tl = pool.take_timeline();
-        let lat = tl.recovery_latencies();
+        let lat = recovery_latencies(&rec.take());
         assert_eq!(lat.len(), 1);
         assert!(lat[0].1 >= Duration::from_millis(20));
     }
@@ -1704,6 +1564,7 @@ mod tests {
         // A background task failing its first attempt is rescheduled on a
         // different worker and completes; the fence is clean.
         let pool = WorkerPool::new(2);
+        let rec = traced(&pool);
         let e = pool.next_epoch();
         pool.submit_at(
             e,
@@ -1716,19 +1577,11 @@ mod tests {
             }),
         );
         pool.fence(e).unwrap();
-        assert_eq!(pool.drain_recovery().0, 1);
-        let tl = pool.take_timeline();
-        let evs = tl.for_task(tid(3));
-        let fail_worker = evs
-            .iter()
-            .find(|e| e.kind == TaskEventKind::Fail)
-            .unwrap()
-            .worker;
-        let retry_start = evs
-            .iter()
-            .find(|e| e.kind == TaskEventKind::Start && e.attempt == 2)
-            .unwrap();
-        assert_ne!(retry_start.worker, fail_worker);
+        assert_eq!(pool.drain_recovery(), 1);
+        let evs = attempts_of(&rec.take(), tid(3));
+        assert_eq!((evs[1].1, evs[1].2), (1, Some(false)));
+        assert_eq!((evs[2].1, evs[2].2), (2, None));
+        assert_ne!(evs[2].0, evs[1].0, "retry must move to a different worker");
     }
 
     #[test]
@@ -1854,6 +1707,7 @@ mod tests {
         // complete even though the only real worker stays blocked until
         // the fence has drained everything else.
         let pool = WorkerPool::new(1);
+        let rec = traced(&pool);
         let e = pool.next_epoch();
         let gate = Arc::new(AtomicBool::new(false));
         let helped = Arc::new(AtomicU64::new(0));
@@ -1885,8 +1739,7 @@ mod tests {
         pool.fence(e).unwrap();
         assert_eq!(helped.load(Ordering::SeqCst), 8);
         // The helper is recorded as the virtual worker `n_workers`.
-        let tl = pool.take_timeline();
-        assert!(tl.events().iter().any(|ev| ev.worker == 1));
+        assert!(rec.take().iter().any(|ev| ev.worker == 1));
     }
 
     #[test]

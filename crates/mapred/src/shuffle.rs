@@ -226,9 +226,9 @@ pub fn sort_run<K2: Ord, V2>(run: &mut [ShuffleRecord<K2, V2>]) {
 
 /// Sort every run in parallel, one [`TaskKind::Sort`] task per non-empty
 /// run on the worker pool, so sort work is scheduled, retried, and
-/// timeline-recorded like any other task. Empty runs never get a task: a
+/// traced like any other task. Empty runs never get a task: a
 /// workset-driven pass routinely leaves most partitions' runs empty, and
-/// sorting one would still pay scheduling and timeline recording. Task ids
+/// sorting one would still pay scheduling and tracing. Task ids
 /// keep the run's partition index.
 pub fn sort_runs<K2, V2>(
     pool: &WorkerPool,
@@ -288,9 +288,32 @@ mod tests {
     use crate::partition::HashPartitioner;
     use crate::types::Values;
     use i2mr_common::codec::encode_to;
+    use i2mr_common::telemetry::{EventKind, TelemetryMode, TraceRecorder};
+    use std::sync::Arc;
 
     fn mk(n: u128) -> MapKey {
         MapKey(n)
+    }
+
+    /// `(index, iteration)` of every traced sort-task start.
+    fn sort_starts(rec: &TraceRecorder) -> Vec<(u64, u64)> {
+        rec.take()
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::TaskStart { task, .. } if task.kind == TaskKind::Sort.name() => {
+                    Some((task.index, task.iteration))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A pool of `n` workers with a `Full` recorder installed.
+    fn traced_pool(n: usize) -> (WorkerPool, Arc<TraceRecorder>) {
+        let wp = WorkerPool::new(n);
+        let rec = Arc::new(TraceRecorder::new(TelemetryMode::Full, n, 1 << 10));
+        wp.set_recorder(Some(Arc::clone(&rec)));
+        (wp, rec)
     }
 
     #[test]
@@ -422,7 +445,7 @@ mod tests {
 
     #[test]
     fn sort_runs_sorts_every_run_on_the_pool() {
-        let wp = WorkerPool::new(3);
+        let (wp, rec) = traced_pool(3);
         let mut runs: Vec<Vec<ShuffleRecord<u64, u64>>> = (0..5)
             .map(|r| {
                 (0..50u64)
@@ -437,17 +460,15 @@ mod tests {
                 .windows(2)
                 .all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
         }
-        // Sort tasks are first-class: they appear on the recorded timeline.
-        let tl = wp.take_timeline();
-        assert!(tl
-            .events()
+        // Sort tasks are first-class: they appear in the executor's trace.
+        assert!(sort_starts(&rec)
             .iter()
-            .any(|e| e.task.kind == TaskKind::Sort && e.task.iteration == 4));
+            .any(|&(_, iteration)| iteration == 4));
     }
 
     #[test]
     fn sort_runs_schedules_only_non_empty_runs() {
-        let wp = WorkerPool::new(2);
+        let (wp, rec) = traced_pool(2);
         let non_empty = [1usize, 2, 5];
         let mut runs: Vec<Vec<ShuffleRecord<u64, u64>>> = (0..7)
             .map(|r| {
@@ -467,15 +488,9 @@ mod tests {
                 .windows(2)
                 .all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
         }
-        let mut sorted: Vec<usize> = wp
-            .take_timeline()
-            .events()
-            .iter()
-            .filter(|e| e.task.kind == TaskKind::Sort)
-            .map(|e| e.task.index)
-            .collect();
+        let mut sorted: Vec<u64> = sort_starts(&rec).iter().map(|&(index, _)| index).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted, non_empty);
+        assert_eq!(sorted, non_empty.map(|r| r as u64));
     }
 }

@@ -18,7 +18,7 @@
 //!   runs each partition's delta merge as a first-class
 //!   [`TaskKind::StoreMerge`] task pinned to the partition's preferred
 //!   worker (the same affinity rule map/reduce/sort tasks use), so merge
-//!   work is scheduled, retried, and timeline-recorded like any other task.
+//!   work is scheduled, retried, and traced like any other task.
 //! * **Group commit** — merges are *deferred*
 //!   ([`MrbgStore::merge_apply_deferred`]): no shard is fsynced and no
 //!   index file rewritten per merge. [`StoreManager::flush_indexes`]
@@ -1363,8 +1363,7 @@ mod tests {
             mgr.get(0, b"k0-5").unwrap().unwrap().entries[0].value,
             b"v1"
         );
-        let (retries, _) = pool.drain_recovery();
-        assert_eq!(retries, 1);
+        assert_eq!(pool.drain_recovery(), 1);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 #
 #   baseline -> zerocopy  (micro_shuffle: the zero-copy data plane win)
 #   serial   -> sharded   (micro_store:  the sharded store plane win)
-#   spawn    -> persistent (micro_pool:  the persistent-executor overlap win)
 #   full     -> delta     (micro_delta: the workset-driven delta-iteration win)
 #   idle     -> merging   (micro_serve: bounded serving-tail cost under churn)
-#   faultfree -> faulted  (fig13_fault: bounded fault-recovery overhead)
 #   off     -> full      (micro_trace: full span tracing must stay within
 #                          5% of tracing disabled)
 #
@@ -23,12 +21,7 @@
 # mergephase ratio is size-SENSITIVE — compaction cost scales with the
 # store while scheduling overhead does not — so its gate must run at the
 # same full workload the committed BENCH_store.json was recorded at
-# (I2MR_BENCH_QUICK=0). micro_pool's tasks are latency-modeled (sleeps),
-# so its ratio is both size- and core-count-invariant; it additionally
-# carries an ABSOLUTE floor — the persistent executor's cross-iteration
-# overlap must stay >= 1.3x over spawn-per-call, the acceptance bar the
-# executor refactor shipped with — enforced on the fresh run regardless
-# of what the committed snapshot recorded. micro_delta's refresh ratio is
+# (I2MR_BENCH_QUICK=0). micro_delta's refresh ratio is
 # size-SENSITIVE (quick mode leaves less full-pass work for the workset
 # engine to skip), so like micro_store it gates at full size
 # (I2MR_BENCH_QUICK=0); its headline churn1pct group carries the delta
@@ -55,10 +48,8 @@ out_for() {
   case "$1" in
     micro_shuffle) echo "BENCH_shuffle.json" ;;
     micro_store) echo "BENCH_store.json" ;;
-    micro_pool) echo "BENCH_pool.json" ;;
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
-    fig13_fault) echo "BENCH_fig13.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
     *) echo "BENCH_$1.json" ;;
   esac
@@ -66,7 +57,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_trace)
+  targets=(micro_shuffle micro_store micro_delta micro_serve micro_trace)
 fi
 
 tol="${BENCH_TOLERANCE:-0.25}"
@@ -89,22 +80,15 @@ committed_path, fresh_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 PAIRS = [
     ("baseline", "zerocopy"),
     ("serial", "sharded"),
-    ("spawn", "persistent"),
     ("full", "delta"),
     ("idle", "merging"),
-    ("faultfree", "faulted"),
     ("off", "full"),
 ]
 # Absolute speedup floors (group -> min geomean on the FRESH run), on top
-# of the relative-to-committed tolerance check. fig13's "speedup" is the
-# faultfree/faulted ratio: >= 0.667 means the run with 3 injected task
-# faults costs at most 1.5x the fault-free run (recovery is bounded by
-# detection + relaunch, not a rerun).
+# of the relative-to-committed tolerance check.
 FLOORS = {
-    "micro_pool/iteration": 1.3,
     "micro_delta/churn1pct": 3.0,
     "micro_serve/lookup": 0.333,
-    "fig13/run": 0.667,
     "micro_trace/pipeline": 0.95,
 }
 

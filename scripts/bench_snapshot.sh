@@ -8,10 +8,8 @@
 #
 #   micro_shuffle -> BENCH_shuffle.json  (shuffle/sort/reduce hot path)
 #   micro_store   -> BENCH_store.json    (MRBG-Store plane: serial vs sharded)
-#   micro_pool    -> BENCH_pool.json     (executor: spawn-per-call vs persistent)
 #   micro_delta   -> BENCH_delta.json    (full-pass vs workset delta iteration)
 #   micro_serve   -> BENCH_serve.json    (serving p99: idle vs under merge churn)
-#   fig13_fault   -> BENCH_fig13.json    (fault-free vs 3-fault recovery run)
 #   micro_trace   -> BENCH_trace.json    (telemetry overhead: tracing off vs full)
 #
 # Usage:
@@ -25,10 +23,8 @@ out_for() {
   case "$1" in
     micro_shuffle) echo "BENCH_shuffle.json" ;;
     micro_store) echo "BENCH_store.json" ;;
-    micro_pool) echo "BENCH_pool.json" ;;
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
-    fig13_fault) echo "BENCH_fig13.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
     *) echo "BENCH_$1.json" ;;
   esac
@@ -36,7 +32,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_pool micro_delta micro_serve fig13_fault micro_trace)
+  targets=(micro_shuffle micro_store micro_delta micro_serve micro_trace)
 fi
 
 for target in "${targets[@]}"; do
@@ -45,5 +41,5 @@ for target in "${targets[@]}"; do
   echo
   echo "== snapshot: $out =="
   # Print the headline comparisons (no jq dependency: plain grep).
-  grep -oE '"id": "[^"]*/(zerocopy|baseline|serial|sharded|spawn|persistent|full|delta|idle|merging|faultfree|faulted|off|counters)/[^}]*' "$out" || true
+  grep -oE '"id": "[^"]*/(zerocopy|baseline|serial|sharded|full|delta|idle|merging|off|counters)/[^}]*' "$out" || true
 done

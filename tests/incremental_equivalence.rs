@@ -254,6 +254,9 @@ fn onestep_engine_survives_compaction_and_strategy_changes() {
 
 #[test]
 fn fault_injected_iterative_run_equals_clean_run() {
+    use i2mapreduce::common::telemetry::{
+        recovery_latencies, EventKind, TelemetryConfig, TelemetryMode,
+    };
     use i2mapreduce::mapred::fault::{FaultPlan, FaultSpec, TaskKind};
     use std::sync::Arc;
 
@@ -262,8 +265,6 @@ fn fault_injected_iterative_run_equals_clean_run() {
         n_map: 6,
         n_reduce: 6,
         n_workers: 3,
-        max_attempts: 3,
-        detection_delay: std::time::Duration::ZERO,
     };
     let graph = GraphGen::new(200, 1400, 0xFA).generate();
 
@@ -292,13 +293,14 @@ fn fault_injected_iterative_run_equals_clean_run() {
         ..Default::default()
     };
     let mut faulty = i2mapreduce::core::build_partitioned(&spec, 6, graph.clone());
-    RunBuilder::new(&spec)
+    let session = RunBuilder::new(&spec)
         .config(config.clone())
         .pool(&faulty_pool)
+        .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full))
         .build()
-        .unwrap()
-        .run_initial(&mut faulty)
         .unwrap();
+    session.run_initial(&mut faulty).unwrap();
+    let trace = session.finish().unwrap().trace.expect("Full trace");
 
     let clean_pool = WorkerPool::new(3);
     let mut clean = i2mapreduce::core::build_partitioned(&spec, 6, graph);
@@ -311,8 +313,20 @@ fn fault_injected_iterative_run_equals_clean_run() {
         .unwrap();
 
     assert_eq!(faulty.state_snapshot(), clean.state_snapshot());
-    let tl = faulty_pool.take_timeline();
-    assert_eq!(tl.failures().len(), 2, "both faults must have fired");
+    assert_eq!(
+        trace.count_matching(|k| matches!(k, EventKind::TaskEnd { ok: false, .. })),
+        2,
+        "both faults must have fired"
+    );
+    let recovered: Vec<_> = recovery_latencies(&trace)
+        .iter()
+        .map(|(task, _)| (task.kind, task.index, task.iteration))
+        .collect();
+    assert_eq!(
+        recovered,
+        vec![("map", 2, 2), ("reduce", 4, 3)],
+        "both failed tasks must have restarted"
+    );
 }
 
 #[test]

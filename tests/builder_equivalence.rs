@@ -3,9 +3,11 @@
 //! * **Pinned fingerprints**: seeded runs of every mode — a checkpointed
 //!   PageRank refresh through the P∆ switch, an SSSP `run_delta`, a
 //!   PageRank initial run preserving and checkpointing every iteration —
-//!   hash their state bits, store exports and checkpoint writes to
-//!   recorded constants, so a change to the fixed-point driver that alters
-//!   any result or any checkpoint byte fails here.
+//!   hash their state bits, live store chunks and checkpoint write counts
+//!   to recorded constants, so a change to the fixed-point driver that
+//!   alters any result or any preserved edge fails here. The two
+//!   checkpointed runs also pin the bytes they wrote to the DFS, which
+//!   moves only when the checkpoint payload layout does.
 //! * **Read-your-writes through serving**: a `ServeHandle` opened on a
 //!   session's store plane observes an incremental refresh's writes,
 //!   across a forced compaction generation bump.
@@ -35,15 +37,13 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn exports(stores: &StoreManager) -> Vec<Vec<u8>> {
-    (0..stores.n_shards())
-        .map(|p| stores.export(p).unwrap())
-        .collect()
-}
-
-/// FNV-1a (64-bit) over everything a run leaves behind: the state's keys
-/// and `f64` bits, every shard's export, and the checkpoint DFS's write
-/// counters. Two engines that do the same work give the same value.
+/// FNV-1a (64-bit) over what a run leaves behind: the state's keys and
+/// `f64` bits, every shard's live chunks (key, then each entry's `MapKey`
+/// bytes and value) and the checkpoint DFS's write count. Two engines that
+/// do the same work give the same value. It hashes content, not encodings,
+/// so a change to the checkpoint payload layout leaves it alone; the bytes
+/// a checkpointed run writes are pinned separately by
+/// [`assert_checkpoint_bytes`].
 fn fingerprint(state: &[(u64, f64)], stores: &StoreManager, dfs: Option<&MiniDfs>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |bytes: &[u8]| {
@@ -56,15 +56,27 @@ fn fingerprint(state: &[(u64, f64)], stores: &StoreManager, dfs: Option<&MiniDfs
         feed(&k.to_le_bytes());
         feed(&v.to_bits().to_le_bytes());
     }
-    for export in exports(stores) {
-        feed(&export);
+    for p in 0..stores.n_shards() {
+        for chunk in stores.with_store(p, |s| s.all_chunks()).unwrap() {
+            feed(&chunk.key);
+            for entry in &chunk.entries {
+                feed(&entry.mk.to_bytes());
+                feed(&entry.value);
+            }
+        }
     }
     if let Some(dfs) = dfs {
-        let io = dfs.io_stats();
-        feed(&io.writes.to_le_bytes());
-        feed(&io.bytes_written.to_le_bytes());
+        feed(&dfs.io_stats().writes.to_le_bytes());
     }
     h
+}
+
+/// Assert the bytes a checkpointed run wrote to its DFS, printing the
+/// observed value so a pinned constant can be read off a failing run.
+fn assert_checkpoint_bytes(what: &str, dfs: &MiniDfs, want: u64) {
+    let got = dfs.io_stats().bytes_written;
+    println!("{what}: checkpoint bytes_written {got}");
+    assert_eq!(got, want, "{what}: checkpoint bytes_written");
 }
 
 /// Assert a run's fingerprint, printing the observed value so a pinned
@@ -120,7 +132,8 @@ fn fingerprint_pagerank_checkpointed_refresh_through_pdelta() {
     assert!(report.converged);
     assert!(report.mrbg_turned_off_at.is_some(), "P∆ must trip");
     let got = fingerprint(&data.state_snapshot(), &stores, Some(&dfs));
-    assert_fingerprint("pagerank refresh", got, 0x5cde_ba93_4a46_40bd);
+    assert_fingerprint("pagerank refresh", got, 0xd276_b396_3c2f_f9b6);
+    assert_checkpoint_bytes("pagerank refresh", &dfs, 414_708);
 }
 
 /// SSSP: initial run (`FinalOnly`), then a workset-driven delta refresh.
@@ -170,7 +183,7 @@ fn fingerprint_sssp_delta_refresh() {
     refresh.finish().unwrap();
     assert!(report.converged);
     let got = fingerprint(&data.state_snapshot(), &stores, None);
-    assert_fingerprint("sssp delta refresh", got, 0x566a_a73d_347e_11a1);
+    assert_fingerprint("sssp delta refresh", got, 0x2bf0_99d8_2c42_ecaf);
 }
 
 /// PageRank: an initial run that preserves every iteration and
@@ -200,8 +213,9 @@ fn fingerprint_pagerank_initial_every_iteration_checkpointed() {
     assert_fingerprint(
         "pagerank every-iteration initial",
         got,
-        0xebd9_8aef_4a63_3c2b,
+        0xefc7_dda5_17c7_837f,
     );
+    assert_checkpoint_bytes("pagerank every-iteration initial", &dfs, 1_234_337);
 }
 
 /// A serving handle on a session's store plane sees the writes of an

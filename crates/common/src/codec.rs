@@ -24,6 +24,11 @@ use crate::error::{Error, Result};
 /// no default: whoever writes `encode` is forced to write the matching
 /// size computation next to it, so the two cannot drift silently. The
 /// `i2mr-common` proptest suite cross-checks every impl.
+///
+/// `u8` is a varint like every unsigned integer, so `Vec<u8>` encodes one
+/// varint per element: a loop per byte, and two bytes for every byte
+/// ≥ 0x80. Bulk bytes (frames, checkpoint payloads) must not go through
+/// `Vec<u8>`; write a [`write_varint`] length and copy the slice instead.
 pub trait Codec: Sized {
     /// Append the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);

@@ -118,7 +118,7 @@ impl ChunkIndex {
         self.live_bytes
     }
 
-    /// Replace all contents (used by export).
+    /// Replace all contents.
     pub fn reset(&mut self, entries: Vec<(Vec<u8>, ChunkLoc)>, batches: Vec<BatchInfo>) {
         self.map.clear();
         self.live_bytes = 0;
@@ -155,23 +155,36 @@ impl ChunkIndex {
     /// Serialize the index (batch table + entries).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16 + self.map.len() * 32);
-        write_varint(self.batches.len() as u64, &mut buf);
-        for b in &self.batches {
-            write_varint(b.start, &mut buf);
-            write_varint(b.end, &mut buf);
-        }
         // Deterministic order for byte-identical re-serialization.
         let mut pairs: Vec<(&Vec<u8>, &ChunkLoc)> = self.map.iter().collect();
         pairs.sort_by_key(|(_, loc)| loc.offset);
-        write_varint(pairs.len() as u64, &mut buf);
-        for (k, loc) in pairs {
-            write_varint(k.len() as u64, &mut buf);
-            buf.extend_from_slice(k);
-            write_varint(loc.offset, &mut buf);
-            write_varint(loc.len as u64, &mut buf);
-            write_varint(loc.batch as u64, &mut buf);
-        }
+        write_index(
+            &self.batches,
+            pairs.into_iter().map(|(k, loc)| (k.as_slice(), *loc)),
+            &mut buf,
+        );
         buf
+    }
+
+    /// Append to `buf` the serialized index of the compacted image of
+    /// `live` — the live pairs in canonical order, laid out back to back
+    /// from offset 0 as one batch — without building that index. In the
+    /// image, key order is offset order, so the bytes equal what
+    /// [`ChunkIndex::to_bytes`] gives for the index a compaction of the
+    /// same pairs leaves behind.
+    pub(crate) fn write_compacted(live: &[(&[u8], &mut ChunkLoc)], buf: &mut Vec<u8>) {
+        let end = live.iter().map(|(_, loc)| loc.len as u64).sum();
+        let mut offset = 0;
+        let entries = live.iter().map(|(key, loc)| {
+            let at = ChunkLoc {
+                offset,
+                len: loc.len,
+                batch: 0,
+            };
+            offset += loc.len as u64;
+            (*key, at)
+        });
+        write_index(&[BatchInfo { start: 0, end }], entries, buf);
     }
 
     /// Deserialize an index produced by [`ChunkIndex::to_bytes`].
@@ -207,6 +220,28 @@ impl ChunkIndex {
             batches,
             live_bytes,
         })
+    }
+}
+
+/// The index-file encoding: the batch table, then `entries` (already in
+/// offset order) each as `key_len ‖ key ‖ offset ‖ len ‖ batch`.
+fn write_index<'k>(
+    batches: &[BatchInfo],
+    entries: impl ExactSizeIterator<Item = (&'k [u8], ChunkLoc)>,
+    buf: &mut Vec<u8>,
+) {
+    write_varint(batches.len() as u64, buf);
+    for b in batches {
+        write_varint(b.start, buf);
+        write_varint(b.end, buf);
+    }
+    write_varint(entries.len() as u64, buf);
+    for (k, loc) in entries {
+        write_varint(k.len() as u64, buf);
+        buf.extend_from_slice(k);
+        write_varint(loc.offset, buf);
+        write_varint(loc.len as u64, buf);
+        write_varint(loc.batch as u64, buf);
     }
 }
 

@@ -17,7 +17,7 @@
 //! be retrieved; [`QueryPass::get`] must then be called in exactly that
 //! order (the engine's merge loop naturally does). The windows themselves
 //! live in the [`FramePass`] underneath, which serves raw frame bytes to
-//! consumers that never decode (compaction).
+//! consumers that never decode (compaction, export).
 
 use crate::format::{decode_framed, Chunk};
 use crate::index::{ChunkIndex, ChunkLoc};
@@ -62,8 +62,8 @@ const SHARED_WINDOW: u32 = u32::MAX;
 
 /// A planned, windowed read over a sequence of chunk locations: the I/O
 /// half of a [`QueryPass`], serving each planned location as its raw frame
-/// bytes. Compaction drives one directly — it copies frames verbatim and
-/// never needs a decoded [`Chunk`].
+/// bytes. Compaction and export drive one directly — they copy frames
+/// verbatim and never need a decoded [`Chunk`].
 pub struct FramePass<'a> {
     file: &'a mut File,
     file_len: u64,
@@ -187,6 +187,10 @@ impl<'a> FramePass<'a> {
     /// Slide window `wi` to cover `loc` with one large I/O of up to `size`
     /// bytes. The window's buffer is reused across slides (capacity kept),
     /// so a steady pass allocates per *growth*, not per slide.
+    ///
+    /// The window is clipped to the end of the file; if the clipped window
+    /// still does not cover `loc`, the index points past the data and the
+    /// slide fails with [`Error::Corrupt`].
     fn slide_window(&mut self, wi: usize, loc: ChunkLoc, size: u64) -> Result<()> {
         let len = size.min(self.file_len.saturating_sub(loc.offset)) as usize;
         let w = &mut self.windows[wi];
@@ -195,6 +199,12 @@ impl<'a> FramePass<'a> {
         self.file.seek(SeekFrom::Start(loc.offset))?;
         self.file.read_exact(&mut w.buf[..len])?;
         self.io.record_read(len as u64);
+        if !w.contains(loc) {
+            return Err(Error::corrupt(format!(
+                "indexed chunk at {}+{} reaches past the {}-byte data file",
+                loc.offset, loc.len, self.file_len
+            )));
+        }
         Ok(())
     }
 }
@@ -482,6 +492,36 @@ mod tests {
             keys(&["a", "b"]),
         );
         assert!(pass.get(b"b").is_err());
+    }
+
+    #[test]
+    fn a_frame_past_the_end_of_the_file_errs_instead_of_panicking() {
+        let all: Vec<(String, Vec<u8>)> = (0..40).map(|i| (format!("k{i:02}"), vec![7])).collect();
+        let batch: Vec<(&str, &[u8])> = all
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_slice()))
+            .collect();
+        let (mut f, len, index) = build_store("short", &[batch]);
+        // The index still describes 40 frames; the file lost 10 bytes.
+        f.set_len(len - 10).unwrap();
+        let plan: Vec<Option<ChunkLoc>> =
+            all.iter().map(|(k, _)| index.get(k.as_bytes())).collect();
+        for strategy in [
+            QueryStrategy::IndexOnly,
+            QueryStrategy::SingleFixWindow { window: 64 },
+            QueryStrategy::MultiFixWindow { window: 64 },
+            QueryStrategy::default(),
+        ] {
+            let mut io = IoStats::default();
+            let mut pass =
+                FramePass::new(&mut f, len - 10, &mut io, strategy, 1 << 20, plan.clone());
+            let err = (0..plan.len())
+                .find_map(|_| pass.next_frame().err())
+                .unwrap_or_else(|| panic!("{strategy:?}: read past the end of the file"));
+            if strategy != QueryStrategy::IndexOnly {
+                assert!(matches!(err, Error::Corrupt(_)), "{strategy:?}: {err}");
+            }
+        }
     }
 
     #[test]

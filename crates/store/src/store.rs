@@ -60,6 +60,17 @@
 //! (quarantine and rebuild), never into wrong data.
 //! [`MrbgStore::import`] is *not* a commit — it restores from a
 //! checkpoint, which stays the durable copy.
+//!
+//! # Checkpoint payload
+//!
+//! [`MrbgStore::export`] is a verified copy, like compaction: the live
+//! frames stream out of one windowed read pass in canonical key order,
+//! each checked for its checksum and key on the raw bytes and appended
+//! verbatim. The payload is the store's compacted image in a layout this
+//! module owns, `varint(data_len) ‖ data ‖ index`: `data` is exactly what
+//! [`MrbgStore::compact`] would write and `index` is that file's index.
+//! [`MrbgStore::import`] slices the payload into the two files and opens
+//! them; nothing is decoded on either side.
 
 use crate::append::{AppendBuffer, DEFAULT_APPEND_CAPACITY};
 use crate::compact::CompactionStats;
@@ -67,6 +78,7 @@ use crate::format::{decode_framed, encode_framed, valid_frame_prefix, verify_fra
 use crate::index::{BatchInfo, ChunkIndex, ChunkLoc};
 use crate::merge::{apply_delta_owned, DeltaChunk, MergeOutcome};
 use crate::query::{FramePass, QueryPass, QueryStrategy};
+use i2mr_common::codec::{read_varint, varint_len, write_varint};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
 use std::fs::File;
@@ -219,6 +231,10 @@ impl MrbgStore {
     /// the discarded byte count is reported by
     /// [`MrbgStore::take_salvaged_bytes`]. The result is the state of the
     /// last commit.
+    ///
+    /// An index entry that reaches past the end of the (salvaged) data
+    /// file fails the open with [`Error::Corrupt`]: the committed region
+    /// itself was lost, and no read could serve that chunk.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let mut file = File::options()
@@ -244,6 +260,16 @@ impl MrbgStore {
                 io.record_sync();
                 file_len = indexed_end + keep;
             }
+        }
+        if let Some((key, loc)) = index
+            .iter()
+            .find(|(_, loc)| loc.offset > file_len || loc.len as u64 > file_len - loc.offset)
+        {
+            return Err(Error::corrupt(format!(
+                "index entry for {:?} ends at {} past the {file_len}-byte data file",
+                String::from_utf8_lossy(key),
+                loc.offset.saturating_add(loc.len as u64)
+            )));
         }
         Ok(MrbgStore {
             dir,
@@ -597,8 +623,9 @@ impl MrbgStore {
     /// All live chunks in canonical (lexicographic key) order.
     ///
     /// Convenience for tests and small equivalence checks — materializes
-    /// the whole live set. Production passes (compaction, export) stream
-    /// through [`MrbgStore::chunks_iter`] instead.
+    /// the whole live set. Production passes stream through
+    /// [`MrbgStore::chunks_iter`] instead, or (compaction, export) copy
+    /// the raw frames without decoding them.
     pub fn all_chunks(&mut self) -> Result<Vec<Chunk>> {
         self.chunks_iter().collect()
     }
@@ -630,23 +657,14 @@ impl MrbgStore {
         let mut write_io = IoStats::default();
         let mut append = AppendBuffer::new(self.config.append_capacity, 0);
         let mut live = self.index.sorted_mut();
-        {
-            let mut pass = FramePass::new(
-                &mut self.file,
-                self.file_len,
-                &mut self.io,
-                self.config.strategy,
-                self.config.cache_capacity,
-                live.iter().map(|(_, loc)| Some(**loc)).collect(),
-            );
-            for (key, _) in &live {
-                let frame = pass
-                    .next_frame()?
-                    .ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?;
-                verify_frame(frame, key)?;
-                append.append(frame, &mut tmp, &mut write_io)?;
-            }
-        }
+        copy_live_frames(
+            &mut self.file,
+            self.file_len,
+            &mut self.io,
+            self.config,
+            &live,
+            |frame| append.append(frame, &mut tmp, &mut write_io).map(drop),
+        )?;
         // Fsync the reconstruction before the rename makes it visible.
         append.flush_durable(&mut tmp, &mut write_io)?;
         self.io += write_io;
@@ -687,43 +705,86 @@ impl MrbgStore {
 
     /// Serialize the store for checkpointing (§6.1).
     ///
-    /// Streams the *live* chunks (canonical order, fresh offsets, one
-    /// batch) into the payload — obsolete versions are not shipped, so a
+    /// The payload is the store's *compacted image*: the live frames in
+    /// canonical key order, back to back from offset 0, plus the index of
+    /// that one-batch file. Obsolete versions are not shipped, so a
     /// checkpoint costs live bytes rather than file bytes, and two stores
     /// with identical live content export byte-identical payloads
-    /// regardless of their on-disk batch history.
+    /// regardless of their on-disk batch history. Layout:
+    ///
+    /// ```text
+    /// data_len  varint
+    /// data      data_len bytes — the live frames, verbatim
+    /// index     the rest — the index file of that image
+    /// ```
+    ///
+    /// Like [`MrbgStore::compact`], export is a verified copy: the frames
+    /// stream out of the same windowed read pass, each checked for its
+    /// checksum and key on the raw bytes and appended without decoding.
+    /// A corrupt live frame fails the export instead of being laundered
+    /// into a checkpoint. The index is written straight from the sorted
+    /// live list, since key order is offset order in the image.
     pub fn export(&mut self) -> Result<Vec<u8>> {
-        let mut data = Vec::with_capacity(self.index.live_bytes() as usize);
-        let mut entries = Vec::with_capacity(self.index.len());
-        {
-            let mut iter = self.chunks_iter();
-            while let Some(chunk) = iter.next().transpose()? {
-                let start = data.len();
-                encode_framed(&chunk, &mut data);
-                entries.push((
-                    chunk.key,
-                    ChunkLoc {
-                        offset: start as u64,
-                        len: (data.len() - start) as u32,
-                        batch: 0,
-                    },
-                ));
-            }
-        }
-        let mut index = ChunkIndex::new();
-        let end = data.len() as u64;
-        index.reset(entries, vec![BatchInfo { start: 0, end }]);
-        Ok(i2mr_common::codec::encode_to(&(data, index.to_bytes())))
+        let data_len = self.index.live_bytes();
+        let mut payload = Vec::with_capacity(
+            varint_len(data_len) + data_len as usize + 16 + self.index.len() * 32,
+        );
+        write_varint(data_len, &mut payload);
+        let live = self.index.sorted_mut();
+        copy_live_frames(
+            &mut self.file,
+            self.file_len,
+            &mut self.io,
+            self.config,
+            &live,
+            |frame| {
+                payload.extend_from_slice(frame);
+                Ok(())
+            },
+        )?;
+        ChunkIndex::write_compacted(&live, &mut payload);
+        Ok(payload)
     }
 
     /// Restore a store from an [`MrbgStore::export`] payload into `dir`.
+    ///
+    /// The payload is sliced, not decoded: its data region becomes the
+    /// data file and the rest the index file, then the store is opened as
+    /// usual. The opened index must describe exactly what an export
+    /// writes — one batch whose live frames, in canonical key order, tile
+    /// the data file from offset 0 — or the import fails with
+    /// [`Error::Corrupt`]. Frames are checksum-verified on every read, so
+    /// a payload either fails or restores exactly the exported chunks.
     pub fn import(dir: impl AsRef<Path>, payload: &[u8], config: StoreConfig) -> Result<Self> {
-        let (data, index_bytes): (Vec<u8>, Vec<u8>) = i2mr_common::codec::decode_exact(payload)?;
+        let mut rest = payload;
+        let data_len = read_varint(&mut rest)?;
+        if data_len > rest.len() as u64 {
+            return Err(Error::corrupt(format!(
+                "store payload: {data_len}-byte data region in {} bytes",
+                rest.len()
+            )));
+        }
+        let (data, index_bytes) = rest.split_at(data_len as usize);
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        std::fs::write(Self::data_path(&dir), &data)?;
-        std::fs::write(Self::index_path(&dir), &index_bytes)?;
-        Self::open(dir, config)
+        std::fs::write(Self::data_path(&dir), data)?;
+        std::fs::write(Self::index_path(&dir), index_bytes)?;
+        let mut store = Self::open(dir, config)?;
+        let end = store.file_len;
+        let mut next = 0;
+        let tiles = store.index.batches() == [BatchInfo { start: 0, end }]
+            && store.index.sorted_mut().iter().all(|(_, loc)| {
+                let at = loc.offset == next && loc.batch == 0;
+                next += loc.len as u64;
+                at
+            })
+            && next == end;
+        if !tiles {
+            return Err(Error::corrupt(
+                "store payload: index does not tile its data region",
+            ));
+        }
+        Ok(store)
     }
 
     /// Read `len` bytes at `offset` into the persistent scratch buffer and
@@ -740,6 +801,35 @@ impl MrbgStore {
         self.io.record_read(len as u64);
         Ok(&self.read_scratch[..len])
     }
+}
+
+/// The loop [`MrbgStore::compact`] and [`MrbgStore::export`] share: plan a
+/// [`FramePass`] over the live locations in canonical key order, verify
+/// each raw frame's checksum and key, and hand it to `sink` verbatim.
+fn copy_live_frames(
+    file: &mut File,
+    file_len: u64,
+    io: &mut IoStats,
+    config: StoreConfig,
+    live: &[(&[u8], &mut ChunkLoc)],
+    mut sink: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut pass = FramePass::new(
+        file,
+        file_len,
+        io,
+        config.strategy,
+        config.cache_capacity,
+        live.iter().map(|(_, loc)| Some(**loc)).collect(),
+    );
+    for (key, _) in live {
+        let frame = pass
+            .next_frame()?
+            .ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?;
+        verify_frame(frame, key)?;
+        sink(frame)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1107,6 +1197,129 @@ mod tests {
         assert_eq!((s.file_len(), s.n_batches()), (len_before, batches_before));
         assert_eq!(s.get(b"k08").unwrap().unwrap().entries[0].value, b"v2");
         assert!(s.get(b"k07").is_err());
+    }
+
+    #[test]
+    fn export_refuses_to_launder_a_corrupt_live_frame() {
+        let dir = tmpdir("export-corrupt");
+        let mut s = churned(&dir);
+        let loc = s.index.get(b"k07").unwrap();
+        {
+            let mut f = File::options()
+                .read(true)
+                .write(true)
+                .open(MrbgStore::data_path(&dir))
+                .unwrap();
+            let at = loc.offset + loc.len as u64 / 2;
+            f.seek(SeekFrom::Start(at)).unwrap();
+            let mut b = [0u8; 1];
+            f.read_exact(&mut b).unwrap();
+            f.seek(SeekFrom::Start(at)).unwrap();
+            std::io::Write::write_all(&mut f, &[b[0] ^ 0x01]).unwrap();
+        }
+        let err = s.export().unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
+    }
+
+    #[test]
+    fn export_payload_is_the_compacted_image() {
+        let dir = tmpdir("export-image");
+        let mut s = churned(&dir);
+        let live = s.all_chunks().unwrap();
+        let payload = s.export().unwrap();
+
+        // varint(data_len) ‖ data ‖ index, where data and index are the
+        // files of a fresh store preserving the live chunks in one batch.
+        let fresh_dir = tmpdir("export-image-fresh");
+        let mut fresh = MrbgStore::create(&fresh_dir, StoreConfig::default()).unwrap();
+        fresh.append_batch(live.clone()).unwrap();
+        let data = std::fs::read(fresh_dir.join("mrbg.data")).unwrap();
+        let mut want = Vec::new();
+        write_varint(data.len() as u64, &mut want);
+        want.extend_from_slice(&data);
+        want.extend_from_slice(&std::fs::read(fresh_dir.join("mrbg.index")).unwrap());
+        assert_eq!(payload, want);
+
+        let mut restored =
+            MrbgStore::import(tmpdir("export-image-imp"), &payload, StoreConfig::default())
+                .unwrap();
+        assert_eq!(restored.all_chunks().unwrap(), live);
+        assert_eq!(restored.export().unwrap(), payload);
+
+        // An empty store exports an empty image that imports as empty.
+        let mut empty = MrbgStore::create(tmpdir("export-empty"), StoreConfig::default()).unwrap();
+        let payload = empty.export().unwrap();
+        let mut restored =
+            MrbgStore::import(tmpdir("export-empty-imp"), &payload, StoreConfig::default())
+                .unwrap();
+        assert!(restored.is_empty());
+        assert_eq!(restored.export().unwrap(), payload);
+    }
+
+    /// Every truncation and every single-bit flip of one checkpoint
+    /// payload either fails the import or its read-back, or restores
+    /// exactly the exported chunks — never a panic, never other content.
+    #[test]
+    fn corrupt_or_truncated_payloads_fail_or_restore_exactly() {
+        let mut s = churned(&tmpdir("enum-src"));
+        let want = s.all_chunks().unwrap();
+        let payload = s.export().unwrap();
+        let dir = tmpdir("enum-imp");
+        let restore = |bytes: &[u8]| -> Result<Vec<Chunk>> {
+            MrbgStore::import(&dir, bytes, StoreConfig::default())?.all_chunks()
+        };
+        assert_eq!(restore(&payload).unwrap(), want);
+        for cut in 0..payload.len() {
+            if let Ok(got) = restore(&payload[..cut]) {
+                assert_eq!(got, want, "truncated to {cut} bytes");
+            }
+        }
+        for i in 0..payload.len() {
+            let mut bad = payload.clone();
+            bad[i] ^= 1 << (i % 8);
+            if let Ok(got) = restore(&bad) {
+                assert_eq!(got, want, "bit {} of byte {i} flipped", i % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn open_rejects_an_index_past_the_end_of_the_data_file() {
+        let dir = tmpdir("short-data");
+        {
+            let mut s = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
+            let all: Vec<Chunk> = (0..40)
+                .map(|i| chunk(&format!("k{i:02}"), &[(1, "v0")]))
+                .collect();
+            s.append_batch(all).unwrap();
+        }
+        let data = MrbgStore::data_path(&dir);
+        let len = std::fs::metadata(&data).unwrap().len();
+        File::options()
+            .write(true)
+            .open(&data)
+            .unwrap()
+            .set_len(len - 10)
+            .unwrap();
+        let err = MrbgStore::open(&dir, StoreConfig::default())
+            .err()
+            .expect("open must refuse a data file shorter than its index");
+        assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
+
+        // The same shape as a checkpoint payload: a data region cut short
+        // under an index that still describes all of it.
+        let mut s = churned(&tmpdir("short-payload-src"));
+        let payload = s.export().unwrap();
+        let mut rest = payload.as_slice();
+        let data_len = read_varint(&mut rest).unwrap() as usize;
+        let mut short = Vec::new();
+        write_varint(data_len as u64 - 10, &mut short);
+        short.extend_from_slice(&rest[..data_len - 10]);
+        short.extend_from_slice(&rest[data_len..]);
+        let err = MrbgStore::import(tmpdir("short-payload"), &short, StoreConfig::default())
+            .err()
+            .expect("import must refuse a payload whose index reaches past its data");
+        assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn fingerprint_pagerank_checkpointed_refresh_through_pdelta() {
     assert!(report.mrbg_turned_off_at.is_some(), "P∆ must trip");
     let got = fingerprint(&data.state_snapshot(), &stores, Some(&dfs));
     assert_fingerprint("pagerank refresh", got, 0xd276_b396_3c2f_f9b6);
-    assert_checkpoint_bytes("pagerank refresh", &dfs, 414_708);
+    assert_checkpoint_bytes("pagerank refresh", &dfs, 288_741);
 }
 
 /// SSSP: initial run (`FinalOnly`), then a workset-driven delta refresh.
@@ -215,7 +215,7 @@ fn fingerprint_pagerank_initial_every_iteration_checkpointed() {
         got,
         0xefc7_dda5_17c7_837f,
     );
-    assert_checkpoint_bytes("pagerank every-iteration initial", &dfs, 1_234_337);
+    assert_checkpoint_bytes("pagerank every-iteration initial", &dfs, 854_207);
 }
 
 /// A serving handle on a session's store plane sees the writes of an

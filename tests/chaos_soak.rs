@@ -21,6 +21,11 @@
 //! A fifth scenario replays scenario 1 on a delta that trips the P∆
 //! monitor, so faults land in the full passes after the switch (PageRank,
 //! both `run_incremental` and `run_delta`).
+//!
+//! A sixth fails checkpoint artifact writes on that same refresh. There a
+//! fault may legitimately surface: a failed baseline or post-switch save
+//! has no sealed checkpoint behind it to rewind to. Each of its rounds
+//! must end either as above or in an `Err` naming the injected fault.
 
 use i2mapreduce::algos::{pagerank, sssp};
 use i2mapreduce::core::checkpoint::IterCheckpointer;
@@ -496,4 +501,98 @@ fn faults_after_pdelta_switch_rewind_bit_identical_incremental() {
 #[test]
 fn faults_after_pdelta_switch_rewind_bit_identical_delta() {
     faults_after_pdelta_switch(true);
+}
+
+/// Scenario 6: checkpoint artifact writes fail (`Error`, seeded rate and
+/// budget) during a checkpointed PageRank refresh through the P∆ switch.
+/// A failed save after an MRBG pass escapes to the engine, which rewinds
+/// to the last sealed checkpoint; a failed iteration-0 baseline or
+/// post-switch record save has nothing to rewind to and surfaces. Every
+/// round ends either `Ok` — bit-identical state, byte-identical exports —
+/// or in an `Err` naming the injected checkpoint-write fault.
+#[test]
+fn checkpoint_write_faults_rewind_or_surface() {
+    let cfg = JobConfig::symmetric(N);
+    let spec = pagerank::PageRank::default();
+    let params = IncrParams {
+        max_iterations: 400,
+        ..Default::default()
+    };
+    let big = DeltaSpec {
+        change_fraction: 0.5,
+        ..PR_DELTA
+    };
+    let (data0, payloads, delta, want_state, want_exports) =
+        pagerank_workload("ckpt-write", big, params);
+
+    let pool = WorkerPool::new(N);
+    let (mut rewound, mut clean, mut surfaced, mut total_fired) = (0u64, 0u64, 0u64, 0u64);
+    for r in 0..rounds() {
+        let budget = 1 + (r % 3) as u32;
+        let fp = Arc::new(FailpointRegistry::seeded(0xC4E7 + r, budget).arm(
+            FailSite::CheckpointWrite,
+            0.05,
+            FailAction::Error,
+        ));
+        let dir = scratch(&format!("ckpt-write-{r}"));
+        let st = import_stores(&pool, &dir, &payloads);
+        let dfs = MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
+        dfs.set_failpoints(Arc::clone(&fp));
+        let ck = IterCheckpointer::new(&dfs, format!("chaos-ckpt-write-{r}"), N);
+        let mut data = data0.clone();
+
+        let run = pagerank::i2mr_incremental(
+            &pool,
+            &cfg,
+            &mut data,
+            &st,
+            &spec,
+            &delta,
+            params,
+            Some(&ck),
+        );
+        total_fired += fp.fired();
+        match run {
+            Ok((rep, _)) => {
+                assert!(rep.converged, "round {r}: faulted refresh did not converge");
+                assert_eq!(rep.mrbg_turned_off_at, Some(1), "round {r}: P∆ must trip");
+                assert_eq!(want_state, data.state, "round {r}: state diverged");
+                for (p, want) in want_exports.iter().enumerate() {
+                    assert_eq!(
+                        *want,
+                        st.export(p).unwrap(),
+                        "round {r}: shard {p} export diverged"
+                    );
+                }
+                if fp.fired() > 0 {
+                    assert!(
+                        rep.total_metrics().recovery_ms > 0,
+                        "round {r}: a fault fired and was absorbed without a rewind"
+                    );
+                    rewound += 1;
+                } else {
+                    clean += 1;
+                }
+            }
+            Err(e) => {
+                assert!(fp.fired() > 0, "round {r}: error without a fault: {e}");
+                assert!(
+                    e.to_string().contains(FailSite::CheckpointWrite.name()),
+                    "round {r}: surfaced error does not name the fault: {e}"
+                );
+                surfaced += 1;
+            }
+        }
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    println!(
+        "checkpoint-write faults: {} rounds, {total_fired} faults; \
+         {rewound} rewound to Ok, {clean} fault-free Ok, {surfaced} surfaced as Err",
+        rounds()
+    );
+    assert!(
+        total_fired > 0,
+        "no checkpoint write ever failed — test is vacuous"
+    );
 }

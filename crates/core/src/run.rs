@@ -22,7 +22,7 @@
 //! overlapped compactions, commit dirty shards, drain trailing counters)
 //! exactly once and hands the stores back. `tests/builder_equivalence.rs`
 //! pins seeded runs of all three modes to fingerprints of their state,
-//! store exports and checkpoint writes.
+//! live store chunks and checkpoint writes.
 
 use crate::checkpoint::IterCheckpointer;
 use crate::delta::Delta;

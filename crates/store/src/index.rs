@@ -118,16 +118,6 @@ impl ChunkIndex {
         self.live_bytes
     }
 
-    /// Replace all contents.
-    pub fn reset(&mut self, entries: Vec<(Vec<u8>, ChunkLoc)>, batches: Vec<BatchInfo>) {
-        self.map.clear();
-        self.live_bytes = 0;
-        for (k, l) in entries {
-            self.put(k, l);
-        }
-        self.batches = batches;
-    }
-
     /// Live `(key, location)` pairs in canonical (byte-lexicographic key)
     /// order, locations patchable in place — compaction plans its read
     /// pass from these and re-points them afterwards without cloning a key

@@ -46,6 +46,28 @@ pub fn encode_to<T: Codec>(value: &T) -> Vec<u8> {
     buf
 }
 
+std::thread_local! {
+    /// Per-thread scratch buffer behind [`with_encoding`].
+    static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the encoding of `value` without allocating: the bytes live
+/// in a per-thread scratch buffer that keeps its capacity between calls.
+/// A nested call (from inside `f`) falls back to a fresh buffer.
+///
+/// This is how per-record hashes (partitioning, map keys) see a key's
+/// canonical bytes on the hot path.
+pub fn with_encoding<T: Codec, R>(value: &T, f: impl FnOnce(&[u8]) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            buf.clear();
+            value.encode(&mut buf);
+            f(&buf)
+        }
+        Err(_) => f(&encode_to(value)),
+    })
+}
+
 /// Decode a `T` from the front of `input`, advancing the cursor.
 pub fn decode_from<T: Codec>(input: &mut &[u8]) -> Result<T> {
     T::decode(input)
@@ -330,6 +352,19 @@ mod tests {
         let enc = encode_to(&v);
         let dec: T = decode_exact(&enc).expect("decode");
         assert_eq!(dec, v);
+    }
+
+    #[test]
+    fn with_encoding_sees_the_canonical_bytes_even_when_nested() {
+        let outer = ("long key".to_string(), 300u64);
+        let inner = 7u32;
+        let (a, b) = with_encoding(&outer, |o| {
+            (o.to_vec(), with_encoding(&inner, |i| i.to_vec()))
+        });
+        assert_eq!(a, encode_to(&outer));
+        assert_eq!(b, encode_to(&inner));
+        // A shorter value after a longer one leaves no stale tail.
+        assert_eq!(with_encoding(&inner, |i| i.to_vec()), encode_to(&inner));
     }
 
     #[test]

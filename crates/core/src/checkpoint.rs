@@ -52,6 +52,7 @@ impl IterCheckpointer {
     /// cadence [`Self::save_iteration`] / [`Self::save_aux`] calls become
     /// no-ops, so recovery rewinds to the last cadence multiple — a longer
     /// re-execution in exchange for proportionally less checkpoint I/O.
+    /// A completed run's last state is still recorded ([`Self::save_final`]).
     #[must_use]
     pub fn with_cadence(mut self, every: u64) -> Self {
         self.every = every.max(1);
@@ -93,6 +94,17 @@ impl IterCheckpointer {
         if !self.on_cadence(iteration) {
             return Ok(());
         }
+        self.save_final(iteration, state, stores)
+    }
+
+    /// [`Self::save_iteration`] regardless of the cadence: the record of a
+    /// completed run, which recovery must find whatever its iteration.
+    pub fn save_final<DK: Codec, DV: Codec>(
+        &self,
+        iteration: u64,
+        state: &[Vec<(DK, DV)>],
+        stores: Option<&StoreManager>,
+    ) -> Result<()> {
         for (p, part) in state.iter().enumerate() {
             self.store
                 .save(&self.job, iteration, &Self::state_task(p), &encode_to(part))?;

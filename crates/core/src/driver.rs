@@ -26,15 +26,16 @@
 //! last sealed checkpoint and resumes (§6.1). Checkpoints are the
 //! iteration-0 baseline, every pass of an initial run (with the stores
 //! when they are preserved every iteration), and every MRBG pass (with the
-//! stores and the workset); full passes after the P∆ switch write none,
-//! and one state-and-stores save after the final settle records the
-//! completed refresh. A rewind keeps a P∆ switch taken at or before the
-//! resume point, so it re-enters full passes.
+//! stores and the workset); full passes after the P∆ switch write none.
+//! When the last pass wrote no checkpoint (after a P∆ switch, or off the
+//! checkpoint cadence), one save after the final settle records the
+//! completed run, whatever the cadence. A rewind keeps a P∆ switch taken
+//! at or before the resume point, so it re-enters full passes.
 
 use crate::checkpoint::{IterCheckpointer, MAX_RECOVERIES};
 use crate::delta::Delta;
 use crate::incr_iter::{apply_structure_delta, IncrParams};
-use crate::iter_engine::{PartitionedData, RunReport};
+use crate::iter_engine::{FullShuffle, PartitionedData, RunReport};
 use crate::iterative::{IterParams, IterationStats, IterativeSpec, PreserveMode};
 use crate::trace::{add_stage, emit_checkpoint_restore, emit_checkpoint_save};
 use i2mr_common::codec::{decode_exact, encode_to};
@@ -43,8 +44,8 @@ use i2mr_common::metrics::{IoStats, JobMetrics, Stage};
 use i2mr_common::telemetry::TraceRecorder;
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
-use i2mr_mapred::shuffle::{RunPool, ShuffleBuffers};
-use i2mr_mapred::types::{Emitter, ValueData};
+use i2mr_mapred::shuffle::RunPool;
+use i2mr_mapred::types::Emitter;
 use i2mr_store::runtime::StoreManager;
 use std::sync::Arc;
 use std::time::Instant;
@@ -149,6 +150,9 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
             emit_checkpoint_save(self.recorder, 0, t);
         }
 
+        // The full passes' shuffle plan lives while the structure stands
+        // still: every MRBG pass and every rewind drops it.
+        let mut shuffle = FullShuffle::default();
         let mut report = RunReport::default();
         let mut recoveries_left = MAX_RECOVERIES;
         let mut pending_recovery_ms = 0u64;
@@ -171,8 +175,11 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                 ..Default::default()
             };
             let pass = match &refresh {
-                Some(r) if mrbg => self.mrbg_pass(data, r, &mut workset, iteration, &mut metrics),
-                _ => self.full_pass(data, iteration, full_stores, &mut metrics),
+                Some(r) if mrbg => {
+                    shuffle.reset();
+                    self.mrbg_pass(data, r, &mut workset, iteration, &mut metrics)
+                }
+                _ => self.full_pass(data, iteration, full_stores, &mut shuffle, &mut metrics),
             };
             let pass = pass.and_then(|stats| {
                 metrics.retries += self.pool.drain_recovery();
@@ -242,6 +249,7 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                         return Err(e);
                     };
                     recoveries_left -= 1;
+                    shuffle.reset();
                     let t = Instant::now();
                     if let (Some(r), Some(pristine)) = (&refresh, &pristine) {
                         *data = pristine.clone();
@@ -280,30 +288,33 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
             // Settle first, so the save below does not queue behind
             // still-running compactions.
             settle_trailing(stores, &mut report.per_iteration)?;
-            if let (Some(ck), Some(_)) = (self.ckpt, report.mrbg_turned_off_at) {
-                // The full passes after the P∆ switch mutated the state
-                // without checkpointing: record the completed refresh.
-                let t = Instant::now();
-                let it = report.iterations.len() as u64;
-                ck.save_iteration(it, &data.state, Some(stores))?;
-                emit_checkpoint_save(self.recorder, it, t);
-            }
+        }
+        // Record the completed run when its last pass wrote no checkpoint:
+        // full passes after the P∆ switch write none, and an off-cadence
+        // save is a no-op.
+        let it = report.iterations.len() as u64;
+        let unsaved = |ck: &&IterCheckpointer| {
+            it > 0 && (report.mrbg_turned_off_at.is_some() || !ck.on_cadence(it))
+        };
+        if let Some(ck) = self.ckpt.filter(unsaved) {
+            let t = Instant::now();
+            ck.save_final(it, &data.state, ckpt_stores)?;
+            emit_checkpoint_save(self.recorder, it, t);
         }
         Ok(report)
     }
 
     /// One pinned Map task per `(partition, input)` pair, each running
-    /// `map_part` into fresh shuffle buffers. Returns the buffers and the
-    /// summed map invocations `map_part` reported.
-    pub(crate) fn map_stage<I: Sync, V: ValueData>(
+    /// `map_part` with a fresh emitter. Returns the tasks' outputs in input
+    /// order and the summed map invocations `map_part` reported.
+    pub(crate) fn map_stage<I: Sync, T: Send>(
         &self,
         iteration: u64,
-        recycler: &RunPool<S::DK, V>,
         inputs: &[(usize, I)],
-        map_part: impl Fn(&I, &mut Emitter<S::DK, S::V2>, &mut ShuffleBuffers<S::DK, V>) -> u64 + Sync,
-    ) -> Result<(Vec<ShuffleBuffers<S::DK, V>>, u64)> {
-        let (n, map_part) = (self.n, &map_part);
-        let tasks: Vec<TaskSpec<'_, (ShuffleBuffers<S::DK, V>, u64)>> = inputs
+        map_part: impl Fn(&I, &mut Emitter<S::DK, S::V2>) -> (T, u64) + Sync,
+    ) -> Result<(Vec<T>, u64)> {
+        let map_part = &map_part;
+        let tasks: Vec<TaskSpec<'_, (T, u64)>> = inputs
             .iter()
             .map(|(p, input)| {
                 let id = TaskId {
@@ -312,9 +323,7 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                     iteration,
                 };
                 TaskSpec::pinned(id, p % self.pool.n_workers(), move |_| {
-                    let mut buffers = ShuffleBuffers::with_pool(n, recycler);
-                    let invocations = map_part(input, &mut Emitter::new(), &mut buffers);
-                    Ok((buffers, invocations))
+                    Ok(map_part(input, &mut Emitter::new()))
                 })
             })
             .collect();
@@ -323,9 +332,9 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
             .pool
             .run_tasks(tasks)?
             .into_iter()
-            .map(|(buffers, inv)| {
+            .map(|(output, inv)| {
                 invocations += inv;
-                buffers
+                output
             })
             .collect();
         Ok((outputs, invocations))

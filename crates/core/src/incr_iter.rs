@@ -37,7 +37,7 @@ use crate::delta::{Delta, DeltaRecord, Op};
 use crate::driver::{Driver, Refresh};
 use crate::iter_engine::{PartitionedData, StructGroup};
 use crate::iterative::{IterationStats, IterativeSpec};
-use i2mr_common::codec::{decode_exact, encode_to};
+use i2mr_common::codec::{decode_exact, encode_to, with_encoding};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
@@ -255,30 +255,26 @@ impl<S: IterativeSpec> Driver<'_, S> {
             .enumerate()
             .filter(|(_, (records, _))| !records.is_empty())
             .collect();
-        let (outputs, invocations) = self.map_stage(
-            1,
-            &self.delta_runs,
-            &inputs,
-            |(records, state), emitter, buffers| {
-                for (dk, rec) in records.iter() {
-                    let dv = state
-                        .binary_search_by(|(k, _)| k.cmp(dk))
-                        .ok()
-                        .map(|i| state[i].1.clone())
-                        .unwrap_or_else(|| spec.init(dk));
-                    let mk = MapKey::for_structure(&encode_to(&rec.key));
-                    spec.map(&rec.key, &rec.value, dk, &dv, emitter);
-                    for (k2, v2) in emitter.drain() {
-                        let payload = match rec.op {
-                            Op::Insert => Some(v2),
-                            Op::Delete => None,
-                        };
-                        buffers.push(k2, mk, payload, &HashPartitioner);
-                    }
+        let (outputs, invocations) = self.map_stage(1, &inputs, |(records, state), emitter| {
+            let mut buffers = ShuffleBuffers::with_pool(n, &self.delta_runs);
+            for (dk, rec) in records.iter() {
+                let dv = state
+                    .binary_search_by(|(k, _)| k.cmp(dk))
+                    .ok()
+                    .map(|i| state[i].1.clone())
+                    .unwrap_or_else(|| spec.init(dk));
+                let mk = with_encoding(&rec.key, MapKey::for_structure);
+                spec.map(&rec.key, &rec.value, dk, &dv, emitter);
+                for (k2, v2) in emitter.drain() {
+                    let payload = match rec.op {
+                        Op::Insert => Some(v2),
+                        Op::Delete => None,
+                    };
+                    buffers.push(k2, mk, payload, &HashPartitioner);
                 }
-                records.len() as u64
-            },
-        )?;
+            }
+            (buffers, records.len() as u64)
+        })?;
         metrics.map_invocations += invocations;
         Ok(outputs)
     }
@@ -304,18 +300,16 @@ impl<S: IterativeSpec> Driver<'_, S> {
             .enumerate()
             .filter(|(_, (changes, _))| !changes.is_empty())
             .collect();
-        let (outputs, invocations) = self.map_stage(
-            iteration,
-            &self.delta_runs,
-            &inputs,
-            |(changes, groups), emitter, buffers| {
+        let (outputs, invocations) =
+            self.map_stage(iteration, &inputs, |(changes, groups), emitter| {
+                let mut buffers = ShuffleBuffers::with_pool(n, &self.delta_runs);
                 let mut invocations = 0u64;
                 for (dk, dv) in changes.iter() {
                     let Ok(gi) = groups.binary_search_by(|g| g.dk.cmp(dk)) else {
                         continue; // state key with no dependents
                     };
                     for (sk, sv) in &groups[gi].records {
-                        let mk = MapKey::for_structure(&encode_to(sk));
+                        let mk = with_encoding(sk, MapKey::for_structure);
                         spec.map(sk, sv, dk, dv, emitter);
                         invocations += 1;
                         for (k2, v2) in emitter.drain() {
@@ -323,9 +317,8 @@ impl<S: IterativeSpec> Driver<'_, S> {
                         }
                     }
                 }
-                invocations
-            },
-        )?;
+                (buffers, invocations)
+            })?;
         metrics.map_invocations += invocations;
         Ok(outputs)
     }

@@ -18,10 +18,23 @@
 //! [`PreserveMode::None`](crate::iterative::PreserveMode::None) are the
 //! fair re-computation baseline; with preservation they are i2MapReduce's
 //! job `A_{i-1}`.
+//!
+//! Structure caching also fixes most of the shuffle. A pass's map output
+//! is determined by the structure *and* the state, but on PageRank only
+//! the values follow the state: every pass routes and sorts the same K2
+//! sequence. So the loop-invariant side is processed once per run (Ewen
+//! et al.'s bulk iterations): a plan-less pass records each map task's
+//! routes and a K2-sequence signature, and once two consecutive passes
+//! agree it builds a `ShufflePlan` — per reduce partition, the sorted
+//! group keys and which map emission fills each slot. A planned pass maps
+//! values only, checks every emitted K2 against the plan, and reduces
+//! through [`Values::gather`]; any disagreement drops the plan and re-runs
+//! the pass plan-less from the map. The driver drops the plan at every
+//! MRBG pass and every rewind.
 
 use crate::driver::Driver;
 use crate::iterative::{IterParams, IterationStats, IterativeSpec, SmallStateSpec};
-use i2mr_common::codec::encode_to;
+use i2mr_common::codec::{encode_to, with_encoding, Codec};
 use i2mr_common::error::Result;
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
@@ -31,8 +44,9 @@ use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{
     groups, sort_run, sort_runs, transpose_pooled, RunPool, ShuffleBuffers, ShuffleRecord,
+    MK_WIRE_BYTES,
 };
-use i2mr_mapred::types::{Emitter, Values};
+use i2mr_mapred::types::{Emitter, KeyData, ValueData, Values};
 use i2mr_store::format::{Chunk, ChunkEntry};
 use i2mr_store::runtime::StoreManager;
 use std::collections::BTreeMap;
@@ -215,25 +229,223 @@ impl RunReport {
     }
 }
 
+/// A group the prime Reduce consumes: its K2, its values in `(K2, MK)`
+/// order, and its preserved chunk when the pass maintains the MRBGraph.
+type ReduceGroup<'g, S> = (
+    &'g <S as IterativeSpec>::DK,
+    Values<'g, <S as IterativeSpec>::DK, <S as IterativeSpec>::V2>,
+    Option<Chunk>,
+);
+
+/// One reduce partition of a [`ShufflePlan`].
+struct PlanPart<K> {
+    /// Group keys, strictly ascending.
+    keys: Vec<K>,
+    /// `ends[g]` is one past group `g`'s last slot.
+    ends: Vec<u32>,
+    /// The `(map partition, emission index)` filling each slot, in
+    /// `(K2, MK)` order.
+    slots: Vec<(u32, u32)>,
+    /// Each slot's MK; empty unless the planning pass preserved.
+    mks: Vec<MapKey>,
+}
+
+impl<K: KeyData> PlanPart<K> {
+    /// The partition's groups over this pass's map values.
+    fn groups<'g, V: ValueData>(
+        &'g self,
+        values: &'g [Vec<V>],
+        with_mk: bool,
+    ) -> impl Iterator<Item = (&'g K, Values<'g, K, V>, Option<Chunk>)> + 'g {
+        let mut start = 0;
+        self.keys.iter().zip(&self.ends).map(move |(key, &end)| {
+            let range = start..end as usize;
+            start = end as usize;
+            let group = Values::gather(values, &self.slots[range.clone()]);
+            let chunk = with_mk.then(|| chunk_of(key, self.mks[range].iter().copied().zip(group)));
+            (key, group, chunk)
+        })
+    }
+}
+
+/// The loop-invariant shuffle of a run's full passes: where every map
+/// emission lands and in which order reduce reads it. With a plan, a full
+/// pass keeps each map task's values in emission order and reduce gathers
+/// them per group — no MK hashing, partitioning, transpose or sort.
+pub(crate) struct ShufflePlan<K> {
+    parts: Vec<PlanPart<K>>,
+    /// `[map partition][emission index]` → `(reduce partition, group)`:
+    /// the K2 each emission must carry.
+    emits: Vec<Vec<(u32, u32)>>,
+    /// Encoded K2 bytes summed over every slot (shuffle byte metering).
+    key_bytes: u64,
+    /// Whether the slots carry MKs (the planning pass preserved).
+    with_mk: bool,
+}
+
+impl<K: KeyData> ShufflePlan<K> {
+    /// Plan a pass from its unsorted runs and the reduce partition each
+    /// map task sent each of its emissions to. Slots follow `(K2, MK)`;
+    /// equal pairs keep emission order.
+    fn build<V>(runs: &[Vec<ShuffleRecord<K, V>>], routes: &[Vec<u32>], with_mk: bool) -> Self {
+        const UNSET: (u32, u32) = (u32::MAX, u32::MAX);
+        // Run r holds map task 0's emissions to r, then task 1's, …, each
+        // in emission order (`transpose`).
+        let mut origins: Vec<Vec<(u32, u32)>> = runs
+            .iter()
+            .map(|run| Vec::with_capacity(run.len()))
+            .collect();
+        for (m, route) in routes.iter().enumerate() {
+            for (i, &r) in route.iter().enumerate() {
+                origins[r as usize].push((m as u32, i as u32));
+            }
+        }
+        let mut emits: Vec<Vec<(u32, u32)>> = routes
+            .iter()
+            .map(|route| vec![UNSET; route.len()])
+            .collect();
+        let mut key_bytes = 0u64;
+        let mut order: Vec<u32> = Vec::new();
+        let mut parts = Vec::with_capacity(runs.len());
+        for (r, (run, origin)) in runs.iter().zip(origins).enumerate() {
+            debug_assert_eq!(run.len(), origin.len(), "routes disagree with run {r}");
+            order.clear();
+            order.extend(0..run.len() as u32);
+            // Position breaks ties: a total order, so the sort is stable.
+            order.sort_unstable_by(|&a, &b| {
+                let (x, y) = (&run[a as usize], &run[b as usize]);
+                x.0.cmp(&y.0).then(x.1.cmp(&y.1)).then(a.cmp(&b))
+            });
+            let mut part = PlanPart {
+                keys: Vec::new(),
+                ends: Vec::new(),
+                slots: Vec::with_capacity(run.len()),
+                mks: Vec::with_capacity(if with_mk { run.len() } else { 0 }),
+            };
+            for &pos in &order {
+                let (k2, mk, _) = &run[pos as usize];
+                if part.keys.last() != Some(k2) {
+                    debug_assert!(part.keys.last() < Some(k2), "group keys must ascend");
+                    if !part.keys.is_empty() {
+                        part.ends.push(part.slots.len() as u32);
+                    }
+                    part.keys.push(k2.clone());
+                }
+                let (m, i) = origin[pos as usize];
+                let emit = &mut emits[m as usize][i as usize];
+                debug_assert_eq!(*emit, UNSET, "emission planned twice");
+                *emit = (r as u32, part.keys.len() as u32 - 1);
+                part.slots.push((m, i));
+                if with_mk {
+                    part.mks.push(*mk);
+                }
+                key_bytes += k2.encoded_len() as u64;
+            }
+            if !part.keys.is_empty() {
+                part.ends.push(part.slots.len() as u32);
+            }
+            parts.push(part);
+        }
+        debug_assert!(
+            emits.iter().flatten().all(|e| *e != UNSET),
+            "every emission fills exactly one slot"
+        );
+        ShufflePlan {
+            parts,
+            emits,
+            key_bytes,
+            with_mk,
+        }
+    }
+}
+
+/// What a run's full passes know about their shuffle: the emission
+/// signature of the last plan-less pass — `(emissions, K2-sequence hash)`
+/// per map task — and the plan built once two consecutive passes agreed.
+/// The driver resets it whenever the structure may have changed.
+pub(crate) struct FullShuffle<K> {
+    last: Option<Vec<(u64, u64)>>,
+    plan: Option<ShufflePlan<K>>,
+}
+
+impl<K> Default for FullShuffle<K> {
+    fn default() -> Self {
+        FullShuffle {
+            last: None,
+            plan: None,
+        }
+    }
+}
+
+impl<K> FullShuffle<K> {
+    /// Forget the signature and the plan.
+    pub(crate) fn reset(&mut self) {
+        *self = FullShuffle::default();
+    }
+}
+
 impl<S: IterativeSpec> Driver<'_, S> {
     /// A full pass: prime Map → shuffle → sort → prime Reduce over every
-    /// key, appending the pass's MRBGraph to `stores` when given.
+    /// key, appending the pass's MRBGraph to `stores` when given. With a
+    /// plan in `shuffle`, Map keeps values only and Reduce gathers them
+    /// (module docs); an emission that leaves the plan drops it and the
+    /// pass re-runs plan-less.
     pub(crate) fn full_pass(
         &self,
         data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         iteration: u64,
         stores: Option<&StoreManager>,
+        shuffle: &mut FullShuffle<S::DK>,
         metrics: &mut JobMetrics,
     ) -> Result<IterationStats> {
-        let spec = self.spec;
         // MK bytes only travel when the MRBGraph is maintained.
-        let (runs, invocations) = self.map_sort(data, iteration, stores.is_some(), metrics)?;
+        let with_mk = stores.is_some();
+        if let Some(plan) = &shuffle.plan {
+            // A run's full passes all preserve, or none do.
+            debug_assert_eq!(plan.with_mk, with_mk);
+            if let Some(values) = self.map_planned(data, iteration, plan, metrics)? {
+                let values = &values;
+                return self.reduce_stage(data, iteration, stores, metrics, |p| {
+                    plan.parts[p].groups(values, with_mk)
+                });
+            }
+            shuffle.plan = None;
+        }
+        let (runs, invocations) =
+            self.map_sort(data, iteration, with_mk, Some(shuffle), metrics)?;
         metrics.map_invocations += invocations;
+        let stats = self.reduce_stage(data, iteration, stores, metrics, |p| {
+            groups(&runs[p]).map(move |g| {
+                let chunk = with_mk.then(|| run_chunk(g));
+                (&g[0].0, Values::group(g), chunk)
+            })
+        })?;
+        // Park the runs for the next plan-less pass; a planned run does
+        // not need their memory again.
+        if shuffle.plan.is_none() {
+            self.full_runs.recycle_all(runs);
+        }
+        Ok(stats)
+    }
 
-        // Prime Reduce, co-located with the next pass's prime Map: reduce
-        // task p writes state partition p directly.
+    /// Prime Reduce, co-located with the next pass's prime Map: reduce
+    /// task p merge-joins state partition p with the K2-ascending groups
+    /// `groups(p)` yields and writes the new state partition directly.
+    /// Every group's chunk is appended to `stores`, when given.
+    fn reduce_stage<'g, I>(
+        &self,
+        data: &mut PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        iteration: u64,
+        stores: Option<&StoreManager>,
+        metrics: &mut JobMetrics,
+        groups: impl Fn(usize) -> I + Sync,
+    ) -> Result<IterationStats>
+    where
+        I: Iterator<Item = ReduceGroup<'g, S>>,
+    {
+        let spec = self.spec;
         let t = Instant::now();
-        let state_parts = &data.state;
+        let (state_parts, groups) = (&data.state, &groups);
         type ReduceOut<S> = (
             Vec<(<S as IterativeSpec>::DK, <S as IterativeSpec>::DV)>,
             f64,
@@ -241,12 +453,10 @@ impl<S: IterativeSpec> Driver<'_, S> {
             u64,
             Vec<Chunk>,
         );
-        let reduce_tasks: Vec<TaskSpec<'_, ReduceOut<S>>> = runs
+        let reduce_tasks: Vec<TaskSpec<'_, ReduceOut<S>>> = state_parts
             .iter()
             .enumerate()
-            .map(|(p, run)| {
-                let run: &[(S::DK, MapKey, S::V2)] = run;
-                let state = &state_parts[p];
+            .map(|(p, state)| {
                 TaskSpec::pinned(
                     TaskId {
                         kind: TaskKind::Reduce,
@@ -260,36 +470,27 @@ impl<S: IterativeSpec> Driver<'_, S> {
                         let mut max_diff = 0.0f64;
                         let mut changed = 0u64;
                         let mut invocations = 0u64;
-                        let mut group_iter = groups(run).peekable();
+                        let mut group_iter = groups(p).peekable();
                         for (dk, prev) in state {
-                            // Advance group cursor to this dk; groups for
+                            // Advance the group cursor to this dk; groups for
                             // unknown dks (no state entry) are preserved but
                             // produce no state update.
-                            let mut matched: Option<&[(S::DK, MapKey, S::V2)]> = None;
-                            while let Some(g) = group_iter.peek() {
-                                match g[0].0.cmp(dk) {
+                            let mut values = Values::empty();
+                            while let Some((key, _, _)) = group_iter.peek() {
+                                match (*key).cmp(dk) {
                                     std::cmp::Ordering::Less => {
-                                        let g = group_iter.next().expect("peeked group");
-                                        if stores.is_some() {
-                                            chunks.push(chunk_of::<S>(g));
-                                        }
+                                        let (_, _, chunk) = group_iter.next().expect("peeked");
+                                        chunks.extend(chunk);
                                     }
                                     std::cmp::Ordering::Equal => {
-                                        matched = Some(group_iter.next().expect("peeked group"));
+                                        let (_, group, chunk) = group_iter.next().expect("peeked");
+                                        chunks.extend(chunk);
+                                        values = group;
                                         break;
                                     }
                                     std::cmp::Ordering::Greater => break,
                                 }
                             }
-                            let values = match matched {
-                                Some(g) => {
-                                    if stores.is_some() {
-                                        chunks.push(chunk_of::<S>(g));
-                                    }
-                                    Values::group(g)
-                                }
-                                None => Values::empty(),
-                            };
                             let next = spec.reduce(dk, prev, values);
                             invocations += 1;
                             let diff = spec.difference(&next, prev);
@@ -300,11 +501,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
                             new_state.push((dk.clone(), next));
                         }
                         // Preserve trailing groups beyond the last state key.
-                        if stores.is_some() {
-                            for g in group_iter {
-                                chunks.push(chunk_of::<S>(g));
-                            }
-                        }
+                        chunks.extend(group_iter.filter_map(|(_, _, chunk)| chunk));
                         Ok((new_state, max_diff, changed, invocations, chunks))
                     },
                 )
@@ -336,9 +533,6 @@ impl<S: IterativeSpec> Driver<'_, S> {
             stores.append_batch_all(iteration, batches)?;
         }
         self.stage(metrics, Stage::Reduce, iteration, t);
-        // Reduce is done with the sorted runs: park them for the next pass
-        // instead of dropping the allocations.
-        self.full_runs.recycle_all(runs);
         Ok(IterationStats {
             iteration,
             max_diff,
@@ -358,7 +552,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
     ) -> Result<()> {
         // Its map invocations are not counted: the pass re-derives the
         // edges of the state the last counted pass produced.
-        let (runs, _) = self.map_sort(data, u64::MAX, true, metrics)?;
+        let (runs, _) = self.map_sort(data, u64::MAX, true, None, metrics)?;
         let t = Instant::now();
         // Chunk construction stays a Reduce-kind task per partition; the
         // appends themselves run as the store runtime's StoreMerge tasks.
@@ -373,7 +567,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
                         index: p,
                         iteration: u64::MAX,
                     },
-                    move |_| Ok(groups(run).map(|g| chunk_of::<S>(g)).collect()),
+                    move |_| Ok(groups(run).map(run_chunk).collect()),
                 )
             })
             .collect();
@@ -385,69 +579,170 @@ impl<S: IterativeSpec> Driver<'_, S> {
         Ok(())
     }
 
-    /// The prime Map → shuffle → sort prefix of a full pass: structure
-    /// groups merge-joined with their co-located state, one Map task per
-    /// partition. Returns the sorted runs and the map invocations.
+    /// The prime Map → shuffle → sort prefix of a plan-less full pass:
+    /// structure groups merge-joined with their co-located state, one Map
+    /// task per partition. Returns the sorted runs and the map invocations.
+    /// With `shuffle`, each task also records its emissions' routes and K2
+    /// hash; when they match the previous pass's, the pass builds the plan.
     fn map_sort(
         &self,
         data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
         iteration: u64,
         with_mk: bool,
+        shuffle: Option<&mut FullShuffle<S::DK>>,
         metrics: &mut JobMetrics,
     ) -> Result<(Vec<Vec<ShuffleRecord<S::DK, S::V2>>>, u64)> {
-        let spec = self.spec;
+        let (n, spec) = (self.n, self.spec);
         let t = Instant::now();
         let inputs: Vec<_> = data.structure.iter().zip(&data.state).enumerate().collect();
-        let (map_outputs, invocations) = self.map_stage(
-            iteration,
-            &self.full_runs,
-            &inputs,
-            |(structure, state), emitter, buffers| {
+        let (outputs, invocations) =
+            self.map_stage(iteration, &inputs, |(structure, state), emitter| {
                 debug_assert_eq!(structure.len(), state.len());
+                let mut buffers = ShuffleBuffers::with_pool(n, &self.full_runs);
+                let mut route: Vec<u32> = Vec::new();
+                let mut k2_hash = 0u64;
                 let mut invocations = 0u64;
                 for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
                     debug_assert!(g.dk == *dk, "structure/state misaligned");
                     for (sk, sv) in &g.records {
-                        let mk = MapKey::for_structure(&encode_to(sk));
+                        let mk = with_encoding(sk, MapKey::for_structure);
                         spec.map(sk, sv, dk, dv, emitter);
                         invocations += 1;
                         for (k2, v2) in emitter.drain() {
-                            buffers.push(k2, mk, v2, &HashPartitioner);
+                            let h = HashPartitioner::key_hash(&k2);
+                            let p = (h % n as u64) as usize;
+                            k2_hash = (k2_hash ^ h).wrapping_mul(0x0100_0000_01b3);
+                            route.push(p as u32);
+                            buffers.push_at(p, k2, mk, v2);
                         }
                     }
                 }
-                invocations
-            },
-        )?;
+                ((buffers, route, k2_hash), invocations)
+            })?;
         self.stage(metrics, Stage::Map, iteration, t);
 
         let t = Instant::now();
-        let (mut runs, recs, bytes) =
-            transpose_pooled(map_outputs, self.n, with_mk, &self.full_runs);
+        let mut map_outputs = Vec::with_capacity(n);
+        let mut routes = Vec::with_capacity(n);
+        let mut signature = Vec::with_capacity(n);
+        for (buffers, route, k2_hash) in outputs {
+            signature.push((route.len() as u64, k2_hash));
+            map_outputs.push(buffers);
+            routes.push(route);
+        }
+        let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, with_mk, &self.full_runs);
         metrics.shuffled_records += recs;
         metrics.shuffled_bytes += bytes;
         self.stage(metrics, Stage::Shuffle, iteration, t);
 
-        // Sort (pool-scheduled, unstable, one task per non-empty run).
+        // Sort (pool-scheduled, unstable, one task per non-empty run),
+        // after planning from the unsorted runs when the emission repeats.
         let t = Instant::now();
+        if let Some(shuffle) = shuffle {
+            // Slot indices are u32: plan only what they can address.
+            let addressable = signature.iter().map(|s| s.0).sum::<u64>() < u64::from(u32::MAX);
+            if addressable && shuffle.last.as_ref() == Some(&signature) {
+                // Planned passes draw nothing from the pool.
+                self.full_runs.release();
+                shuffle.plan = Some(ShufflePlan::build(&runs, &routes, with_mk));
+            }
+            shuffle.last = Some(signature);
+        }
+        drop(routes);
         sort_runs(self.pool, &mut runs, iteration)?;
         self.stage(metrics, Stage::Sort, iteration, t);
         Ok((runs, invocations))
     }
+
+    /// The Map stage of a planned pass: each task keeps only its values, in
+    /// emission order, and checks every emitted K2 against the plan. `None`
+    /// when some task's emission left the plan (nothing is metered then).
+    fn map_planned(
+        &self,
+        data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
+        iteration: u64,
+        plan: &ShufflePlan<S::DK>,
+        metrics: &mut JobMetrics,
+    ) -> Result<Option<Vec<Vec<S::V2>>>> {
+        let spec = self.spec;
+        let t = Instant::now();
+        let inputs: Vec<_> = data
+            .structure
+            .iter()
+            .zip(&data.state)
+            .zip(&plan.emits)
+            .enumerate()
+            .collect();
+        let (outputs, invocations) = self.map_stage(
+            iteration,
+            &inputs,
+            |((structure, state), emits), emitter| {
+                let mut values = Vec::with_capacity(emits.len());
+                let mut value_bytes = 0u64;
+                let mut invocations = 0u64;
+                for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
+                    for (sk, sv) in &g.records {
+                        spec.map(sk, sv, dk, dv, emitter);
+                        invocations += 1;
+                        for (k2, v2) in emitter.drain() {
+                            match emits.get(values.len()) {
+                                Some(&(r, gi))
+                                    if plan.parts[r as usize].keys[gi as usize] == k2 => {}
+                                _ => return (None, invocations),
+                            }
+                            value_bytes += v2.encoded_len() as u64;
+                            values.push(v2);
+                        }
+                    }
+                }
+                let complete = values.len() == emits.len();
+                (complete.then_some((values, value_bytes)), invocations)
+            },
+        )?;
+        self.stage(metrics, Stage::Map, iteration, t);
+        let Some(outputs) = outputs.into_iter().collect::<Option<Vec<_>>>() else {
+            return Ok(None);
+        };
+        metrics.map_invocations += invocations;
+
+        // The shuffle is the plan; meter the records it moves exactly as
+        // `transpose` meters them.
+        let t = Instant::now();
+        let records: u64 = outputs.iter().map(|(v, _)| v.len() as u64).sum();
+        let value_bytes: u64 = outputs.iter().map(|(_, b)| b).sum();
+        let mk_bytes = if plan.with_mk {
+            records * MK_WIRE_BYTES
+        } else {
+            0
+        };
+        metrics.shuffled_records += records;
+        metrics.shuffled_bytes += plan.key_bytes + value_bytes + mk_bytes;
+        self.stage(metrics, Stage::Shuffle, iteration, t);
+        Ok(Some(
+            outputs.into_iter().map(|(values, _)| values).collect(),
+        ))
+    }
 }
 
-/// Build the preserved chunk for one sorted (K2, MK, V2) group.
-fn chunk_of<S: IterativeSpec>(group: &[(S::DK, MapKey, S::V2)]) -> Chunk {
+/// The preserved chunk of one group: its key and `(MK, value)` entries.
+fn chunk_of<'v, K: Codec, V: Codec + 'v>(
+    key: &K,
+    entries: impl Iterator<Item = (MapKey, &'v V)>,
+) -> Chunk {
     Chunk::new(
-        encode_to(&group[0].0),
-        group
-            .iter()
-            .map(|(_, mk, v)| ChunkEntry {
-                mk: *mk,
+        encode_to(key),
+        entries
+            .map(|(mk, v)| ChunkEntry {
+                mk,
                 value: encode_to(v),
             })
             .collect(),
     )
+}
+
+/// The preserved chunk of one sorted `(K2, MK, V2)` run group.
+fn run_chunk<K: Codec, V: Codec>(group: &[ShuffleRecord<K, V>]) -> Chunk {
+    chunk_of(&group[0].0, group.iter().map(|(_, mk, v)| (*mk, v)))
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@
 //! default [`HashPartitioner`] hashes the key's canonical `Codec` encoding
 //! with the workspace's stable xxhash64, so partition decisions are
 //! reproducible across jobs and across process restarts — a prerequisite for
-//! finding preserved MRBG-Store chunks again.
+//! finding preserved MRBG-Store chunks again. The encoding goes through a
+//! reused per-thread buffer ([`with_encoding`]), so routing a record
+//! allocates nothing.
 
-use i2mr_common::codec::{encode_to, Codec};
+use i2mr_common::codec::{with_encoding, Codec};
 use i2mr_common::hash::stable_hash64;
 
 /// Maps a key to one of `n` partitions.
@@ -30,11 +32,18 @@ pub struct HashPartitioner;
 impl<K: Codec> Partitioner<K> for HashPartitioner {
     fn partition(&self, key: &K, n: usize) -> usize {
         debug_assert!(n > 0, "partition count must be positive");
-        (stable_hash64(&encode_to(key)) % n as u64) as usize
+        (Self::key_hash(key) % n as u64) as usize
     }
 }
 
 impl HashPartitioner {
+    /// The stable hash a key is partitioned by (`partition = hash mod n`),
+    /// for callers that also want the hash itself.
+    #[inline]
+    pub fn key_hash<K: Codec>(key: &K) -> u64 {
+        with_encoding(key, stable_hash64)
+    }
+
     /// Partition pre-encoded key bytes; used where keys are already at rest.
     pub fn partition_bytes(key_bytes: &[u8], n: usize) -> usize {
         debug_assert!(n > 0, "partition count must be positive");
@@ -67,6 +76,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use i2mr_common::codec::encode_to;
 
     #[test]
     fn hash_partitioner_is_stable_and_in_range() {

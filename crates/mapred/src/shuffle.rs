@@ -75,6 +75,12 @@ impl<K2, V2> RunPool<K2, V2> {
         }
     }
 
+    /// Drop every idle buffer and its capacity (an engine that stops using
+    /// the pool gives the memory back).
+    pub fn release(&self) {
+        self.free.lock().clear();
+    }
+
     /// Number of idle buffers currently pooled.
     pub fn idle(&self) -> usize {
         self.free.lock().len()
@@ -117,6 +123,12 @@ impl<K2: KeyData, V2: ValueData> ShuffleBuffers<K2, V2> {
         partitioner: &(impl Partitioner<K2> + ?Sized),
     ) {
         let p = partitioner.partition(&key, self.parts.len());
+        self.parts[p].push((key, mk, value));
+    }
+
+    /// Route one record to partition `p`, already decided by the caller.
+    #[inline]
+    pub fn push_at(&mut self, p: usize, key: K2, mk: MapKey, value: V2) {
         self.parts[p].push((key, mk, value));
     }
 
@@ -417,6 +429,10 @@ mod tests {
         assert!(b.is_empty(), "recycled buffers come back cleared");
         assert_eq!(b.capacity(), cap, "recycled buffers keep their capacity");
         assert_eq!(pool.idle(), 0);
+        pool.recycle(b);
+        pool.release();
+        assert_eq!(pool.idle(), 0, "release drops the idle buffers");
+        assert_eq!(pool.take().capacity(), 0);
     }
 
     #[test]

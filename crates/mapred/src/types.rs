@@ -97,7 +97,10 @@ where
 /// * [`Values::group`] — a contiguous `(K2, MK, V2)` slice of a sorted
 ///   shuffle run (the hot path: no copy, no allocation);
 /// * [`Values::slice`] — a plain `&[V2]` (values decoded from the
-///   MRBG-Store during incremental reduce, or test fixtures).
+///   MRBG-Store during incremental reduce, or test fixtures);
+/// * [`Values::gather`] — values scattered over several source vectors,
+///   read in the order a slot list names them (a full pass replaying its
+///   shuffle plan: each map task's values stay where the task left them).
 ///
 /// The view is `Copy`, indexable, and iterable (`for v in vals`,
 /// `vals.iter().sum()`, `vals[0]`), so most reducer bodies read exactly as
@@ -111,6 +114,7 @@ pub struct Values<'a, K, V> {
 enum ValuesRepr<'a, K, V> {
     Group(&'a [(K, MapKey, V)]),
     Slice(&'a [V]),
+    Gather(&'a [Vec<V>], &'a [(u32, u32)]),
 }
 
 // Manual Clone/Copy: the view only holds references, so it is copyable
@@ -145,6 +149,15 @@ impl<'a, K, V> Values<'a, K, V> {
         }
     }
 
+    /// View `sources[s][i]` for each `(s, i)` of `slots`, in slot order.
+    /// No value is cloned; an out-of-range slot panics on access.
+    #[inline]
+    pub fn gather(sources: &'a [Vec<V>], slots: &'a [(u32, u32)]) -> Self {
+        Values {
+            repr: ValuesRepr::Gather(sources, slots),
+        }
+    }
+
     /// The empty view (a key with no intermediate values this iteration).
     #[inline]
     pub fn empty() -> Self {
@@ -159,6 +172,7 @@ impl<'a, K, V> Values<'a, K, V> {
         match self.repr {
             ValuesRepr::Group(r) => r.len(),
             ValuesRepr::Slice(s) => s.len(),
+            ValuesRepr::Gather(_, slots) => slots.len(),
         }
     }
 
@@ -174,6 +188,9 @@ impl<'a, K, V> Values<'a, K, V> {
         match self.repr {
             ValuesRepr::Group(r) => r.get(i).map(|(_, _, v)| v),
             ValuesRepr::Slice(s) => s.get(i),
+            ValuesRepr::Gather(sources, slots) => {
+                slots.get(i).map(|&(s, j)| &sources[s as usize][j as usize])
+            }
         }
     }
 
@@ -316,9 +333,12 @@ mod tests {
         let records: Vec<(u64, MapKey, u32)> =
             vec![(7, MapKey(0), 10), (7, MapKey(1), 11), (7, MapKey(2), 12)];
         let flat = [10u32, 11, 12];
+        let sources = vec![vec![12u32, 99], vec![], vec![0, 10, 11]];
+        let slots = [(2u32, 1u32), (2, 2), (0, 0)];
         let a: Values<u64, u32> = Values::group(&records);
         let b: Values<u64, u32> = Values::slice(&flat);
-        for v in [a, b] {
+        let c: Values<u64, u32> = Values::gather(&sources, &slots);
+        for v in [a, b, c] {
             assert_eq!(v.len(), 3);
             assert!(!v.is_empty());
             assert_eq!(v[0], 10);

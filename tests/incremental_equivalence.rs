@@ -331,6 +331,14 @@ fn fault_injected_iterative_run_equals_clean_run() {
 
 #[test]
 fn checkpoint_recovery_resumes_incremental_run() {
+    // Cadence 3 leaves most passes unsaved: the completed refresh must
+    // still be the latest complete checkpoint.
+    for cadence in [1, 3] {
+        checkpoint_recovery_resumes_incremental_run_at(cadence);
+    }
+}
+
+fn checkpoint_recovery_resumes_incremental_run_at(cadence: u64) {
     use i2mapreduce::core::IterCheckpointer;
     use i2mapreduce::store::StoreManager;
 
@@ -338,7 +346,7 @@ fn checkpoint_recovery_resumes_incremental_run() {
     let pool = WorkerPool::new(2);
     let spec = pagerank::PageRank::default();
     let graph = GraphGen::new(150, 1000, 0xCE).generate();
-    let dir = scratch("ckpt-resume");
+    let dir = scratch(&format!("ckpt-resume-{cadence}"));
 
     let (mut data, stores, _) = pagerank::i2mr_initial(
         &pool,
@@ -354,7 +362,7 @@ fn checkpoint_recovery_resumes_incremental_run() {
     .unwrap();
 
     let dfs = i2mapreduce::dfs::MiniDfs::open_with(dir.join("dfs"), 1 << 20, 2).unwrap();
-    let ck = IterCheckpointer::new(&dfs, "resume-test", 2);
+    let ck = IterCheckpointer::new(&dfs, "resume-test", 2).with_cadence(cadence);
 
     let delta = graph_delta(&graph, DeltaSpec::ten_percent(0xD1));
     let (report, _) = pagerank::i2mr_incremental(

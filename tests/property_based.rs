@@ -15,6 +15,9 @@
 //! * **Codec round-trips** for composite kv types.
 //! * **Partitioning co-location**: arbitrary structure keys always land in
 //!   their projected state key's partition.
+//! * **Full-pass shuffle plans**: planned full passes equal a plain loop
+//!   bit for bit when keys change under equal counts, when the emission
+//!   grows (SSSP from scratch), and across a rewind inside a planned pass.
 
 use i2mapreduce::common::codec::{decode_exact, encode_to};
 use i2mapreduce::common::hash::MapKey;
@@ -918,4 +921,358 @@ proptest! {
         // Not a single state bit moved.
         prop_assert_eq!(data.state_snapshot(), before);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Full-pass shuffle plans
+// ---------------------------------------------------------------------------
+//
+// Once two consecutive full passes emit the same K2 sequence, later passes
+// replay a shuffle plan instead of partitioning and sorting (planned passes
+// run no Sort task). Each test compares the engine against a plain loop
+// with no spec substrate, so a plan that misroutes a value, survives a
+// change of emission, or outlives a rewind shows as a wrong bit.
+
+use i2mapreduce::common::codec::Codec;
+use i2mapreduce::common::failpoint::{FailAction, FailSite, FailpointRegistry};
+use i2mapreduce::common::telemetry::{EventKind, TelemetryConfig, TelemetryMode, TraceLog};
+use i2mapreduce::mapred::pool::PoolConfig;
+use std::sync::Arc;
+
+/// One emission per record, whose K2 follows the state: every vertex hops
+/// to the next of its three targets each third pass, so the K2 sequence
+/// holds for three passes and then changes while every count stays put.
+struct Hop;
+
+/// `Hop`'s pick among a record's targets at `step`.
+fn hop_target(targets: &[u64], step: u64) -> u64 {
+    targets[(step / 3) as usize % targets.len()]
+}
+
+/// `Hop`'s value for a record emitted from state `acc`.
+fn hop_value(sk: u64, acc: u64) -> u64 {
+    acc.wrapping_mul(31).wrapping_add(sk)
+}
+
+/// `Hop`'s reduce over a state and the wrapping sum of its values.
+fn hop_next((step, acc): (u64, u64), sum: u64) -> (u64, u64) {
+    (step + 1, acc.wrapping_mul(3).wrapping_add(sum))
+}
+
+impl IterativeSpec for Hop {
+    type SK = u64;
+    type SV = Vec<u64>;
+    type DK = u64;
+    type DV = (u64, u64);
+    type V2 = u64;
+
+    fn project(&self, sk: &u64) -> u64 {
+        *sk
+    }
+    fn map(
+        &self,
+        sk: &u64,
+        sv: &Vec<u64>,
+        _dk: &u64,
+        dv: &(u64, u64),
+        out: &mut Emitter<u64, u64>,
+    ) {
+        out.emit(hop_target(sv, dv.0), hop_value(*sk, dv.1));
+    }
+    fn reduce(&self, _dk: &u64, prev: &(u64, u64), values: Values<'_, u64, u64>) -> (u64, u64) {
+        hop_next(*prev, values.iter().fold(0, |a, v| a.wrapping_add(*v)))
+    }
+    fn init(&self, dk: &u64) -> (u64, u64) {
+        (0, *dk)
+    }
+    fn difference(&self, curr: &(u64, u64), prev: &(u64, u64)) -> f64 {
+        f64::from(u8::from(curr != prev))
+    }
+    fn dependency(&self) -> DependencyKind {
+        DependencyKind::OneToOne
+    }
+}
+
+fn hop_graph(n: u64) -> Vec<(u64, Vec<u64>)> {
+    (0..n)
+        .map(|i| (i, vec![(i * 7 + 1) % n, (i * 13 + 5) % n, (i + n / 2) % n]))
+        .collect()
+}
+
+/// Iterations in `1..=last` that ran no Sort task: the planned passes.
+fn planned_passes(trace: &TraceLog, last: u64) -> Vec<u64> {
+    assert_eq!(trace.dropped(), 0, "the trace must be complete");
+    let sorted: std::collections::BTreeSet<u64> = trace
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::TaskStart { task, .. } if task.kind == "sort" => Some(task.iteration),
+            _ => None,
+        })
+        .collect();
+    (1..=last).filter(|i| !sorted.contains(i)).collect()
+}
+
+#[test]
+fn planned_full_passes_follow_keys_that_change_under_equal_counts() {
+    const N: u64 = 90;
+    const PASSES: u64 = 12;
+    for preserve in [PreserveMode::None, PreserveMode::EveryIteration] {
+        let graph = hop_graph(N);
+        // The plain loop: state, shuffle metering and — when preserving —
+        // the live MRBGraph (each K2's latest chunk) after every pass.
+        let mut state: BTreeMap<u64, (u64, u64)> = (0..N).map(|v| (v, Hop.init(&v))).collect();
+        let mut chunks: BTreeMap<Vec<u8>, Chunk> = BTreeMap::new();
+        let mut metered = Vec::new();
+        for _ in 0..PASSES {
+            let mut groups: BTreeMap<u64, Vec<(MapKey, u64)>> = BTreeMap::new();
+            let mut bytes = 0u64;
+            for (sk, targets) in &graph {
+                let (step, acc) = state[sk];
+                let (k2, v2) = (hop_target(targets, step), hop_value(*sk, acc));
+                bytes += (k2.encoded_len() + v2.encoded_len()) as u64;
+                let mk = MapKey::for_structure(&encode_to(sk));
+                groups.entry(k2).or_default().push((mk, v2));
+            }
+            if preserve == PreserveMode::EveryIteration {
+                bytes += 2 * graph.len() as u64; // MK wire bytes
+            }
+            metered.push((graph.len() as u64, bytes));
+            for (v, s) in state.iter_mut() {
+                let sum = groups
+                    .get(v)
+                    .map_or(0, |g| g.iter().fold(0u64, |a, (_, x)| a.wrapping_add(*x)));
+                *s = hop_next(*s, sum);
+            }
+            for (k2, entries) in groups {
+                let entries = entries
+                    .into_iter()
+                    .map(|(mk, v)| ChunkEntry {
+                        mk,
+                        value: encode_to(&v),
+                    })
+                    .collect();
+                chunks.insert(encode_to(&k2), Chunk::new(encode_to(&k2), entries));
+            }
+        }
+
+        let pool = WorkerPool::new(3);
+        let stores = StoreManager::create(
+            &pool,
+            scratch(&format!("plan-hop-{preserve:?}")),
+            3,
+            Default::default(),
+        )
+        .unwrap();
+        let mut builder = RunBuilder::new(&Hop)
+            .pool(&pool)
+            .job(JobConfig::symmetric(3))
+            .iter(IterParams {
+                max_iterations: PASSES,
+                epsilon: 0.0,
+                preserve,
+            })
+            .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full));
+        if preserve == PreserveMode::EveryIteration {
+            builder = builder.stores_ref(&stores);
+        }
+        let session = builder.build().unwrap();
+        let mut data = i2mapreduce::core::build_partitioned(&Hop, 3, graph.clone());
+        let report = session.run_initial(&mut data).unwrap();
+        let trace = session.finish().unwrap().trace.expect("Full trace");
+
+        assert_eq!(data.state_snapshot(), state.into_iter().collect::<Vec<_>>());
+        let got: Vec<(u64, u64)> = report
+            .per_iteration
+            .iter()
+            .map(|m| (m.shuffled_records, m.shuffled_bytes))
+            .collect();
+        assert_eq!(got, metered, "{preserve:?}: shuffle metering");
+        if preserve == PreserveMode::EveryIteration {
+            let mut live = Vec::new();
+            for p in 0..3 {
+                live.extend(stores.with_store(p, |s| s.all_chunks()).unwrap());
+            }
+            live.sort_by(|a, b| a.key.cmp(&b.key));
+            assert_eq!(live, chunks.into_values().collect::<Vec<_>>());
+        }
+        // Plans were used, and a pass whose keys moved ran plan-less again.
+        let planned = planned_passes(&trace, PASSES);
+        assert!(!planned.is_empty(), "{preserve:?}: no pass was planned");
+        assert!(
+            (planned[0]..=PASSES).any(|i| !planned.contains(&i)),
+            "{preserve:?}: a changed emission must drop the plan ({planned:?})"
+        );
+    }
+}
+
+#[test]
+fn sssp_from_scratch_with_growing_emission_matches_bellman_ford() {
+    let spec = i2mapreduce::algos::sssp::Sssp { source: 0 };
+    let n = 300u64;
+    let mut rng = 0x5eed_u64;
+    let mut next = move || {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        rng >> 33
+    };
+    // Integral weights: every path sum is exact, so the comparison is
+    // bit for bit.
+    let graph: Vec<(u64, Vec<(u64, f64)>)> = (0..n)
+        .map(|v| {
+            let edges = (0..next() % 4)
+                .map(|_| (next() % n, (1 + next() % 9) as f64))
+                .collect();
+            (v, edges)
+        })
+        .collect();
+
+    let mut dist: BTreeMap<u64, f64> = (0..n).map(|v| (v, spec.init(&v))).collect();
+    loop {
+        let mut best: BTreeMap<u64, f64> = BTreeMap::new();
+        for (u, edges) in &graph {
+            if dist[u].is_finite() {
+                for (v, w) in edges {
+                    let d = best.entry(*v).or_insert(f64::INFINITY);
+                    *d = d.min(dist[u] + w);
+                }
+            }
+        }
+        let relaxed: BTreeMap<u64, f64> = dist
+            .keys()
+            .map(|&v| {
+                (
+                    v,
+                    if v == 0 {
+                        0.0
+                    } else {
+                        best.get(&v).copied().unwrap_or(f64::INFINITY)
+                    },
+                )
+            })
+            .collect();
+        if relaxed == dist {
+            break;
+        }
+        dist = relaxed;
+    }
+
+    let pool = WorkerPool::new(3);
+    let session = RunBuilder::new(&spec)
+        .pool(&pool)
+        .job(JobConfig::symmetric(3))
+        .iter(IterParams {
+            max_iterations: 400,
+            epsilon: 1e-12,
+            preserve: PreserveMode::None,
+        })
+        .build()
+        .unwrap();
+    let mut data = i2mapreduce::core::build_partitioned(&spec, 3, graph);
+    assert!(session.run_initial(&mut data).unwrap().converged);
+    let got: Vec<(u64, u64)> = data
+        .state_snapshot()
+        .into_iter()
+        .map(|(v, d)| (v, d.to_bits()))
+        .collect();
+    let want: Vec<(u64, u64)> = dist.into_iter().map(|(v, d)| (v, d.to_bits())).collect();
+    assert_eq!(got, want);
+    assert!(want.iter().any(|(_, d)| f64::from_bits(*d).is_infinite()));
+    assert!(
+        want.iter()
+            .filter(|(_, d)| f64::from_bits(*d).is_finite())
+            .count()
+            > 10
+    );
+}
+
+#[test]
+fn rewind_inside_a_planned_pass_replays_bit_identically() {
+    // Stride 5 makes the in-shares uneven: the ranks move off 1.0.
+    let graph = ws_graph(60, 5);
+    let iter = IterParams {
+        max_iterations: 200,
+        epsilon: 1e-12,
+        preserve: PreserveMode::None,
+    };
+    let run = |pool: &WorkerPool, tag: &str| {
+        let dfs = i2mapreduce::dfs::MiniDfs::open_with(scratch(tag), 1 << 20, 2).unwrap();
+        let session = RunBuilder::new(&PropRank)
+            .pool(pool)
+            .job(JobConfig::symmetric(3))
+            .iter(iter)
+            .checkpoint(&dfs, tag)
+            .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full))
+            .build()
+            .unwrap();
+        let mut data = i2mapreduce::core::build_partitioned(&PropRank, 3, graph.clone());
+        let report = session.run_initial(&mut data).unwrap();
+        let trace = session.finish().unwrap().trace.expect("Full trace");
+        (data, report, trace)
+    };
+
+    let (want, clean, trace) = run(&WorkerPool::new(3), "plan-rewind-clean");
+    assert!(clean.converged);
+    let last = clean.n_iterations();
+    let first_planned = planned_passes(&trace, last)[0];
+    // Task attempts are the failpoint's hits; those of the plan-less
+    // passes come first.
+    let attempts = |pred: &dyn Fn(u64) -> bool| {
+        trace
+            .iter()
+            .filter(
+                |e| matches!(&e.kind, EventKind::TaskStart { task, .. } if pred(task.iteration)),
+            )
+            .count() as u64
+    };
+    let before = attempts(&|i| i < first_planned);
+    let total = attempts(&|_| true);
+    assert!(total > before + 12, "the run must plan for several passes");
+
+    // A seed whose single fault lands on a task of a planned pass.
+    let armed = |seed: u64| {
+        FailpointRegistry::seeded(seed, 1).arm(FailSite::TaskRun, 0.02, FailAction::Error)
+    };
+    let seed = (0..10_000u64)
+        .find(|&seed| {
+            let probe = armed(seed);
+            let first = (0..total).find(|_| probe.hit(FailSite::TaskRun).is_some());
+            first.is_some_and(|k| k >= before && k + 6 < total)
+        })
+        .expect("a seed that faults a planned pass");
+    let fp = Arc::new(armed(seed));
+    let faulty = WorkerPool::with_config(PoolConfig {
+        max_attempts: 1,
+        failpoints: Arc::clone(&fp),
+        ..PoolConfig::new(3)
+    });
+    let (got, report, trace) = run(&faulty, "plan-rewind-faulty");
+    assert_eq!(fp.fired(), 1);
+    let failed: Vec<u64> = trace
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::TaskEnd {
+                task, ok: false, ..
+            } => Some(task.iteration),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failed.len(), 1);
+    assert!(
+        failed[0] >= first_planned,
+        "the fault must hit a planned pass"
+    );
+    assert!(
+        report.total_metrics().recovery_ms > 0,
+        "the run must have rewound"
+    );
+    assert!(report.converged);
+    assert_eq!(report.n_iterations(), last);
+    let bits = |d: &i2mapreduce::core::PartitionedData<u64, Vec<u64>, u64, f64>| {
+        d.state_snapshot()
+            .into_iter()
+            .map(|(k, v)| (k, v.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&got), bits(&want));
 }

@@ -24,10 +24,11 @@
 //! the values follow the state: every pass routes and sorts the same K2
 //! sequence. So the loop-invariant side is processed once per run (Ewen
 //! et al.'s bulk iterations): a plan-less pass records each map task's
-//! routes and a K2-sequence signature, and once two consecutive passes
-//! agree it builds a `ShufflePlan` — per reduce partition, the sorted
-//! group keys and which map emission fills each slot. A planned pass maps
-//! values only, checks every emitted K2 against the plan, and reduces
+//! routes, per-record emission ends and a K2-sequence signature, and once
+//! two consecutive passes agree it builds a `ShufflePlan` — per reduce
+//! partition, the sorted group keys and which map emission fills each
+//! slot. A planned pass maps values only, checks every emitted K2 and
+//! every record's emission count against the plan, and reduces
 //! through [`Values::gather`]; any disagreement drops the plan and re-runs
 //! the pass plan-less from the map. The driver drops the plan at every
 //! MRBG pass and every rewind.
@@ -277,6 +278,10 @@ pub(crate) struct ShufflePlan<K> {
     /// `[map partition][emission index]` → `(reduce partition, group)`:
     /// the K2 each emission must carry.
     emits: Vec<Vec<(u32, u32)>>,
+    /// `[map partition][record]` → one past the record's last emission:
+    /// which record each emission must come from (its MK, and so its
+    /// place in the `(K2, MK)` order).
+    record_ends: Vec<Vec<u32>>,
     /// Encoded K2 bytes summed over every slot (shuffle byte metering).
     key_bytes: u64,
     /// Whether the slots carry MKs (the planning pass preserved).
@@ -284,10 +289,16 @@ pub(crate) struct ShufflePlan<K> {
 }
 
 impl<K: KeyData> ShufflePlan<K> {
-    /// Plan a pass from its unsorted runs and the reduce partition each
-    /// map task sent each of its emissions to. Slots follow `(K2, MK)`;
-    /// equal pairs keep emission order.
-    fn build<V>(runs: &[Vec<ShuffleRecord<K, V>>], routes: &[Vec<u32>], with_mk: bool) -> Self {
+    /// Plan a pass from its unsorted runs, the reduce partition each map
+    /// task sent each of its emissions to, and each task's per-record
+    /// emission ends. Slots follow `(K2, MK)`; equal pairs keep emission
+    /// order.
+    fn build<V>(
+        runs: &[Vec<ShuffleRecord<K, V>>],
+        routes: &[Vec<u32>],
+        record_ends: Vec<Vec<u32>>,
+        with_mk: bool,
+    ) -> Self {
         const UNSET: (u32, u32) = (u32::MAX, u32::MAX);
         // Run r holds map task 0's emissions to r, then task 1's, …, each
         // in emission order (`transpose`).
@@ -353,6 +364,7 @@ impl<K: KeyData> ShufflePlan<K> {
         ShufflePlan {
             parts,
             emits,
+            record_ends,
             key_bytes,
             with_mk,
         }
@@ -360,8 +372,9 @@ impl<K: KeyData> ShufflePlan<K> {
 }
 
 /// What a run's full passes know about their shuffle: the emission
-/// signature of the last plan-less pass — `(emissions, K2-sequence hash)`
-/// per map task — and the plan built once two consecutive passes agreed.
+/// signature of the last plan-less pass — `(emissions, hash of the K2
+/// sequence and record boundaries)` per map task — and the plan built once
+/// two consecutive passes agreed.
 /// The driver resets it whenever the structure may have changed.
 pub(crate) struct FullShuffle<K> {
     last: Option<Vec<(u64, u64)>>,
@@ -582,8 +595,9 @@ impl<S: IterativeSpec> Driver<'_, S> {
     /// The prime Map → shuffle → sort prefix of a plan-less full pass:
     /// structure groups merge-joined with their co-located state, one Map
     /// task per partition. Returns the sorted runs and the map invocations.
-    /// With `shuffle`, each task also records its emissions' routes and K2
-    /// hash; when they match the previous pass's, the pass builds the plan.
+    /// With `shuffle`, each task also records its emissions' routes, its
+    /// records' emission ends and their hash; when they match the previous
+    /// pass's, the pass builds the plan.
     fn map_sort(
         &self,
         data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
@@ -600,6 +614,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
                 debug_assert_eq!(structure.len(), state.len());
                 let mut buffers = ShuffleBuffers::with_pool(n, &self.full_runs);
                 let mut route: Vec<u32> = Vec::new();
+                let mut ends: Vec<u32> = Vec::with_capacity(structure.len());
                 let mut k2_hash = 0u64;
                 let mut invocations = 0u64;
                 for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
@@ -615,20 +630,24 @@ impl<S: IterativeSpec> Driver<'_, S> {
                             route.push(p as u32);
                             buffers.push_at(p, k2, mk, v2);
                         }
+                        ends.push(route.len() as u32);
+                        k2_hash = (k2_hash ^ route.len() as u64).wrapping_mul(0x0100_0000_01b3);
                     }
                 }
-                ((buffers, route, k2_hash), invocations)
+                ((buffers, route, ends, k2_hash), invocations)
             })?;
         self.stage(metrics, Stage::Map, iteration, t);
 
         let t = Instant::now();
         let mut map_outputs = Vec::with_capacity(n);
         let mut routes = Vec::with_capacity(n);
+        let mut record_ends = Vec::with_capacity(n);
         let mut signature = Vec::with_capacity(n);
-        for (buffers, route, k2_hash) in outputs {
+        for (buffers, route, ends, k2_hash) in outputs {
             signature.push((route.len() as u64, k2_hash));
             map_outputs.push(buffers);
             routes.push(route);
+            record_ends.push(ends);
         }
         let (mut runs, recs, bytes) = transpose_pooled(map_outputs, n, with_mk, &self.full_runs);
         metrics.shuffled_records += recs;
@@ -644,7 +663,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
             if addressable && shuffle.last.as_ref() == Some(&signature) {
                 // Planned passes draw nothing from the pool.
                 self.full_runs.release();
-                shuffle.plan = Some(ShufflePlan::build(&runs, &routes, with_mk));
+                shuffle.plan = Some(ShufflePlan::build(&runs, &routes, record_ends, with_mk));
             }
             shuffle.last = Some(signature);
         }
@@ -655,8 +674,9 @@ impl<S: IterativeSpec> Driver<'_, S> {
     }
 
     /// The Map stage of a planned pass: each task keeps only its values, in
-    /// emission order, and checks every emitted K2 against the plan. `None`
-    /// when some task's emission left the plan (nothing is metered then).
+    /// emission order, and checks every emitted K2 and every record's
+    /// emission count against the plan. `None` when some task's emission
+    /// left the plan (nothing is metered then).
     fn map_planned(
         &self,
         data: &PartitionedData<S::SK, S::SV, S::DK, S::DV>,
@@ -670,16 +690,17 @@ impl<S: IterativeSpec> Driver<'_, S> {
             .structure
             .iter()
             .zip(&data.state)
-            .zip(&plan.emits)
+            .zip(plan.emits.iter().zip(&plan.record_ends))
             .enumerate()
             .collect();
         let (outputs, invocations) = self.map_stage(
             iteration,
             &inputs,
-            |((structure, state), emits), emitter| {
+            |((structure, state), (emits, ends)), emitter| {
                 let mut values = Vec::with_capacity(emits.len());
                 let mut value_bytes = 0u64;
                 let mut invocations = 0u64;
+                let mut ends = ends.iter();
                 for (g, (dk, dv)) in structure.iter().zip(state.iter()) {
                     for (sk, sv) in &g.records {
                         spec.map(sk, sv, dk, dv, emitter);
@@ -693,9 +714,14 @@ impl<S: IterativeSpec> Driver<'_, S> {
                             value_bytes += v2.encoded_len() as u64;
                             values.push(v2);
                         }
+                        // The slot's MK is the planning record's: another
+                        // record emitting the same K2 must miss.
+                        if ends.next() != Some(&(values.len() as u32)) {
+                            return (None, invocations);
+                        }
                     }
                 }
-                let complete = values.len() == emits.len();
+                let complete = ends.next().is_none() && values.len() == emits.len();
                 (complete.then_some((values, value_bytes)), invocations)
             },
         )?;

@@ -1012,6 +1012,92 @@ fn planned_passes(trace: &TraceLog, last: u64) -> Vec<u64> {
     (1..=last).filter(|i| !sorted.contains(i)).collect()
 }
 
+/// What an engine run of full passes left behind, for comparison with a
+/// plain loop.
+struct FullPassRun<DK, DV> {
+    state: Vec<(DK, DV)>,
+    /// `(shuffled_records, shuffled_bytes)` per pass.
+    metered: Vec<(u64, u64)>,
+    /// Every shard's live chunks, ascending by key; empty unless preserving.
+    live: Vec<Chunk>,
+    /// The passes that ran no Sort task.
+    planned: Vec<u64>,
+}
+
+/// Run exactly `passes` full passes of `spec` over `graph` on three
+/// partitions, preserving into a fresh store under `EveryIteration`.
+fn run_full_passes<S: IterativeSpec>(
+    spec: &S,
+    graph: Vec<(S::SK, S::SV)>,
+    passes: u64,
+    preserve: PreserveMode,
+    tag: &str,
+) -> FullPassRun<S::DK, S::DV> {
+    let pool = WorkerPool::new(3);
+    let stores = StoreManager::create(
+        &pool,
+        scratch(&format!("{tag}-{preserve:?}")),
+        3,
+        Default::default(),
+    )
+    .unwrap();
+    let mut builder = RunBuilder::new(spec)
+        .pool(&pool)
+        .job(JobConfig::symmetric(3))
+        .iter(IterParams {
+            max_iterations: passes,
+            epsilon: 0.0,
+            preserve,
+        })
+        .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full));
+    if preserve == PreserveMode::EveryIteration {
+        builder = builder.stores_ref(&stores);
+    }
+    let session = builder.build().unwrap();
+    let mut data = i2mapreduce::core::build_partitioned(spec, 3, graph);
+    let report = session.run_initial(&mut data).unwrap();
+    assert_eq!(report.n_iterations(), passes);
+    let trace = session.finish().unwrap().trace.expect("Full trace");
+    let mut live = Vec::new();
+    if preserve == PreserveMode::EveryIteration {
+        for p in 0..3 {
+            live.extend(stores.with_store(p, |s| s.all_chunks()).unwrap());
+        }
+        live.sort_by(|a, b| a.key.cmp(&b.key));
+    }
+    FullPassRun {
+        state: data.state_snapshot(),
+        metered: report
+            .per_iteration
+            .iter()
+            .map(|m| (m.shuffled_records, m.shuffled_bytes))
+            .collect(),
+        live,
+        planned: planned_passes(&trace, passes),
+    }
+}
+
+/// A K2's preserved chunk holding `entries` in MK order.
+fn plain_chunk(k2: u64, entries: &[(MapKey, u64)]) -> Chunk {
+    let entries = entries
+        .iter()
+        .map(|(mk, v)| ChunkEntry {
+            mk: *mk,
+            value: encode_to(v),
+        })
+        .collect();
+    Chunk::new(encode_to(&k2), entries)
+}
+
+/// Plans were used, and a pass whose emission moved ran plan-less again.
+fn assert_plans_dropped(planned: &[u64], passes: u64, what: &str) {
+    assert!(!planned.is_empty(), "{what}: no pass was planned");
+    assert!(
+        (planned[0]..=passes).any(|i| !planned.contains(&i)),
+        "{what}: a changed emission must drop the plan ({planned:?})"
+    );
+}
+
 #[test]
 fn planned_full_passes_follow_keys_that_change_under_equal_counts() {
     const N: u64 = 90;
@@ -1043,65 +1129,125 @@ fn planned_full_passes_follow_keys_that_change_under_equal_counts() {
                     .map_or(0, |g| g.iter().fold(0u64, |a, (_, x)| a.wrapping_add(*x)));
                 *s = hop_next(*s, sum);
             }
+            for (k2, mut entries) in groups {
+                entries.sort_unstable();
+                chunks.insert(encode_to(&k2), plain_chunk(k2, &entries));
+            }
+        }
+
+        let got = run_full_passes(&Hop, graph, PASSES, preserve, "plan-hop");
+        assert_eq!(got.state, state.into_iter().collect::<Vec<_>>());
+        assert_eq!(got.metered, metered, "{preserve:?}: shuffle metering");
+        if preserve == PreserveMode::EveryIteration {
+            assert_eq!(got.live, chunks.into_values().collect::<Vec<_>>());
+        }
+        assert_plans_dropped(&got.planned, PASSES, &format!("{preserve:?}"));
+    }
+}
+
+/// Two records per vertex, `(v, 0)` and `(v, 1)`, both pointing at one
+/// target; they take turns emitting to it, swapping every third pass. Each
+/// map task's K2 sequence and emission count never change, but the MK of
+/// every emission does, and with it each group's `(K2, MK)` order — which
+/// the reduce's order-sensitive fold reads.
+struct Turns;
+
+/// Whether record `side` of a vertex emits at `step`.
+fn turns_active(side: u64, step: u64) -> bool {
+    side == (step / 3) % 2
+}
+
+/// `Turns`'s value for record `(v, side)` emitted from state `acc`.
+fn turns_value((v, side): (u64, u64), acc: u64) -> u64 {
+    acc.wrapping_mul(31).wrapping_add(2 * v + side)
+}
+
+/// `Turns`'s reduce over a state and its values in `(K2, MK)` order.
+fn turns_next((step, acc): (u64, u64), values: impl Iterator<Item = u64>) -> (u64, u64) {
+    let acc = values.fold(acc.wrapping_mul(3), |a, v| {
+        a.wrapping_mul(1_000_003).wrapping_add(v)
+    });
+    (step + 1, acc)
+}
+
+impl IterativeSpec for Turns {
+    type SK = (u64, u64);
+    type SV = u64;
+    type DK = u64;
+    type DV = (u64, u64);
+    type V2 = u64;
+
+    fn project(&self, sk: &(u64, u64)) -> u64 {
+        sk.0
+    }
+    fn map(
+        &self,
+        sk: &(u64, u64),
+        target: &u64,
+        _dk: &u64,
+        dv: &(u64, u64),
+        out: &mut Emitter<u64, u64>,
+    ) {
+        if turns_active(sk.1, dv.0) {
+            out.emit(*target, turns_value(*sk, dv.1));
+        }
+    }
+    fn reduce(&self, _dk: &u64, prev: &(u64, u64), values: Values<'_, u64, u64>) -> (u64, u64) {
+        turns_next(*prev, values.iter().copied())
+    }
+    fn init(&self, dk: &u64) -> (u64, u64) {
+        (0, *dk)
+    }
+    fn difference(&self, curr: &(u64, u64), prev: &(u64, u64)) -> f64 {
+        f64::from(u8::from(curr != prev))
+    }
+    fn dependency(&self) -> DependencyKind {
+        DependencyKind::OneToOne
+    }
+}
+
+#[test]
+fn planned_full_passes_follow_emissions_that_move_between_records() {
+    const N: u64 = 60;
+    const PASSES: u64 = 12;
+    // About six vertices share each target, so every group holds values
+    // from several records of several tasks.
+    let graph: Vec<((u64, u64), u64)> = (0..N)
+        .flat_map(|v| [0, 1].map(|side| ((v, side), (v * 7 + 1) % (N / 6))))
+        .collect();
+    for preserve in [PreserveMode::None, PreserveMode::EveryIteration] {
+        let mut state: BTreeMap<u64, (u64, u64)> = (0..N).map(|v| (v, Turns.init(&v))).collect();
+        let mut chunks: BTreeMap<Vec<u8>, Chunk> = BTreeMap::new();
+        for _ in 0..PASSES {
+            let mut groups: BTreeMap<u64, Vec<(MapKey, u64)>> = BTreeMap::new();
+            for (sk, target) in &graph {
+                let (step, acc) = state[&sk.0];
+                if turns_active(sk.1, step) {
+                    let mk = MapKey::for_structure(&encode_to(sk));
+                    groups
+                        .entry(*target)
+                        .or_default()
+                        .push((mk, turns_value(*sk, acc)));
+                }
+            }
+            for entries in groups.values_mut() {
+                entries.sort_unstable();
+            }
+            for (v, s) in state.iter_mut() {
+                let values = groups.get(v).into_iter().flatten().map(|(_, x)| *x);
+                *s = turns_next(*s, values);
+            }
             for (k2, entries) in groups {
-                let entries = entries
-                    .into_iter()
-                    .map(|(mk, v)| ChunkEntry {
-                        mk,
-                        value: encode_to(&v),
-                    })
-                    .collect();
-                chunks.insert(encode_to(&k2), Chunk::new(encode_to(&k2), entries));
+                chunks.insert(encode_to(&k2), plain_chunk(k2, &entries));
             }
         }
 
-        let pool = WorkerPool::new(3);
-        let stores = StoreManager::create(
-            &pool,
-            scratch(&format!("plan-hop-{preserve:?}")),
-            3,
-            Default::default(),
-        )
-        .unwrap();
-        let mut builder = RunBuilder::new(&Hop)
-            .pool(&pool)
-            .job(JobConfig::symmetric(3))
-            .iter(IterParams {
-                max_iterations: PASSES,
-                epsilon: 0.0,
-                preserve,
-            })
-            .telemetry(TelemetryConfig::with_mode(TelemetryMode::Full));
+        let got = run_full_passes(&Turns, graph.clone(), PASSES, preserve, "plan-turns");
+        assert_eq!(got.state, state.into_iter().collect::<Vec<_>>());
         if preserve == PreserveMode::EveryIteration {
-            builder = builder.stores_ref(&stores);
+            assert_eq!(got.live, chunks.into_values().collect::<Vec<_>>());
         }
-        let session = builder.build().unwrap();
-        let mut data = i2mapreduce::core::build_partitioned(&Hop, 3, graph.clone());
-        let report = session.run_initial(&mut data).unwrap();
-        let trace = session.finish().unwrap().trace.expect("Full trace");
-
-        assert_eq!(data.state_snapshot(), state.into_iter().collect::<Vec<_>>());
-        let got: Vec<(u64, u64)> = report
-            .per_iteration
-            .iter()
-            .map(|m| (m.shuffled_records, m.shuffled_bytes))
-            .collect();
-        assert_eq!(got, metered, "{preserve:?}: shuffle metering");
-        if preserve == PreserveMode::EveryIteration {
-            let mut live = Vec::new();
-            for p in 0..3 {
-                live.extend(stores.with_store(p, |s| s.all_chunks()).unwrap());
-            }
-            live.sort_by(|a, b| a.key.cmp(&b.key));
-            assert_eq!(live, chunks.into_values().collect::<Vec<_>>());
-        }
-        // Plans were used, and a pass whose keys moved ran plan-less again.
-        let planned = planned_passes(&trace, PASSES);
-        assert!(!planned.is_empty(), "{preserve:?}: no pass was planned");
-        assert!(
-            (planned[0]..=PASSES).any(|i| !planned.contains(&i)),
-            "{preserve:?}: a changed emission must drop the plan ({planned:?})"
-        );
+        assert_plans_dropped(&got.planned, PASSES, &format!("{preserve:?}"));
     }
 }
 

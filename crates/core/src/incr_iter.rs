@@ -38,7 +38,7 @@ use crate::driver::{Driver, Refresh};
 use crate::iter_engine::{PartitionedData, StructGroup};
 use crate::iterative::{IterationStats, IterativeSpec};
 use i2mr_common::codec::{decode_exact, encode_to, with_encoding};
-use i2mr_common::error::{Error, Result};
+use i2mr_common::error::Result;
 use i2mr_common::hash::MapKey;
 use i2mr_common::metrics::{JobMetrics, Stage};
 use i2mr_mapred::fault::{TaskId, TaskKind};
@@ -46,8 +46,8 @@ use i2mr_mapred::partition::{HashPartitioner, Partitioner};
 use i2mr_mapred::pool::TaskSpec;
 use i2mr_mapred::shuffle::{groups, sort_runs, transpose_pooled, ShuffleBuffers};
 use i2mr_mapred::types::Values;
-use i2mr_store::merge::{DeltaChunk, DeltaEntry, MergeOutcome};
-use parking_lot::Mutex;
+use i2mr_store::format::frame_entries;
+use i2mr_store::merge::{DeltaChunk, DeltaEntry};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -151,11 +151,10 @@ impl<S: IterativeSpec> Driver<'_, S> {
         let threshold = refresh.params.effective_threshold();
         let admissible = refresh.admissible;
         let reduce_parts: Vec<usize> = (0..n).filter(|&p| !outcomes[p].is_empty()).collect();
-        let cells = outcome_cells(outcomes);
         let reduce_tasks: Vec<TaskSpec<'_, (Vec<(S::DK, S::DV)>, u64, u64)>> = reduce_parts
             .iter()
             .map(|&p| {
-                let (cell, state) = (&cells[p], &state_parts[p]);
+                let (merged, state) = (&outcomes[p], &state_parts[p]);
                 TaskSpec::pinned(
                     TaskId {
                         kind: TaskKind::Reduce,
@@ -167,12 +166,10 @@ impl<S: IterativeSpec> Driver<'_, S> {
                         let mut cpc = ChangePropagation::with_threshold(threshold);
                         let mut emitted: Vec<(S::DK, S::DV)> = Vec::new();
                         let mut invocations = 0u64;
-                        // The merged chunk owns freshly decoded values, so
-                        // this path borrows them as a plain slice; `values`
-                        // is reused across groups.
+                        // Values are decoded straight out of the merged
+                        // frames; `values` is reused across groups.
                         let mut values: Vec<S::V2> = Vec::new();
-                        let mut slot = cell.lock();
-                        for (key_bytes, outcome) in outcomes_in(&slot)? {
+                        for (key_bytes, frame) in merged.iter() {
                             let dk: S::DK = decode_exact(key_bytes)?;
                             // Deleted vertices / dangling targets have no
                             // state entry: their chunk was maintained but
@@ -182,10 +179,11 @@ impl<S: IterativeSpec> Driver<'_, S> {
                             };
                             let prev = &state[idx].1;
                             values.clear();
-                            if let MergeOutcome::Updated(chunk) = outcome {
-                                values.reserve(chunk.entries.len());
-                                for e in &chunk.entries {
-                                    values.push(decode_exact(&e.value)?);
+                            if let Some(frame) = frame {
+                                let entries = frame_entries(frame)?;
+                                values.reserve(entries.len());
+                                for entry in entries {
+                                    values.push(decode_exact(entry?.1)?);
                                 }
                             }
                             let candidate = spec.reduce(&dk, prev, Values::slice(&values));
@@ -200,13 +198,15 @@ impl<S: IterativeSpec> Driver<'_, S> {
                                 emitted.push((dk, candidate));
                             }
                         }
-                        *slot = None;
                         Ok((emitted, invocations, cpc.filtered()))
                     },
                 )
             })
             .collect();
         let reduce_results = self.pool.run_tasks(reduce_tasks)?;
+        // One batch buffer and one key per outcome: freed here, inside
+        // the Reduce stage's wall time.
+        drop(outcomes);
         self.stage(metrics, Stage::Reduce, iteration, t);
         self.delta_runs.recycle_all(runs);
 
@@ -355,29 +355,6 @@ fn delta_chunks<S: IterativeSpec>(
         });
     }
     deltas
-}
-
-/// One partition's merge outcomes, handed to its Reduce task through a
-/// one-shot cell.
-type OutcomeCell = Mutex<Option<Vec<(Vec<u8>, MergeOutcome)>>>;
-
-/// Wrap each partition's merge outcomes for its Reduce task. The merged
-/// chunks are the largest per-iteration allocation (every value of every
-/// re-reduced instance); freed by the driver they cost a serial pass over
-/// millions of small allocations *after* the stage timers stopped. Each
-/// Reduce task instead empties its own cell as its last act, so the
-/// partitions are freed on the workers, in parallel, inside the Reduce
-/// stage's wall time.
-fn outcome_cells(per_p: Vec<Vec<(Vec<u8>, MergeOutcome)>>) -> Vec<OutcomeCell> {
-    per_p.into_iter().map(|o| Mutex::new(Some(o))).collect()
-}
-
-/// The outcomes a Reduce attempt works on. The cell is emptied only by an
-/// attempt that *succeeded*, so a retry after a failed attempt still finds
-/// them; an empty cell means a duplicate attempt ran after the winner.
-fn outcomes_in(slot: &Option<Vec<(Vec<u8>, MergeOutcome)>>) -> Result<&[(Vec<u8>, MergeOutcome)]> {
-    slot.as_deref()
-        .ok_or_else(|| Error::corrupt("merge outcomes consumed by an earlier reduce attempt"))
 }
 
 /// Apply a structure delta to partitioned data, maintaining the invariants

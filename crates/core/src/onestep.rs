@@ -28,8 +28,8 @@ use i2mr_mapred::partition::Partitioner;
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{groups, sort_runs, transpose_pooled, RunPool, ShuffleBuffers};
 use i2mr_mapred::types::{Emitter, KeyData, Mapper, Reducer, ValueData, Values};
-use i2mr_store::format::{Chunk, ChunkEntry};
-use i2mr_store::merge::{DeltaChunk, DeltaEntry, MergeOutcome};
+use i2mr_store::format::{frame_entries, Chunk, ChunkEntry};
+use i2mr_store::merge::{DeltaChunk, DeltaEntry};
 use i2mr_store::runtime::{StoreManager, StoreRuntimeConfig};
 use i2mr_store::store::StoreConfig;
 use parking_lot::Mutex;
@@ -397,8 +397,7 @@ where
         let reduce_tasks: Vec<TaskSpec<'_, u64>> = outcomes_per_p
             .iter()
             .enumerate()
-            .map(|(p, outcomes)| {
-                let outcomes: &[(Vec<u8>, MergeOutcome)] = outcomes;
+            .map(|(p, merged)| {
                 TaskSpec::new(
                     TaskId {
                         kind: TaskKind::Reduce,
@@ -409,26 +408,24 @@ where
                         let mut out = Emitter::new();
                         let mut result_store = results[p].lock();
                         let mut invocations = 0u64;
-                        // Owned values decoded from the merged chunk; the
-                        // buffer is reused across affected groups.
+                        // Values decoded straight out of the merged frames;
+                        // the buffer is reused across affected groups.
                         let mut values: Vec<V2> = Vec::new();
-                        for (key_bytes, outcome) in outcomes {
-                            match outcome {
-                                MergeOutcome::Updated(chunk) => {
-                                    let k2: K2 = decode_exact(&chunk.key)?;
-                                    values.clear();
-                                    values.reserve(chunk.entries.len());
-                                    for e in &chunk.entries {
-                                        values.push(decode_exact(&e.value)?);
-                                    }
-                                    reducer.reduce(&k2, Values::slice(&values), &mut out);
-                                    invocations += 1;
-                                    result_store.put_bytes(key_bytes, out.drain().collect());
-                                }
-                                MergeOutcome::Removed => {
-                                    result_store.remove_bytes(key_bytes);
-                                }
+                        for (key_bytes, frame) in merged.iter() {
+                            let Some(frame) = frame else {
+                                result_store.remove_bytes(key_bytes);
+                                continue;
+                            };
+                            let k2: K2 = decode_exact(key_bytes)?;
+                            let entries = frame_entries(frame)?;
+                            values.clear();
+                            values.reserve(entries.len());
+                            for entry in entries {
+                                values.push(decode_exact(entry?.1)?);
                             }
+                            reducer.reduce(&k2, Values::slice(&values), &mut out);
+                            invocations += 1;
+                            result_store.put_bytes(key_bytes, out.drain().collect());
                         }
                         Ok(invocations)
                     },

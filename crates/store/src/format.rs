@@ -87,6 +87,83 @@ pub fn verify_frame(frame: &[u8], key: &[u8]) -> Result<()> {
     Ok(())
 }
 
+/// Walk one frame's entries in place, without decoding it into a
+/// [`Chunk`]: each item borrows its `(MK, value)` straight from `frame`.
+///
+/// `frame` is exactly one frame, header included. Only the key and entry
+/// count are parsed here; the checksum is **not** checked — a frame read
+/// from disk goes through [`verify_frame`] first. The merge walks stored
+/// frames this way, and Reduce reads merged values out of them.
+pub fn frame_entries(frame: &[u8]) -> Result<FrameEntries<'_>> {
+    let body = frame
+        .get(FRAME_OVERHEAD..)
+        .ok_or_else(|| Error::codec("chunk frame: truncated checksum"))?;
+    Ok(chunk_header(body)?.1)
+}
+
+/// The key and the (unwalked) entries of the chunk encoding at the front
+/// of `input`.
+fn chunk_header(input: &[u8]) -> Result<(&[u8], FrameEntries<'_>)> {
+    let mut cur = input;
+    let key_len = read_varint(&mut cur)? as usize;
+    if cur.len() < key_len {
+        return Err(Error::codec("chunk: truncated key"));
+    }
+    let (key, mut cur) = cur.split_at(key_len);
+    let left = read_varint(&mut cur)? as usize;
+    Ok((key, FrameEntries { rest: cur, left }))
+}
+
+/// Iterator over one frame's entries (see [`frame_entries`]), in the
+/// frame's MK order.
+#[derive(Clone, Debug, Default)]
+pub struct FrameEntries<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+impl<'a> FrameEntries<'a> {
+    /// The encoded entries not yet walked. Two of these bound a run of
+    /// entries, which the merge copies verbatim.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    fn read(&mut self) -> Result<(MapKey, &'a [u8])> {
+        let (mk_bytes, mut cur) = self
+            .rest
+            .split_first_chunk::<16>()
+            .ok_or_else(|| Error::codec("chunk: truncated mk"))?;
+        let v_len = read_varint(&mut cur)? as usize;
+        if cur.len() < v_len {
+            return Err(Error::codec("chunk: truncated value"));
+        }
+        let (value, rest) = cur.split_at(v_len);
+        self.rest = rest;
+        Ok((MapKey::from_bytes(*mk_bytes), value))
+    }
+}
+
+impl<'a> Iterator for FrameEntries<'a> {
+    type Item = Result<(MapKey, &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let entry = self.read();
+        // A malformed entry ends the walk: its error is the last item.
+        self.left = if entry.is_ok() { self.left - 1 } else { 0 };
+        Some(entry)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for FrameEntries<'_> {}
+
 /// Length in bytes of the valid frame prefix of `tail` — crash salvage.
 ///
 /// Frames are self-delimiting, so a crashed writer's file tail can be
@@ -168,41 +245,20 @@ impl Chunk {
 
     /// Decode one chunk from the front of `input`.
     pub fn decode(input: &mut &[u8]) -> Result<Chunk> {
-        let key_len = read_varint(input)? as usize;
-        if input.len() < key_len {
-            return Err(Error::codec("chunk: truncated key"));
-        }
-        let (key, rest) = input.split_at(key_len);
-        *input = rest;
-        let n = read_varint(input)? as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            if input.len() < 16 {
-                return Err(Error::codec("chunk: truncated mk"));
-            }
-            let (mk_bytes, rest) = input.split_at(16);
-            *input = rest;
-            let mk = MapKey::from_bytes(mk_bytes.try_into().unwrap());
-            let v_len = read_varint(input)? as usize;
-            if input.len() < v_len {
-                return Err(Error::codec("chunk: truncated value"));
-            }
-            let (v, rest) = input.split_at(v_len);
-            *input = rest;
+        let (key, mut walk) = chunk_header(input)?;
+        let mut entries = Vec::with_capacity(walk.len().min(4096));
+        for entry in walk.by_ref() {
+            let (mk, value) = entry?;
             entries.push(ChunkEntry {
                 mk,
-                value: v.to_vec(),
+                value: value.to_vec(),
             });
         }
+        *input = walk.rest();
         Ok(Chunk {
             key: key.to_vec(),
             entries,
         })
-    }
-
-    /// Values in MK order — the Reduce input list `{V2}`.
-    pub fn values(&self) -> Vec<Vec<u8>> {
-        self.entries.iter().map(|e| e.value.clone()).collect()
     }
 
     /// Find an entry by MK (entries are MK-sorted).
@@ -211,25 +267,6 @@ impl Chunk {
             .binary_search_by_key(&mk, |e| e.mk)
             .ok()
             .map(|i| &self.entries[i])
-    }
-
-    /// Insert or update the entry for `mk` (maintains MK order).
-    pub fn upsert(&mut self, mk: MapKey, value: Vec<u8>) {
-        match self.entries.binary_search_by_key(&mk, |e| e.mk) {
-            Ok(i) => self.entries[i].value = value,
-            Err(i) => self.entries.insert(i, ChunkEntry { mk, value }),
-        }
-    }
-
-    /// Remove the entry for `mk`; returns whether it existed.
-    pub fn remove(&mut self, mk: MapKey) -> bool {
-        match self.entries.binary_search_by_key(&mk, |e| e.mk) {
-            Ok(i) => {
-                self.entries.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// True when the chunk has no live edges (the Reduce instance vanished).
@@ -288,23 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn upsert_and_remove_maintain_order() {
-        let mut c = Chunk::new(b"k".to_vec(), vec![entry(5, b"e"), entry(1, b"a")]);
-        c.upsert(MapKey(3), b"c".to_vec());
-        c.upsert(MapKey(5), b"E".to_vec());
-        let mks: Vec<u128> = c.entries.iter().map(|e| e.mk.0).collect();
-        assert_eq!(mks, vec![1, 3, 5]);
-        assert_eq!(c.find(MapKey(5)).unwrap().value, b"E");
-        assert!(c.remove(MapKey(1)));
-        assert!(!c.remove(MapKey(1)));
-        assert_eq!(c.entries.len(), 2);
-        assert!(!c.is_empty());
-        c.remove(MapKey(3));
-        c.remove(MapKey(5));
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn decode_rejects_truncation_everywhere() {
         let c = Chunk::new(b"key".to_vec(), vec![entry(1, b"value")]);
         let mut buf = Vec::new();
@@ -336,7 +356,44 @@ mod tests {
     #[test]
     fn values_in_mk_order() {
         let c = Chunk::new(b"k".to_vec(), vec![entry(9, b"z"), entry(2, b"a")]);
-        assert_eq!(c.values(), vec![b"a".to_vec(), b"z".to_vec()]);
+        let mut buf = Vec::new();
+        encode_framed(&c, &mut buf);
+        let entries = frame_entries(&buf).unwrap();
+        assert_eq!(entries.len(), 2);
+        let got: Vec<(MapKey, &[u8])> = entries.map(Result::unwrap).collect();
+        assert_eq!(got, vec![(MapKey(2), &b"a"[..]), (MapKey(9), &b"z"[..])]);
+    }
+
+    #[test]
+    fn frame_entries_borrow_in_place_and_reject_truncation() {
+        let c = Chunk::new(
+            b"key".to_vec(),
+            vec![entry(1, b""), entry(7, &[0xAB; 200]), entry(9, b"v")],
+        );
+        let mut buf = Vec::new();
+        encode_framed(&c, &mut buf);
+        let walked: Vec<ChunkEntry> = frame_entries(&buf)
+            .unwrap()
+            .map(|e| {
+                let (mk, value) = e.unwrap();
+                ChunkEntry {
+                    mk,
+                    value: value.to_vec(),
+                }
+            })
+            .collect();
+        assert_eq!(walked, c.entries);
+        let mut all = frame_entries(&buf).unwrap();
+        all.by_ref().for_each(drop);
+        assert!(all.rest().is_empty(), "the walk ends at the frame's end");
+        // A torn frame yields an error (once), never a short clean walk.
+        for cut in 0..buf.len() {
+            let walk = frame_entries(&buf[..cut]).and_then(|es| es.collect::<Result<Vec<_>>>());
+            assert!(walk.is_err(), "cut at {cut}");
+            if let Ok(es) = frame_entries(&buf[..cut]) {
+                assert_eq!(es.filter(Result::is_err).count(), 1, "cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`query`] — the four query strategies compared in Table 4:
 //!   index-only, single-fix-window, multi-fix-window, multi-dynamic-window.
 //! * [`merge`] — the index nested-loop join of a delta MRBGraph with the
-//!   stored MRBGraph (deletions first, then upserts).
+//!   stored MRBGraph (deletions first, then upserts), done on raw frames:
+//!   stored entries are walked as borrowed slices and merged straight
+//!   into the appended batch, which Reduce then reads in place.
 //! * [`compact`] — offline reconstruction dropping obsolete chunks, plus
 //!   the [`CompactionPolicy`] deciding when it pays off.
 //! * [`store`] — [`MrbgStore`], the per-reduce-task facade tying it together.
@@ -49,11 +51,11 @@ pub mod window;
 
 pub use compact::{CompactionPolicy, CompactionStats};
 pub use format::{
-    decode_framed, encode_framed, frame_checksum, valid_frame_prefix, Chunk, ChunkEntry,
-    FRAME_OVERHEAD,
+    decode_framed, encode_framed, frame_checksum, frame_entries, valid_frame_prefix, Chunk,
+    ChunkEntry, FRAME_OVERHEAD,
 };
 pub use index::{BatchInfo, ChunkIndex, ChunkLoc};
-pub use merge::{DeltaChunk, DeltaEntry, MergeOutcome};
+pub use merge::{DeltaChunk, DeltaEntry, MergedBatch};
 pub use query::QueryStrategy;
 pub use runtime::{StoreManager, StoreRuntimeConfig};
 pub use serve::{ServeConfig, ServeHandle, ServeMetrics};

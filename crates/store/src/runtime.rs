@@ -63,7 +63,7 @@
 
 use crate::compact::{CompactionPolicy, CompactionStats};
 use crate::format::Chunk;
-use crate::merge::{DeltaChunk, MergeOutcome};
+use crate::merge::{DeltaChunk, MergedBatch};
 use crate::query::QueryStrategy;
 use crate::store::{MrbgStore, StoreConfig, StoreReader};
 use i2mr_common::error::{Error, Result};
@@ -457,12 +457,8 @@ impl StoreManager {
     /// [`StoreManager::merge_apply_touched`] over every shard. A partition
     /// whose delta list is empty is skipped without touching its store —
     /// no empty batch is appended and the shard stays clean.
-    /// Returns each partition's `(key, outcome)` list in canonical order.
-    pub fn merge_apply_all<F>(
-        &self,
-        iteration: u64,
-        deltas_of: F,
-    ) -> Result<Vec<Vec<(Vec<u8>, MergeOutcome)>>>
+    /// Returns each partition's [`MergedBatch`].
+    pub fn merge_apply_all<F>(&self, iteration: u64, deltas_of: F) -> Result<Vec<MergedBatch>>
     where
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
@@ -486,23 +482,23 @@ impl StoreManager {
     /// `flush_indexes` itself. Overlapped background compactions are
     /// fenced first, so every merge observes fully reconstructed shards.
     ///
-    /// Returns one `(key, outcome)` list per shard (empty for untouched
+    /// Returns one [`MergedBatch`] per shard (empty for untouched
     /// partitions), indexed by partition.
     pub fn merge_apply_touched<F>(
         &self,
         iteration: u64,
         touched: &[usize],
         deltas_of: F,
-    ) -> Result<Vec<Vec<(Vec<u8>, MergeOutcome)>>>
+    ) -> Result<Vec<MergedBatch>>
     where
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
         self.fence_compactions()?;
         let rec = self.recorder();
-        let merge_one = |p: usize| -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
+        let merge_one = |p: usize| -> Result<MergedBatch> {
             let t = Instant::now();
             let deltas = deltas_of(p)?;
-            let mut out = Vec::new();
+            let mut out = MergedBatch::default();
             if !deltas.is_empty() {
                 // Fire before the write lock: an injected failure leaves
                 // the shard untouched (and clean), so the rescheduled
@@ -521,8 +517,9 @@ impl StoreManager {
             );
             Ok(out)
         };
-        let mut out: Vec<Vec<(Vec<u8>, MergeOutcome)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        let mut out: Vec<MergedBatch> = (0..self.shards.len())
+            .map(|_| MergedBatch::default())
+            .collect();
         if !self.config.parallel {
             for &p in touched {
                 out[p] = merge_one(p)?;
@@ -530,7 +527,7 @@ impl StoreManager {
             return Ok(out);
         }
         let merge_one = &merge_one;
-        let tasks: Vec<TaskSpec<'_, Vec<(Vec<u8>, MergeOutcome)>>> = touched
+        let tasks: Vec<TaskSpec<'_, MergedBatch>> = touched
             .iter()
             .map(|&p| {
                 TaskSpec::pinned(

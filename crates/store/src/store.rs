@@ -7,7 +7,8 @@
 //!    chunks as a new batch; obsolete versions linger until [`MrbgStore::compact`].
 //! 2. **Efficient retrieval** — point lookups go through the preloaded hash
 //!    index; merge passes use the configured [`QueryStrategy`] with read
-//!    windows.
+//!    windows, and merge each verified frame in place
+//!    ([`crate::merge`]): no chunk is decoded on a merge.
 //!
 //! # Canonical batch order
 //!
@@ -15,7 +16,8 @@
 //! and merge passes visit keys in that same order. This gives each batch the
 //! "sorted chunks" property the window algorithms rely on, independent of
 //! the engine's typed key ordering. (`merge_apply` sorts its input
-//! defensively, so engines may pass deltas in any order.)
+//! defensively, so engines may pass deltas in any order; it rejects two
+//! delta chunks for one key.)
 //!
 //! # Crash consistency: commit points
 //!
@@ -76,7 +78,7 @@ use crate::append::{AppendBuffer, DEFAULT_APPEND_CAPACITY};
 use crate::compact::CompactionStats;
 use crate::format::{decode_framed, encode_framed, valid_frame_prefix, verify_frame, Chunk};
 use crate::index::{BatchInfo, ChunkIndex, ChunkLoc};
-use crate::merge::{apply_delta_owned, DeltaChunk, MergeOutcome};
+use crate::merge::{merge_frame, DeltaChunk, MergedBatch};
 use crate::query::{FramePass, QueryPass, QueryStrategy};
 use i2mr_common::codec::{read_varint, varint_len, write_varint};
 use i2mr_common::error::{Error, Result};
@@ -420,15 +422,16 @@ impl MrbgStore {
 
     /// Merge a delta MRBGraph into the store (paper §3.3–3.4).
     ///
-    /// For every delta chunk: retrieve the preserved chunk with the
-    /// configured strategy, apply deletions then insertions, and append the
-    /// up-to-date chunk to a new batch. Returns `(key, outcome)` pairs in
+    /// For every delta chunk: retrieve the preserved frame with the
+    /// configured strategy, verify it, merge the delta into it (deletions
+    /// first, then insertions) and append the up-to-date frame to a new
+    /// batch. Returns that batch with one outcome per delta key in
     /// canonical key order — the outcomes carry the merged Reduce inputs.
     /// Eager: the merge is committed before this returns.
-    pub fn merge_apply(&mut self, deltas: Vec<DeltaChunk>) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
-        let outcomes = self.merge_apply_deferred(deltas)?;
+    pub fn merge_apply(&mut self, deltas: Vec<DeltaChunk>) -> Result<MergedBatch> {
+        let merged = self.merge_apply_deferred(deltas)?;
         self.persist_index()?;
-        Ok(outcomes)
+        Ok(merged)
     }
 
     /// [`MrbgStore::merge_apply`] with the commit deferred.
@@ -442,58 +445,64 @@ impl MrbgStore {
     /// per iteration and commit once at settle via
     /// [`MrbgStore::persist_index`], turning two fsyncs and an O(all keys)
     /// index rewrite per shard per iteration into one commit per refresh.
-    pub fn merge_apply_deferred(
-        &mut self,
-        mut deltas: Vec<DeltaChunk>,
-    ) -> Result<Vec<(Vec<u8>, MergeOutcome)>> {
+    ///
+    /// Copy, do not decode: each stored frame is verified on its raw
+    /// bytes ([`verify_frame`]) and merged entry by entry into the batch
+    /// buffer ([`crate::merge`]); no [`Chunk`] is built. Every frame is
+    /// read, verified and merged before the first byte is written, so a
+    /// corrupt or wrong-key frame — or two delta chunks for one key —
+    /// fails the merge with the file, the index and the dirty flag as they
+    /// were.
+    pub fn merge_apply_deferred(&mut self, mut deltas: Vec<DeltaChunk>) -> Result<MergedBatch> {
         deltas.sort_by(|a, b| a.key.cmp(&b.key));
+        if let Some(w) = deltas.windows(2).find(|w| w[0].key == w[1].key) {
+            // Both would merge against the same stored chunk and the later
+            // index entry would silently drop the other's edges.
+            return Err(Error::corrupt(format!(
+                "merge: two delta chunks for key {:?}",
+                String::from_utf8_lossy(&w[0].key)
+            )));
+        }
 
-        // Phase 1: planned query pass + in-memory application. The pass
-        // needs its own copy of the key plan; the deltas themselves are
-        // consumed, so inserted payloads move into the merged chunks and
-        // each delta's key becomes its outcome's key (no payload clones).
-        let keys: Vec<Vec<u8>> = deltas.iter().map(|d| d.key.clone()).collect();
-        let mut outcomes: Vec<(Vec<u8>, MergeOutcome)> = Vec::with_capacity(deltas.len());
+        // Phase 1: one planned read pass; each verified frame is merged
+        // into the batch buffer.
+        let mut bytes = Vec::new();
+        let mut spans = Vec::with_capacity(deltas.len());
         {
-            let mut pass = QueryPass::new(
+            let mut pass = FramePass::new(
                 &mut self.file,
                 self.file_len,
                 &mut self.io,
-                &self.index,
                 self.config.strategy,
                 self.config.cache_capacity,
-                keys,
+                deltas.iter().map(|d| self.index.get(&d.key)).collect(),
             );
-            for d in deltas {
-                let stored = pass.get(&d.key)?;
-                outcomes.push(apply_delta_owned(stored, d));
+            let mut ops = Vec::new();
+            for d in &deltas {
+                let stored = pass.next_frame()?;
+                if let Some(frame) = stored {
+                    verify_frame(frame, &d.key)?;
+                }
+                spans.push(merge_frame(stored, d, &mut ops, &mut bytes)?);
             }
         }
 
-        // Phase 2: append updated chunks as one new batch; update index.
+        // Phase 2: append the merged frames one by one as a new batch (the
+        // append buffer flushes exactly where a frame-at-a-time writer
+        // would); update the index.
         let batch_id = self.index.batches().len() as u32;
         let start = self.file_len;
         let mut append = AppendBuffer::new(self.config.append_capacity, self.file_len);
-        let mut buf = Vec::with_capacity(4096);
-        let mut index_updates: Vec<(Vec<u8>, Option<ChunkLoc>)> =
-            Vec::with_capacity(outcomes.len());
-        for (key, outcome) in &outcomes {
-            match outcome {
-                MergeOutcome::Updated(chunk) => {
-                    buf.clear();
-                    encode_framed(chunk, &mut buf);
-                    let offset = append.append(&buf, &mut self.file, &mut self.io)?;
-                    index_updates.push((
-                        key.clone(),
-                        Some(ChunkLoc {
-                            offset,
-                            len: buf.len() as u32,
-                            batch: batch_id,
-                        }),
-                    ));
-                }
-                MergeOutcome::Removed => index_updates.push((key.clone(), None)),
-            }
+        let mut locs = Vec::with_capacity(spans.len());
+        for span in &spans {
+            locs.push(match span {
+                Some(span) => Some(ChunkLoc {
+                    offset: append.append(&bytes[span.clone()], &mut self.file, &mut self.io)?,
+                    len: span.len() as u32,
+                    batch: batch_id,
+                }),
+                None => None,
+            });
         }
         // Page cache only: the next commit syncs these bytes before it
         // writes the index that references them.
@@ -505,15 +514,16 @@ impl MrbgStore {
             start,
             end: self.file_len,
         });
-        for (key, loc) in index_updates {
+        for (d, loc) in deltas.iter().zip(locs) {
             match loc {
-                Some(loc) => self.index.put(key, loc),
+                Some(loc) => self.index.put(d.key.clone(), loc),
                 None => {
-                    self.index.remove(&key);
+                    self.index.remove(&d.key);
                 }
             }
         }
-        Ok(outcomes)
+        let outcomes = deltas.into_iter().map(|d| d.key).zip(spans).collect();
+        Ok(MergedBatch::new(bytes, outcomes))
     }
 
     /// Point lookup of one preserved chunk (always index-only I/O).
@@ -916,13 +926,18 @@ mod tests {
             .unwrap();
 
         // Outcomes in canonical key order: a, b, c.
+        let values = |frame: Option<&[u8]>| -> Option<Vec<Vec<u8>>> {
+            let entries = crate::format::frame_entries(frame?).unwrap();
+            Some(entries.map(|e| e.unwrap().1.to_vec()).collect())
+        };
+        let outcomes: Vec<(&[u8], Option<&[u8]>)> = outcomes.iter().collect();
         assert_eq!(outcomes[0].0, b"a");
         assert_eq!(
-            outcomes[0].1.values().unwrap(),
+            values(outcomes[0].1).unwrap(),
             vec![b"a2".to_vec(), b"a3".to_vec()]
         );
-        assert_eq!(outcomes[1].1, MergeOutcome::Removed);
-        assert_eq!(outcomes[2].1.values().unwrap(), vec![b"c9".to_vec()]);
+        assert_eq!(outcomes[1], (&b"b"[..], None));
+        assert_eq!(values(outcomes[2].1).unwrap(), vec![b"c9".to_vec()]);
 
         // Store state reflects the merge.
         assert_eq!(s.len(), 2); // a and c; b removed
@@ -1415,6 +1430,125 @@ mod tests {
         // The split read path detects it too.
         let mut r = s.reader().unwrap();
         assert!(s.get_with(&mut r, b"a").is_err());
+    }
+
+    /// Everything a failed merge must leave as it was: the file length
+    /// (in memory and on disk), the index with its batch table, and the
+    /// dirty flag.
+    fn merge_visible_state(
+        s: &MrbgStore,
+    ) -> (
+        u64,
+        u64,
+        std::collections::BTreeMap<Vec<u8>, ChunkLoc>,
+        Vec<BatchInfo>,
+        bool,
+    ) {
+        (
+            s.file_len(),
+            s.file.metadata().unwrap().len(),
+            s.index.iter().map(|(k, loc)| (k.clone(), *loc)).collect(),
+            s.index.batches().to_vec(),
+            s.is_dirty(),
+        )
+    }
+
+    #[test]
+    fn two_delta_chunks_for_one_key_are_rejected_untouched() {
+        let mut s = MrbgStore::create(tmpdir("dupdelta"), StoreConfig::default()).unwrap();
+        s.append_batch(vec![chunk("k", &[(1, "a")]), chunk("z", &[(1, "z")])])
+            .unwrap();
+        let before = merge_visible_state(&s);
+        let insert = |key: &str, mk: u128| DeltaChunk {
+            key: key.as_bytes().to_vec(),
+            entries: vec![DeltaEntry::Insert(MapKey(mk), b"v".to_vec())],
+        };
+        let err = s
+            .merge_apply_deferred(vec![insert("k", 2), insert("z", 5), insert("k", 3)])
+            .unwrap_err();
+        assert!(err.to_string().contains("two delta chunks"), "got: {err}");
+        assert_eq!(merge_visible_state(&s), before);
+        // One chunk per key is the contract: merged as one, both edges land.
+        s.merge_apply(vec![DeltaChunk {
+            key: b"k".to_vec(),
+            entries: vec![
+                DeltaEntry::Insert(MapKey(2), b"v".to_vec()),
+                DeltaEntry::Insert(MapKey(3), b"v".to_vec()),
+            ],
+        }])
+        .unwrap();
+        let mks: Vec<u128> = s
+            .get(b"k")
+            .unwrap()
+            .unwrap()
+            .entries
+            .iter()
+            .map(|e| e.mk.0)
+            .collect();
+        assert_eq!(mks, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn corrupt_stored_frames_fail_the_merge_untouched() {
+        for strategy in [QueryStrategy::default(), QueryStrategy::IndexOnly] {
+            let dir = tmpdir("mergerot");
+            let config = StoreConfig {
+                strategy,
+                ..StoreConfig::default()
+            };
+            let mut s = MrbgStore::create(&dir, config).unwrap();
+            s.append_batch(vec![
+                chunk("a", &[(1, "first"), (2, "")]),
+                chunk("b", &[(7, "second")]),
+            ])
+            .unwrap();
+            let touch_a = || {
+                vec![DeltaChunk {
+                    key: b"a".to_vec(),
+                    entries: vec![
+                        DeltaEntry::Delete(MapKey(1)),
+                        DeltaEntry::Insert(MapKey(3), b"third".to_vec()),
+                    ],
+                }]
+            };
+            let before = merge_visible_state(&s);
+            let loc = s.index.get(b"a").unwrap();
+            let mut f = File::options()
+                .read(true)
+                .write(true)
+                .open(MrbgStore::data_path(&dir))
+                .unwrap();
+            let mut flip = |at: u64, bit: u32| {
+                let mut b = [0u8; 1];
+                f.seek(SeekFrom::Start(at)).unwrap();
+                f.read_exact(&mut b).unwrap();
+                f.seek(SeekFrom::Start(at)).unwrap();
+                std::io::Write::write_all(&mut f, &[b[0] ^ (1 << bit)]).unwrap();
+            };
+            for i in 0..loc.len as u64 {
+                let bit = (i % 8) as u32;
+                flip(loc.offset + i, bit);
+                assert!(
+                    s.merge_apply_deferred(touch_a()).is_err(),
+                    "{strategy:?}: flip of bit {bit} at frame byte {i} merged"
+                );
+                assert_eq!(merge_visible_state(&s), before, "{strategy:?}: byte {i}");
+                flip(loc.offset + i, bit);
+            }
+            // An index entry pointing at another key's (intact) frame.
+            s.index.put(b"a".to_vec(), s.index.get(b"b").unwrap());
+            let misdirected = merge_visible_state(&s);
+            let err = s.merge_apply_deferred(touch_a()).unwrap_err();
+            assert!(err.to_string().contains("different key"), "got: {err}");
+            assert_eq!(merge_visible_state(&s), misdirected);
+            // Restored, the same merge goes through.
+            s.index.put(b"a".to_vec(), loc);
+            s.merge_apply_deferred(touch_a()).unwrap();
+            assert_eq!(
+                s.get(b"a").unwrap().unwrap(),
+                chunk("a", &[(2, ""), (3, "third")])
+            );
+        }
     }
 
     #[test]

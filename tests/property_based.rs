@@ -7,6 +7,9 @@
 //!   commits, appends, compactions and crashes (drop without commit, with
 //!   or without a torn tail), a reopened store is exactly the model at the
 //!   last commit.
+//! * **Frame merge**: merging a delta into stored frames yields, per key,
+//!   exactly the framed chunk of an independent BTreeMap model — or a
+//!   removal when the model is empty.
 //! * **Delta application**: `Delta::apply_to` yields the multiset — and the
 //!   documented order — of applying the records one at a time.
 //! * **Incremental ≡ recompute**: for arbitrary datasets and arbitrary
@@ -24,8 +27,8 @@ use i2mapreduce::common::hash::MapKey;
 use i2mapreduce::core::Op as DeltaOp;
 use i2mapreduce::prelude::*;
 use i2mapreduce::store::{
-    Chunk, ChunkEntry, ChunkIndex, ChunkLoc, DeltaChunk, DeltaEntry, MergeOutcome, MrbgStore,
-    FRAME_OVERHEAD,
+    encode_framed, frame_entries, Chunk, ChunkEntry, ChunkIndex, ChunkLoc, DeltaChunk, DeltaEntry,
+    MrbgStore,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -168,6 +171,34 @@ fn commit_op() -> impl Strategy<Value = CommitOp> {
     ]
 }
 
+// ---------------------------------------------------------------------------
+// Frame merge
+// ---------------------------------------------------------------------------
+
+/// An edge value: empty, short, or long enough for a two-byte length
+/// varint, with content that differs per seed.
+fn edge_value() -> impl Strategy<Value = Vec<u8>> {
+    (
+        prop_oneof![1 => Just(0usize), 3 => 1usize..6, 1 => 128usize..160],
+        any::<u8>(),
+    )
+        .prop_map(|(len, seed)| (0..len).map(|i| seed.wrapping_add(i as u8)).collect())
+}
+
+/// One key's merge case: its stored edges (none = no stored chunk), its
+/// delta changes over a five-MK domain (so they collide with each other
+/// and with the stored edges), and whether the delta also deletes every
+/// stored edge and the absent MK 9.
+type FrameCase = (Option<Vec<(u8, Vec<u8>)>>, Vec<(u8, Option<Vec<u8>>)>, bool);
+
+fn frame_case() -> impl Strategy<Value = FrameCase> {
+    (
+        proptest::option::of(proptest::collection::vec((0u8..5, edge_value()), 1..6)),
+        proptest::collection::vec((0u8..5, proptest::option::of(edge_value())), 0..7),
+        prop_oneof![4 => Just(false), 1 => Just(true)],
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -255,9 +286,9 @@ proptest! {
                 CommitOp::DeferredMerge(groups) => {
                     let (deltas, by_key) = merge_deltas(groups);
                     let mut at = store.file_len();
-                    for (_, outcome) in store.merge_apply_deferred(deltas).unwrap() {
-                        if let MergeOutcome::Updated(chunk) = outcome {
-                            at += (chunk.encoded_len() + FRAME_OVERHEAD) as u64;
+                    for (_, frame) in store.merge_apply_deferred(deltas).unwrap().iter() {
+                        if let Some(frame) = frame {
+                            at += frame.len() as u64;
                             frame_ends.push(at);
                         }
                     }
@@ -334,6 +365,88 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frame_merge_equals_an_independent_model(cases in proptest::collection::vec(frame_case(), 1..6), tag in 0u64..u64::MAX) {
+        let mut store = MrbgStore::create(scratch(&format!("frames-{tag}")), StoreConfig::default()).unwrap();
+        let mut model = Model::new();
+        for (k, (stored, _, _)) in cases.iter().enumerate() {
+            if let Some(edges) = stored {
+                let slot = model.entry(vec![k as u8]).or_default();
+                for (mk, value) in edges {
+                    slot.insert(*mk as u128, value.clone());
+                }
+            }
+        }
+        store.append_batch(model_chunks(&model)).unwrap();
+
+        // Each key's delta, and the model after it: deletes first, then
+        // inserts in emission order (the last insert of an MK wins).
+        let mut deltas = Vec::new();
+        for (k, (stored, changes, wipe)) in cases.iter().enumerate() {
+            let mut entries: Vec<DeltaEntry> = changes
+                .iter()
+                .map(|(mk, value)| match value {
+                    Some(v) => DeltaEntry::Insert(MapKey(*mk as u128), v.clone()),
+                    None => DeltaEntry::Delete(MapKey(*mk as u128)),
+                })
+                .collect();
+            if *wipe {
+                let stored_mks = stored.iter().flatten().map(|(mk, _)| *mk as u128);
+                entries.extend(stored_mks.chain([9]).map(|mk| DeltaEntry::Delete(MapKey(mk))));
+            }
+            let slot = model.entry(vec![k as u8]).or_default();
+            for e in &entries {
+                if let DeltaEntry::Delete(mk) = e {
+                    slot.remove(&mk.0);
+                }
+            }
+            for e in &entries {
+                if let DeltaEntry::Insert(mk, v) = e {
+                    slot.insert(mk.0, v.clone());
+                }
+            }
+            if slot.is_empty() {
+                model.remove(&vec![k as u8]);
+            }
+            deltas.push(DeltaChunk { key: vec![k as u8], entries });
+        }
+        // Reverse the key order: the merge sorts its input.
+        deltas.reverse();
+
+        let file_before = store.file_len();
+        let merged = store.merge_apply_deferred(deltas).unwrap();
+        prop_assert_eq!(merged.len(), cases.len());
+        prop_assert_eq!(store.file_len(), file_before + merged.bytes().len() as u64);
+        let want: BTreeMap<Vec<u8>, Chunk> =
+            model_chunks(&model).into_iter().map(|c| (c.key.clone(), c)).collect();
+        let mut appended = Vec::new();
+        for (k, (key, frame)) in merged.iter().enumerate() {
+            prop_assert_eq!(key, &[k as u8][..]);
+            match (frame, want.get(key)) {
+                (Some(frame), Some(chunk)) => {
+                    let mut framed = Vec::new();
+                    encode_framed(chunk, &mut framed);
+                    prop_assert_eq!(frame, &framed[..]);
+                    let values: Vec<&[u8]> =
+                        frame_entries(frame).unwrap().map(|e| e.unwrap().1).collect();
+                    let model_values: Vec<&[u8]> =
+                        chunk.entries.iter().map(|e| e.value.as_slice()).collect();
+                    prop_assert_eq!(values, model_values);
+                    appended.extend_from_slice(frame);
+                }
+                (None, None) => {}
+                (frame, chunk) => prop_assert!(
+                    false,
+                    "key {key:?}: merged {:?} but the model holds {chunk:?}",
+                    frame.map(<[u8]>::len)
+                ),
+            }
+            prop_assert_eq!(store.get(key).unwrap().as_ref(), want.get(key));
+        }
+        prop_assert_eq!(merged.bytes(), &appended[..]);
+        prop_assert_eq!(store.all_chunks().unwrap(), model_chunks(&model));
     }
 
     #[test]

@@ -143,6 +143,9 @@ pub enum StoreOpKind {
     Salvage,
     /// Shard rebuilt in place from a checkpoint payload.
     Rebuild,
+    /// Commit of a dirty shard: write-back of its pending frames (the
+    /// span's bytes), data sync, index commit.
+    Commit,
 }
 
 impl StoreOpKind {
@@ -154,6 +157,7 @@ impl StoreOpKind {
             StoreOpKind::Compact => "compact",
             StoreOpKind::Salvage => "salvage",
             StoreOpKind::Rebuild => "rebuild",
+            StoreOpKind::Commit => "commit",
         }
     }
 }

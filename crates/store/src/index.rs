@@ -95,13 +95,6 @@ impl ChunkIndex {
         self.map.iter()
     }
 
-    /// Live keys sorted by their file position — compaction order.
-    pub fn keys_by_position(&self) -> Vec<Vec<u8>> {
-        let mut pairs: Vec<(&Vec<u8>, &ChunkLoc)> = self.map.iter().collect();
-        pairs.sort_by_key(|(_, loc)| loc.offset);
-        pairs.into_iter().map(|(k, _)| k.clone()).collect()
-    }
-
     /// Record a new batch; returns its id.
     pub fn push_batch(&mut self, info: BatchInfo) -> u32 {
         self.batches.push(info);
@@ -157,22 +150,25 @@ impl ChunkIndex {
     }
 
     /// Append to `buf` the serialized index of the compacted image of
-    /// `live` — the live pairs in canonical order, laid out back to back
-    /// from offset 0 as one batch — without building that index. In the
-    /// image, key order is offset order, so the bytes equal what
-    /// [`ChunkIndex::to_bytes`] gives for the index a compaction of the
-    /// same pairs leaves behind.
-    pub(crate) fn write_compacted(live: &[(&[u8], &mut ChunkLoc)], buf: &mut Vec<u8>) {
-        let end = live.iter().map(|(_, loc)| loc.len as u64).sum();
+    /// `live` — the live `(key, frame length)` pairs in canonical order,
+    /// laid out back to back from offset 0 as one batch — without building
+    /// that index. In the image, key order is offset order, so the bytes
+    /// equal what [`ChunkIndex::to_bytes`] gives for the index a
+    /// compaction of the same pairs leaves behind.
+    pub(crate) fn write_compacted<'k>(
+        live: impl ExactSizeIterator<Item = (&'k [u8], u32)> + Clone,
+        buf: &mut Vec<u8>,
+    ) {
+        let end = live.clone().map(|(_, len)| len as u64).sum();
         let mut offset = 0;
-        let entries = live.iter().map(|(key, loc)| {
+        let entries = live.map(|(key, len)| {
             let at = ChunkLoc {
                 offset,
-                len: loc.len,
+                len,
                 batch: 0,
             };
-            offset += loc.len as u64;
-            (*key, at)
+            offset += len as u64;
+            (key, at)
         });
         write_index(&[BatchInfo { start: 0, end }], entries, buf);
     }
@@ -287,18 +283,6 @@ mod tests {
         let mut bytes = good.to_bytes();
         bytes.push(0); // trailing byte
         assert!(ChunkIndex::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn keys_by_position_orders_by_offset() {
-        let mut idx = ChunkIndex::new();
-        idx.put(b"late".to_vec(), loc(100, 1, 0));
-        idx.put(b"early".to_vec(), loc(5, 1, 0));
-        idx.put(b"mid".to_vec(), loc(50, 1, 0));
-        assert_eq!(
-            idx.keys_by_position(),
-            vec![b"early".to_vec(), b"mid".to_vec(), b"late".to_vec()]
-        );
     }
 
     #[test]

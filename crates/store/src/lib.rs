@@ -18,10 +18,12 @@
 //! * [`merge`] — the index nested-loop join of a delta MRBGraph with the
 //!   stored MRBGraph (deletions first, then upserts), done on raw frames:
 //!   stored entries are walked as borrowed slices and merged straight
-//!   into the appended batch, which Reduce then reads in place.
+//!   into one batch buffer, which Reduce then reads in place.
 //! * [`compact`] — offline reconstruction dropping obsolete chunks, plus
 //!   the [`CompactionPolicy`] deciding when it pays off.
-//! * [`store`] — [`MrbgStore`], the per-reduce-task facade tying it together.
+//! * [`store`] — [`MrbgStore`], the per-reduce-task facade tying it
+//!   together; deferred merges keep their frames in a pending set that
+//!   the commit writes back once per refresh.
 //! * [`runtime`] — [`StoreManager`], the store runtime layer owning all
 //!   per-partition stores: sharded partition-affine merges on the worker
 //!   pool, a split read path, and policy-driven background compaction.

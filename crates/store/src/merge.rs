@@ -60,8 +60,8 @@ pub struct DeltaChunk {
 }
 
 /// The output of one merge pass over one store: the merged frames back to
-/// back, exactly as they were appended to the file, and one outcome per
-/// delta key in canonical key order.
+/// back, in canonical key order as a write-back appends them, and one
+/// outcome per delta key in canonical key order.
 ///
 /// An outcome is the merged frame of a Reduce instance that still has
 /// edges — its up-to-date input `{(MK, V2)}`, read through
@@ -91,7 +91,7 @@ impl MergedBatch {
             .map(|(key, span)| (key.as_slice(), span.clone().map(|s| &self.bytes[s])))
     }
 
-    /// The appended batch: every merged frame, in outcome order.
+    /// Every merged frame, back to back in outcome order.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }

@@ -246,21 +246,6 @@ impl<'a> QueryPass<'a> {
         self.decode_next()
     }
 
-    /// Retrieve the next planned chunk without naming it — streaming
-    /// consumers ([`crate::store::MrbgStore::chunks_iter`]) walk a plan of
-    /// live keys, so a key with no preserved chunk is corruption. `None`
-    /// once the plan is exhausted.
-    pub fn next_chunk(&mut self) -> Option<Result<Chunk>> {
-        if self.remaining() == 0 {
-            return None;
-        }
-        Some(match self.decode_next() {
-            Ok(Some(chunk)) => Ok(chunk),
-            Ok(None) => Err(Error::corrupt("indexed chunk disappeared")),
-            Err(e) => Err(e),
-        })
-    }
-
     /// Number of planned keys not yet retrieved.
     pub fn remaining(&self) -> usize {
         self.frames.remaining()

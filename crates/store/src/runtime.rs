@@ -20,10 +20,12 @@
 //!   worker (the same affinity rule map/reduce/sort tasks use), so merge
 //!   work is scheduled, retried, and traced like any other task.
 //! * **Group commit** — merges are *deferred*
-//!   ([`MrbgStore::merge_apply_deferred`]): no shard is fsynced and no
-//!   index file rewritten per merge. [`StoreManager::flush_indexes`]
-//!   commits every dirty shard once — at [`StoreManager::settle_into`],
-//!   or wherever an engine returns a merged plane to its caller.
+//!   ([`MrbgStore::merge_apply_deferred`]): their merged frames wait in
+//!   each shard's pending set, so no shard is appended to, fsynced or
+//!   index-rewritten per merge. [`StoreManager::flush_indexes`] commits
+//!   every dirty shard once, the shards concurrently — at
+//!   [`StoreManager::settle_into`], or wherever an engine returns a
+//!   merged plane to its caller.
 //! * **Split read path** — point lookups go through a per-partition
 //!   [`StoreReader`] under a *shared* lock ([`StoreManager::get`]), so
 //!   lookups never serialize on a shard's write lock: reads on different
@@ -472,15 +474,18 @@ impl StoreManager {
     /// traffic. `deltas_of(p)` builds partition `p`'s delta chunks; it may
     /// be re-invoked on retry and must be idempotent.
     ///
-    /// The commit is deferred ([`MrbgStore::merge_apply_deferred`]): the
-    /// merged frames reach the page cache, the in-memory index is current
-    /// and every read sees the merge, but nothing is fsynced and no index
-    /// file is rewritten until [`StoreManager::flush_indexes`] /
+    /// The write and the commit are deferred
+    /// ([`MrbgStore::merge_apply_deferred`]): the merged frames stay in
+    /// each shard's pending set, where every read sees them and the next
+    /// merge of the same key merges into them, but nothing is appended,
+    /// fsynced or indexed on disk until [`StoreManager::flush_indexes`] /
     /// [`StoreManager::settle_into`] commits the dirty shards — once per
-    /// refresh instead of once per iteration. A caller that hands the
-    /// merged plane back to user code without a settle must call
-    /// `flush_indexes` itself. Overlapped background compactions are
-    /// fenced first, so every merge observes fully reconstructed shards.
+    /// refresh instead of once per iteration. (A shard whose pending set
+    /// outgrows [`StoreConfig::cache_capacity`] writes it back to the page
+    /// cache early.) A caller that hands the merged plane back to user
+    /// code without a settle must call `flush_indexes` itself. Overlapped
+    /// background compactions are fenced first, so every merge observes
+    /// fully reconstructed shards.
     ///
     /// Returns one [`MergedBatch`] per shard (empty for untouched
     /// partitions), indexed by partition.
@@ -547,20 +552,63 @@ impl StoreManager {
         Ok(out)
     }
 
-    /// Commit every dirty shard ([`MrbgStore::persist_index`]: data
-    /// `sync_all`, then index temp file + `sync_all` + rename) — once per
-    /// shard however many deferred merges it absorbed. Folded into
-    /// [`StoreManager::settle_into`], so no settle path can leave an
-    /// uncommitted shard behind; engines that return a merged plane
-    /// without settling call it before returning. Clean shards are not
-    /// locked for writing.
+    /// Commit every dirty shard ([`MrbgStore::persist_index`]: write back
+    /// the pending frames as one batch, data `sync_all`, then index temp
+    /// file + `sync_all` + rename) — once per shard however many deferred
+    /// merges it absorbed. This is where a refresh's merged bytes reach
+    /// the data file, so the dirty shards commit concurrently: one pinned
+    /// [`TaskKind::StoreMerge`] task each on the executor (an inline loop
+    /// on the serial plane, and after the executor's shutdown). Each
+    /// commit fires [`FailSite::StoreAppend`] (`"commit"`) before its
+    /// write-back and emits one [`StoreOpKind::Commit`] span carrying the
+    /// bytes it wrote back. A failed commit leaves its shard dirty with
+    /// its pending frames readable; a retry, a later flush or the
+    /// manager's drop writes them.
+    ///
+    /// Folded into [`StoreManager::settle_into`], so no settle path can
+    /// leave an uncommitted shard behind; engines that return a merged
+    /// plane without settling call it before returning. Clean shards are
+    /// not locked for writing.
     pub fn flush_indexes(&self) -> Result<()> {
-        for shard in &self.shards {
-            if shard.store.read().is_dirty() {
-                shard.store.write().persist_index()?;
-            }
+        let dirty: Vec<usize> = (0..self.shards.len())
+            .filter(|&p| self.shards[p].store.read().is_dirty())
+            .collect();
+        let rec = self.recorder();
+        let commit_one = |p: usize| -> Result<()> {
+            self.failpoints.check(FailSite::StoreAppend, "commit")?;
+            let t = Instant::now();
+            let mut store = self.shards[p].store.write();
+            let bytes = store.pending_bytes();
+            store.persist_index()?;
+            drop(store);
+            emit_store_op(
+                &rec,
+                StoreOpKind::Commit,
+                p,
+                t.elapsed().as_nanos() as u64,
+                bytes,
+            );
+            Ok(())
+        };
+        if !self.config.parallel {
+            return dirty.into_iter().try_for_each(commit_one);
         }
-        Ok(())
+        let commit_one = &commit_one;
+        let tasks: Vec<TaskSpec<'_, ()>> = dirty
+            .into_iter()
+            .map(|p| {
+                TaskSpec::pinned(
+                    TaskId {
+                        kind: TaskKind::StoreMerge,
+                        index: p,
+                        iteration: 0,
+                    },
+                    p % self.pool.n_workers(),
+                    move |_| commit_one(p),
+                )
+            })
+            .collect();
+        self.pool.run_tasks(tasks).map(drop)
     }
 
     /// Append one batch of chunks per shard (initial preservation), one
@@ -651,7 +699,7 @@ impl StoreManager {
                 let s = shard.store.read();
                 self.config
                     .policy
-                    .should_compact(s.file_len(), s.live_bytes(), s.n_batches())
+                    .should_compact(s.file_len(), s.file_live_bytes(), s.n_batches())
             })
             .map(|(p, _)| p)
             .collect()
@@ -1128,6 +1176,123 @@ mod tests {
     }
 
     #[test]
+    fn settle_emits_one_commit_span_per_dirty_shard() {
+        use i2mr_common::telemetry::{TelemetryMode, TraceRecorder};
+        let pool = WorkerPool::new(2);
+        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
+            let mgr = StoreManager::create(&pool, scratch("commit-span"), N, config).unwrap();
+            seed(&mgr);
+            let rec = Arc::new(TraceRecorder::new(TelemetryMode::Full, 1, 4096));
+            mgr.set_recorder(Some(Arc::clone(&rec)));
+            // Three dirty shards; shard 3 stays clean.
+            for round in 1..=2u64 {
+                for p in 0..3 {
+                    mgr.merge_apply_touched(round, &[p], churn(p, round))
+                        .unwrap();
+                }
+            }
+            mgr.reset_io_stats();
+            let mut m = JobMetrics::default();
+            mgr.settle_into(&mut m).unwrap();
+            let appended = m.store_io.bytes_written;
+            assert!(appended > 0);
+            let log = rec.take();
+            let commits: Vec<(u64, u64)> = log
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::StoreOp {
+                        op: StoreOpKind::Commit,
+                        shard,
+                        bytes,
+                        ..
+                    } => Some((shard, bytes)),
+                    _ => None,
+                })
+                .collect();
+            let mut shards: Vec<u64> = commits.iter().map(|c| c.0).collect();
+            shards.sort_unstable();
+            assert_eq!(shards, vec![0, 1, 2]);
+            assert_eq!(commits.iter().map(|c| c.1).sum::<u64>(), appended);
+        }
+    }
+
+    /// Fault the k-th commit of a three-round run: a transient fault is
+    /// retried and appends each pending frame once; a terminal one (or any
+    /// fault on the serial plane, which does not retry) surfaces as `Err`
+    /// with the pending frames still readable, and a later commit — or the
+    /// manager's drop — still writes them.
+    #[test]
+    fn commit_faults_retry_or_keep_the_pending_frames() {
+        use i2mr_mapred::fault::{FailAction, FailpointRegistry};
+        const ROUNDS: u64 = 3;
+        let pool = WorkerPool::new(2);
+        let churn_all = |round: u64| move |p: usize| churn(p, round)(p);
+        let value = |mgr: &StoreManager, p: usize| {
+            let chunk = mgr.get(p, format!("k{p}-3").as_bytes()).unwrap().unwrap();
+            chunk.entries[0].value.clone()
+        };
+        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
+            for k in 1..=ROUNDS {
+                for terminal in [false, true] {
+                    let dir = scratch("commit-fault");
+                    let mut mgr = StoreManager::create(&pool, &dir, N, config).unwrap();
+                    seed(&mgr);
+                    for round in 1..=ROUNDS {
+                        let want = format!("v{round}").into_bytes();
+                        mgr.merge_apply_all(round, churn_all(round)).unwrap();
+                        if round != k {
+                            mgr.flush_indexes().unwrap();
+                            continue;
+                        }
+                        let pending: u64 = (0..N)
+                            .map(|p| mgr.with_store_ref(p, |s| s.pending_bytes()))
+                            .sum();
+                        assert!(pending > 0);
+                        let written = mgr.io_stats().bytes_written;
+                        let budget = if terminal { u32::MAX } else { 1 };
+                        let fp = Arc::new(FailpointRegistry::seeded(k, budget).arm(
+                            FailSite::StoreAppend,
+                            1.0,
+                            FailAction::Error,
+                        ));
+                        mgr.set_failpoints(Arc::clone(&fp));
+                        let committed = mgr.flush_indexes();
+                        mgr.set_failpoints(Arc::new(FailpointRegistry::disarmed()));
+                        assert!(fp.fired() >= 1);
+                        if config.parallel && !terminal {
+                            committed.unwrap();
+                            assert_eq!(mgr.io_stats().bytes_written - written, pending);
+                            let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
+                            for p in 0..N {
+                                assert_eq!(value(&reopened, p), want);
+                            }
+                            continue;
+                        }
+                        assert!(committed.is_err(), "k={k}: the fault did not surface");
+                        // The fault fired before any write-back: the frames
+                        // are still pending, and every read sees them.
+                        assert_eq!(mgr.io_stats().bytes_written, written);
+                        for p in 0..N {
+                            assert_eq!(value(&mgr, p), want);
+                        }
+                        if k % 2 == 1 {
+                            mgr.flush_indexes().unwrap();
+                            assert_eq!(mgr.io_stats().bytes_written - written, pending);
+                        } else {
+                            drop(mgr);
+                            let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
+                            for p in 0..N {
+                                assert_eq!(value(&reopened, p), want);
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dropping_the_manager_commits_dirty_shards() {
         let pool = WorkerPool::new(2);
         let dir = scratch("drop-commit");
@@ -1137,6 +1302,25 @@ mod tests {
             mgr.merge_apply_all(1, churn(1, 1)).unwrap();
             // No settle, no flush: an error return or a test going away.
         }
+        let mgr = StoreManager::open(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
+        assert_eq!(
+            mgr.get(1, b"k1-3").unwrap().unwrap().entries[0].value,
+            b"v1"
+        );
+    }
+
+    #[test]
+    fn dropping_the_manager_after_shutdown_commits_dirty_shards() {
+        // The drop's commit runs inline once the executor is shut down.
+        let dir = scratch("drop-after-shutdown");
+        {
+            let pool = WorkerPool::new(2);
+            let mgr = StoreManager::create(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
+            seed(&mgr);
+            mgr.merge_apply_all(1, churn(1, 1)).unwrap();
+            pool.shutdown();
+        }
+        let pool = WorkerPool::new(2);
         let mgr = StoreManager::open(&pool, &dir, N, StoreRuntimeConfig::default()).unwrap();
         assert_eq!(
             mgr.get(1, b"k1-3").unwrap().unwrap().entries[0].value,
@@ -1177,9 +1361,11 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mgr = StoreManager::create(&pool, scratch("policy"), N, eager_policy()).unwrap();
         seed(&mgr);
-        // Churn only shard 0 so only it accumulates obsolete versions.
+        // Churn only shard 0 so only it accumulates obsolete versions (each
+        // commit writes its pending frames back to the file).
         for round in 1..=6u64 {
             mgr.merge_apply_all(round, churn(0, round)).unwrap();
+            mgr.flush_indexes().unwrap();
         }
         let compacted = mgr.maybe_compact(7).unwrap();
         assert_eq!(compacted.len(), 1, "only shard 0 is garbage-heavy");
@@ -1206,6 +1392,7 @@ mod tests {
         seed(&mgr);
         for round in 1..=6u64 {
             mgr.merge_apply_all(round, churn(0, round)).unwrap();
+            mgr.flush_indexes().unwrap();
         }
         let garbage_before = mgr.file_bytes();
         let scheduled = mgr.schedule_compactions(7).unwrap();
@@ -1262,6 +1449,7 @@ mod tests {
         seed(&mgr);
         for round in 1..=6u64 {
             mgr.merge_apply_all(round, churn(0, round)).unwrap();
+            mgr.flush_indexes().unwrap();
         }
         let before = mgr.file_bytes();
         assert_eq!(mgr.schedule_compactions(7).unwrap(), 1);

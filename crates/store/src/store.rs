@@ -3,8 +3,11 @@
 //! One store instance manages one reduce task's MRBGraph file plus its
 //! index file. The two requirements from §3.4:
 //!
-//! 1. **Incremental storage** — each merge appends only the *updated*
-//!    chunks as a new batch; obsolete versions linger until [`MrbgStore::compact`].
+//! 1. **Incremental storage** — updated chunks are appended as a new
+//!    batch; obsolete versions linger until [`MrbgStore::compact`]. A
+//!    deferred merge keeps its merged frames in memory (the *pending set*)
+//!    until the commit, so a refresh appends each touched chunk once, not
+//!    once per iteration.
 //! 2. **Efficient retrieval** — point lookups go through the preloaded hash
 //!    index; merge passes use the configured [`QueryStrategy`] with read
 //!    windows, and merge each verified frame in place
@@ -23,22 +26,26 @@
 //!
 //! The store has one durability protocol. A **commit**
 //! ([`MrbgStore::persist_index`]) makes the in-memory state the on-disk
-//! state in two ordered steps: `sync_all` the data file, then write the
-//! index to a temp file, `sync_all` it and rename it over the index file.
-//! It is the only place either file is synced, which is what enforces the
-//! invariant *an index file never references bytes that were not fsynced
-//! before it*. [`MrbgStore::append_batch`], the eager
-//! [`MrbgStore::merge_apply`] and [`MrbgStore::compact`] end in a commit;
-//! [`MrbgStore::merge_apply_deferred`] does not — it hands its frames to
-//! the page cache, updates the in-memory index, marks the store
-//! [dirty](MrbgStore::is_dirty) and leaves the commit to the caller (the
-//! runtime commits once per refresh, at settle, instead of once per
-//! iteration).
+//! state in three ordered steps: write the pending set back (append it as
+//! one batch), `sync_all` the data file, then write the index to a temp
+//! file, `sync_all` it and rename it over the index file. It is the only
+//! place either file is synced, which is what enforces the invariant *an
+//! index file never references bytes that were not fsynced before it*.
+//! [`MrbgStore::append_batch`], the eager [`MrbgStore::merge_apply`] and
+//! [`MrbgStore::compact`] end in a commit;
+//! [`MrbgStore::merge_apply_deferred`] does not — it leaves its merged
+//! frames in the pending set, marks the store [dirty](MrbgStore::is_dirty)
+//! and leaves the commit to the caller (the runtime commits once per
+//! refresh, at settle, instead of once per iteration). The pending set
+//! reaches the file earlier only as a write-back without a sync: when it
+//! outgrows [`StoreConfig::cache_capacity`], or before `compact` or
+//! `append_batch` writes the file.
 //!
 //! What is durable when: exactly the state of the last commit. A crash
-//! between commits leaves the last committed index file plus a data file
-//! whose tail, past the last indexed byte, is whatever the kernel got
-//! around to writing. [`MrbgStore::open`] walks that tail frame by frame
+//! between commits loses the pending set and leaves the last committed
+//! index file plus a data file whose tail, past the last indexed byte, is
+//! whatever the kernel got around to writing of the write-backs since.
+//! [`MrbgStore::open`] walks that tail frame by frame
 //! ([`crate::format::valid_frame_prefix`]): intact frames are kept (they
 //! are unreferenced, so harmless, and the next compaction drops them), the
 //! first torn or corrupt frame and everything after it is truncated away
@@ -48,29 +55,33 @@
 //! could resume from anyway: their iterating state lives in memory, and a
 //! mid-refresh resume goes through their own checkpoints.) Every chunk
 //! is a checksummed *frame* ([`crate::format::encode_framed`]) verified on
-//! every read, so corruption inside the committed region is *detectable*
-//! and the runtime can quarantine and rebuild the shard instead of
-//! computing on garbage.
+//! every read from the file, so corruption inside the committed region is
+//! *detectable* and the runtime can quarantine and rebuild the shard
+//! instead of computing on garbage.
 //!
 //! Compaction is a commit of its own because it *replaces* the data file:
-//! the reconstruction is written to a temp file and synced, renamed over
-//! the data file, and then the re-pointed index is committed. It never
+//! the pending set is written back, the reconstruction is written to a
+//! temp file and synced, renamed over the data file, and then the
+//! re-pointed index is committed. It never
 //! needs the old file synced (every byte it keeps was just rewritten and
 //! synced), so compacting a dirty store commits it. The two renames are
 //! not atomic together: a crash between them leaves the old index over the
 //! new file, which the frame checksums turn into detected corruption
 //! (quarantine and rebuild), never into wrong data.
 //! [`MrbgStore::import`] is *not* a commit — it restores from a
-//! checkpoint, which stays the durable copy.
+//! checkpoint, which stays the durable copy — and a store it replaces
+//! takes its pending set with it.
 //!
 //! # Checkpoint payload
 //!
 //! [`MrbgStore::export`] is a verified copy, like compaction: the live
 //! frames stream out of one windowed read pass in canonical key order,
 //! each checked for its checksum and key on the raw bytes and appended
-//! verbatim. The payload is the store's compacted image in a layout this
-//! module owns, `varint(data_len) ‖ data ‖ index`: `data` is exactly what
-//! [`MrbgStore::compact`] would write and `index` is that file's index.
+//! verbatim, with the pending frames spliced in by key (an export does not
+//! write the pending set back). The payload is the store's compacted image
+//! in a layout this module owns, `varint(data_len) ‖ data ‖ index`: `data`
+//! is exactly what [`MrbgStore::compact`] would write and `index` is that
+//! file's index.
 //! [`MrbgStore::import`] slices the payload into the two files and opens
 //! them; nothing is decoded on either side.
 
@@ -79,10 +90,11 @@ use crate::compact::CompactionStats;
 use crate::format::{decode_framed, encode_framed, valid_frame_prefix, verify_frame, Chunk};
 use crate::index::{BatchInfo, ChunkIndex, ChunkLoc};
 use crate::merge::{merge_frame, DeltaChunk, MergedBatch};
-use crate::query::{FramePass, QueryPass, QueryStrategy};
+use crate::query::{FramePass, QueryStrategy};
 use i2mr_common::codec::{read_varint, varint_len, write_varint};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -93,6 +105,9 @@ pub struct StoreConfig {
     /// Chunk retrieval strategy for merge passes.
     pub strategy: QueryStrategy,
     /// Read-cache capacity bounding each read window (paper: read cache).
+    /// It also bounds the store's pending set: once deferred merges hold
+    /// more merged-frame bytes than this, they are written back to the
+    /// data file (see [`MrbgStore::merge_apply_deferred`]).
     pub cache_capacity: u64,
     /// Append-buffer flush threshold.
     pub append_capacity: usize,
@@ -133,6 +148,48 @@ pub struct MrbgStore {
     /// The in-memory index is ahead of the index file: the store is
     /// *dirty* until the next commit.
     index_stale: bool,
+    /// Merged frames no write-back has appended yet (see [`Pending`]).
+    pending: Pending,
+}
+
+/// The store's **pending set**: for each key a deferred merge touched since
+/// the last write-back, its latest merged frame — or `None`, a removal —
+/// in canonical key order. It shadows the index: every read consults it
+/// first, and a later merge of the same key merges into the pending frame
+/// instead of re-reading and re-appending the stored one. A write-back —
+/// at the commit, past [`StoreConfig::cache_capacity`], or before
+/// `compact` or `append_batch` writes the file — appends it to the data
+/// file as one batch.
+#[derive(Debug, Default)]
+struct Pending {
+    frames: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// Sum of the frame lengths: exactly what a write-back appends.
+    bytes: u64,
+}
+
+impl Pending {
+    fn frame_len(frame: &Option<Vec<u8>>) -> u64 {
+        frame.as_ref().map_or(0, |f| f.len() as u64)
+    }
+
+    /// Make `frame` the latest version of `key`, reusing the buffer of the
+    /// frame it replaces.
+    fn set(&mut self, key: &[u8], frame: Option<&[u8]>) {
+        if !self.frames.contains_key(key) {
+            self.frames.insert(key.to_vec(), None);
+        }
+        let slot = self.frames.get_mut(key).expect("just inserted");
+        self.bytes -= Self::frame_len(slot);
+        match frame {
+            Some(frame) => {
+                let buf = slot.get_or_insert_with(Vec::new);
+                buf.clear();
+                buf.extend_from_slice(frame);
+                self.bytes += frame.len() as u64;
+            }
+            None => *slot = None,
+        }
+    }
 }
 
 /// A detached read handle for the split read path.
@@ -166,23 +223,33 @@ impl StoreReader {
 
 /// Streaming iterator over a store's live chunks in canonical key order.
 ///
-/// Produced by [`MrbgStore::chunks_iter`]; wraps a planned [`QueryPass`]
-/// so retrieval uses the store's configured window strategy. Holding one
+/// Produced by [`MrbgStore::chunks_iter`]: a planned [`FramePass`] over
+/// the stored frames, so retrieval uses the store's configured window
+/// strategy, with the pending set's frames spliced in by key. Holding one
 /// borrows the store mutably for the duration of the scan.
 pub struct ChunksIter<'a> {
-    pass: QueryPass<'a>,
+    frames: FramePass<'a>,
+    /// The live keys in canonical order, each with its pending frame if
+    /// the pending set holds one.
+    keys: std::vec::IntoIter<(Vec<u8>, Option<&'a [u8]>)>,
 }
 
 impl Iterator for ChunksIter<'_> {
     type Item = Result<Chunk>;
 
     fn next(&mut self) -> Option<Result<Chunk>> {
-        self.pass.next_chunk()
+        let (key, pending) = self.keys.next()?;
+        Some(self.frames.next_frame().and_then(|stored| {
+            let frame = match pending {
+                Some(frame) => frame,
+                None => stored.ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?,
+            };
+            decode_checked(frame, &key)
+        }))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.pass.remaining();
-        (n, Some(n))
+        self.keys.size_hint()
     }
 }
 
@@ -217,6 +284,7 @@ impl MrbgStore {
             salvaged: 0,
             data_unsynced: false,
             index_stale: true,
+            pending: Pending::default(),
         };
         store.persist_index()?;
         Ok(store)
@@ -285,6 +353,7 @@ impl MrbgStore {
             salvaged,
             data_unsynced: false,
             index_stale: false,
+            pending: Pending::default(),
         })
     }
 
@@ -303,17 +372,36 @@ impl MrbgStore {
         self.config.strategy = strategy;
     }
 
-    /// Number of live Reduce instances preserved.
+    /// Number of live Reduce instances preserved (pending set included).
     pub fn len(&self) -> usize {
-        self.index.len()
+        let (keys, _) = self.pending_effect();
+        (self.index.len() as i64 + keys) as usize
     }
 
     /// True when nothing is preserved.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
-    /// Current MRBGraph file size (live + obsolete versions).
+    /// What the pending set changes against the index: live keys gained
+    /// and live bytes gained (either may be negative).
+    fn pending_effect(&self) -> (i64, i64) {
+        let (mut keys, mut bytes) = (0, 0);
+        for (key, frame) in &self.pending.frames {
+            if let Some(loc) = self.index.get(key) {
+                keys -= 1;
+                bytes -= loc.len as i64;
+            }
+            if let Some(frame) = frame {
+                keys += 1;
+                bytes += frame.len() as i64;
+            }
+        }
+        (keys, bytes)
+    }
+
+    /// Current MRBGraph file size (live + obsolete versions). Pending
+    /// frames are not in the file yet.
     pub fn file_len(&self) -> u64 {
         self.file_len
     }
@@ -323,9 +411,25 @@ impl MrbgStore {
         self.index.batches().len()
     }
 
-    /// Bytes of live (latest-version) chunks — what compaction would keep.
+    /// Bytes of live (latest-version) chunks — what compaction would keep,
+    /// pending frames included.
     pub fn live_bytes(&self) -> u64 {
+        let (_, bytes) = self.pending_effect();
+        (self.index.live_bytes() as i64 + bytes) as u64
+    }
+
+    /// Bytes of the frames the index points at — the live share of the
+    /// data file as it is now, which the compaction policy weighs against
+    /// [`MrbgStore::file_len`].
+    pub(crate) fn file_live_bytes(&self) -> u64 {
         self.index.live_bytes()
+    }
+
+    /// Bytes of merged frames waiting in the pending set — what the next
+    /// write-back appends. Never above [`StoreConfig::cache_capacity`]
+    /// once a merge has returned.
+    pub fn pending_bytes(&self) -> u64 {
+        self.pending.bytes
     }
 
     /// Accumulated I/O counters (Table 4 columns).
@@ -340,21 +444,23 @@ impl MrbgStore {
 
     /// True when the in-memory state is ahead of the last commit (a
     /// deferred merge has run since). Reads are unaffected — every read
-    /// path consults only the in-memory index; only a reopen would observe
-    /// the older committed state.
+    /// path consults the pending set and the in-memory index; only a
+    /// reopen would observe the older committed state.
     pub fn is_dirty(&self) -> bool {
-        self.index_stale
+        self.index_stale || !self.pending.frames.is_empty()
     }
 
     /// **Commit**: make the in-memory state the durable state (see the
-    /// module docs). Data first — `sync_all` the data file if it holds
-    /// unsynced appends — then the index: temp file, `sync_all`, atomic
-    /// rename. A crash can leave the old index or the new one, never a
-    /// torn one, and because this is the only place an index file is
-    /// written, an index on disk never references data the kernel might
-    /// not have written. Each flag is cleared only once its step
-    /// succeeded, so a failed commit can simply be retried.
+    /// module docs). The pending set is written back first, as one batch.
+    /// Then data — `sync_all` the data file if it holds unsynced appends —
+    /// then the index: temp file, `sync_all`, atomic rename. A crash can
+    /// leave the old index or the new one, never a torn one, and because
+    /// this is the only place an index file is written, an index on disk
+    /// never references data the kernel might not have written. Each step
+    /// clears its state only once it succeeded (a failed write-back keeps
+    /// the pending set), so a failed commit can simply be retried.
     pub fn persist_index(&mut self) -> Result<()> {
+        self.write_back()?;
         if self.data_unsynced {
             self.file.sync_all()?;
             self.io.record_sync();
@@ -375,8 +481,10 @@ impl MrbgStore {
     /// Append `chunks` as one new batch (initial MRBGraph preservation).
     ///
     /// Chunks are written in canonical (lexicographic key) order; the index
-    /// is updated and the batch committed.
+    /// is updated and the batch committed. Pending frames are written back
+    /// first, so the appended chunks are the latest versions.
     pub fn append_batch(&mut self, mut chunks: Vec<Chunk>) -> Result<()> {
+        self.write_back()?;
         chunks.sort_by(|a, b| a.key.cmp(&b.key));
         // Canonical batch order (paper §3.4): one chunk per Reduce
         // instance, strictly ascending byte-lexicographic keys. The
@@ -425,34 +533,40 @@ impl MrbgStore {
     /// For every delta chunk: retrieve the preserved frame with the
     /// configured strategy, verify it, merge the delta into it (deletions
     /// first, then insertions) and append the up-to-date frame to a new
-    /// batch. Returns that batch with one outcome per delta key in
+    /// batch. Returns the merged frames with one outcome per delta key in
     /// canonical key order — the outcomes carry the merged Reduce inputs.
-    /// Eager: the merge is committed before this returns.
+    /// Eager: [`MrbgStore::merge_apply_deferred`] followed by a commit.
     pub fn merge_apply(&mut self, deltas: Vec<DeltaChunk>) -> Result<MergedBatch> {
         let merged = self.merge_apply_deferred(deltas)?;
         self.persist_index()?;
         Ok(merged)
     }
 
-    /// [`MrbgStore::merge_apply`] with the commit deferred.
+    /// [`MrbgStore::merge_apply`] with the write and the commit deferred.
     ///
-    /// The appended frames go to the page cache without a `sync_all`, the
-    /// in-memory index is fully updated, and the store is marked
-    /// [dirty](MrbgStore::is_dirty) — correct for every read path (`get`,
-    /// `get_with`, `chunks_iter`, `export` all consult only the in-memory
-    /// index and read through the page cache); only a reopen would observe
-    /// the last committed state instead. The iterative engines call this
-    /// per iteration and commit once at settle via
-    /// [`MrbgStore::persist_index`], turning two fsyncs and an O(all keys)
-    /// index rewrite per shard per iteration into one commit per refresh.
+    /// The merged frames go to the store's **pending set**, not to the
+    /// data file: each key keeps its latest frame (or a removal) in memory
+    /// until a write-back appends the whole set as one batch in canonical
+    /// key order. A later merge of the same key merges into its pending
+    /// frame — no file read, no re-append, no garbage — so a refresh
+    /// writes each touched chunk once instead of once per iteration. The
+    /// write-back happens at the commit ([`MrbgStore::persist_index`]),
+    /// when a merge leaves more than [`StoreConfig::cache_capacity`]
+    /// pending bytes, and before a writer that needs the file view
+    /// ([`MrbgStore::compact`], [`MrbgStore::append_batch`]). The store is
+    /// [dirty](MrbgStore::is_dirty) until the commit; every read path
+    /// (`get`, `get_with`, `keys`, `len`, `chunks_iter`, `export`) sees
+    /// the pending set, and only a reopen would observe the last committed
+    /// state instead.
     ///
     /// Copy, do not decode: each stored frame is verified on its raw
     /// bytes ([`verify_frame`]) and merged entry by entry into the batch
     /// buffer ([`crate::merge`]); no [`Chunk`] is built. Every frame is
-    /// read, verified and merged before the first byte is written, so a
-    /// corrupt or wrong-key frame — or two delta chunks for one key —
-    /// fails the merge with the file, the index and the dirty flag as they
-    /// were.
+    /// read, verified and merged before anything changes, and a write-back
+    /// installs the index only after its last byte was written, so a
+    /// corrupt or wrong-key frame, two delta chunks for one key, or a
+    /// failed write-back fails the merge with the pending set, the file
+    /// length, the index and the dirty flag as they were.
     pub fn merge_apply_deferred(&mut self, mut deltas: Vec<DeltaChunk>) -> Result<MergedBatch> {
         deltas.sort_by(|a, b| a.key.cmp(&b.key));
         if let Some(w) = deltas.windows(2).find(|w| w[0].key == w[1].key) {
@@ -464,48 +578,122 @@ impl MrbgStore {
             )));
         }
 
-        // Phase 1: one planned read pass; each verified frame is merged
+        // Phase 1: one planned read pass over the keys the pending set
+        // does not hold; each frame, pending or verified stored, is merged
         // into the batch buffer.
         let mut bytes = Vec::new();
         let mut spans = Vec::with_capacity(deltas.len());
         {
+            let pending = &self.pending.frames;
             let mut pass = FramePass::new(
                 &mut self.file,
                 self.file_len,
                 &mut self.io,
                 self.config.strategy,
                 self.config.cache_capacity,
-                deltas.iter().map(|d| self.index.get(&d.key)).collect(),
+                deltas
+                    .iter()
+                    .map(|d| match pending.contains_key(&d.key) {
+                        true => None,
+                        false => self.index.get(&d.key),
+                    })
+                    .collect(),
             );
             let mut ops = Vec::new();
             for d in &deltas {
                 let stored = pass.next_frame()?;
-                if let Some(frame) = stored {
-                    verify_frame(frame, &d.key)?;
-                }
-                spans.push(merge_frame(stored, d, &mut ops, &mut bytes)?);
+                let base = match pending.get(&d.key) {
+                    Some(frame) => frame.as_deref(),
+                    None => {
+                        if let Some(frame) = stored {
+                            verify_frame(frame, &d.key)?;
+                        }
+                        stored
+                    }
+                };
+                spans.push(merge_frame(base, d, &mut ops, &mut bytes)?);
             }
         }
 
-        // Phase 2: append the merged frames one by one as a new batch (the
-        // append buffer flushes exactly where a frame-at-a-time writer
-        // would); update the index.
+        // Phase 2: the merged frames become the keys' pending versions —
+        // or, past the pending-set bound, are written back with it.
+        let merged = deltas
+            .iter()
+            .zip(&spans)
+            .map(|(d, span)| (d.key.as_slice(), span.clone().map(|s| &bytes[s])));
+        let replaced: u64 = deltas
+            .iter()
+            .filter_map(|d| self.pending.frames.get(&d.key))
+            .map(Pending::frame_len)
+            .sum();
+        let after = self.pending.bytes - replaced + bytes.len() as u64;
+        if after > self.config.cache_capacity {
+            let pending = std::mem::take(&mut self.pending);
+            let mut all: BTreeMap<&[u8], Option<&[u8]>> = pending
+                .frames
+                .iter()
+                .map(|(key, frame)| (key.as_slice(), frame.as_deref()))
+                .collect();
+            all.extend(merged);
+            if let Err(e) = self.append_frames(all) {
+                self.pending = pending;
+                return Err(e);
+            }
+        } else {
+            for (key, frame) in merged {
+                self.pending.set(key, frame);
+            }
+        }
+        let outcomes = deltas.into_iter().map(|d| d.key).zip(spans).collect();
+        Ok(MergedBatch::new(bytes, outcomes))
+    }
+
+    /// Write the pending set back: append it to the data file as one
+    /// batch ([`MrbgStore::append_frames`]) and empty it. On failure the
+    /// pending set is kept, so a retry writes the same batch.
+    fn write_back(&mut self) -> Result<()> {
+        if self.pending.frames.is_empty() {
+            return Ok(());
+        }
+        let pending = std::mem::take(&mut self.pending);
+        let frames = pending
+            .frames
+            .iter()
+            .map(|(key, frame)| (key.as_slice(), frame.as_deref()));
+        if let Err(e) = self.append_frames(frames) {
+            self.pending = pending;
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Append `frames` — in canonical key order, `None` for a removal — as
+    /// one new batch, frame by frame through the [`AppendBuffer`] (so it
+    /// flushes exactly where a frame-at-a-time writer would), and point
+    /// the index at them. Page cache only: the next commit syncs these
+    /// bytes before it writes the index that references them. The index
+    /// and the file length change only after the last byte was written; a
+    /// failure leaves them as they were, and the next append overwrites
+    /// whatever reached the file past its length.
+    fn append_frames<'f>(
+        &mut self,
+        frames: impl IntoIterator<Item = (&'f [u8], Option<&'f [u8]>)>,
+    ) -> Result<()> {
         let batch_id = self.index.batches().len() as u32;
         let start = self.file_len;
         let mut append = AppendBuffer::new(self.config.append_capacity, self.file_len);
-        let mut locs = Vec::with_capacity(spans.len());
-        for span in &spans {
-            locs.push(match span {
-                Some(span) => Some(ChunkLoc {
-                    offset: append.append(&bytes[span.clone()], &mut self.file, &mut self.io)?,
-                    len: span.len() as u32,
+        let mut locs = Vec::new();
+        for (key, frame) in frames {
+            let loc = match frame {
+                Some(frame) => Some(ChunkLoc {
+                    offset: append.append(frame, &mut self.file, &mut self.io)?,
+                    len: frame.len() as u32,
                     batch: batch_id,
                 }),
                 None => None,
-            });
+            };
+            locs.push((key, loc));
         }
-        // Page cache only: the next commit syncs these bytes before it
-        // writes the index that references them.
         append.flush(&mut self.file, &mut self.io)?;
         self.data_unsynced = true;
         self.index_stale = true;
@@ -514,32 +702,29 @@ impl MrbgStore {
             start,
             end: self.file_len,
         });
-        for (d, loc) in deltas.iter().zip(locs) {
+        for (key, loc) in locs {
             match loc {
-                Some(loc) => self.index.put(d.key.clone(), loc),
+                Some(loc) => self.index.put(key.to_vec(), loc),
                 None => {
-                    self.index.remove(&d.key);
+                    self.index.remove(key);
                 }
             }
         }
-        let outcomes = deltas.into_iter().map(|d| d.key).zip(spans).collect();
-        Ok(MergedBatch::new(bytes, outcomes))
+        Ok(())
     }
 
-    /// Point lookup of one preserved chunk (always index-only I/O).
+    /// Point lookup of one preserved chunk: the pending frame if the
+    /// pending set holds the key, else one index-only read.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Chunk>> {
+        if let Some(frame) = self.pending.frames.get(key) {
+            return frame.as_deref().map(|f| decode_checked(f, key)).transpose();
+        }
         let loc = match self.index.get(key) {
             Some(loc) => loc,
             None => return Ok(None),
         };
-        let mut cur = self.read_region(loc.offset, loc.len as u64)?;
-        let chunk = decode_framed(&mut cur)?;
-        if chunk.key != key {
-            return Err(Error::corrupt(
-                "index points at a chunk for a different key",
-            ));
-        }
-        Ok(Some(chunk))
+        let frame = self.read_region(loc.offset, loc.len as u64)?;
+        decode_checked(frame, key).map(Some)
     }
 
     /// Detach a read handle for the split read path (see [`StoreReader`]).
@@ -561,6 +746,9 @@ impl MrbgStore {
     /// compaction since the reader was created, the reader transparently
     /// reopens it.
     pub fn get_with(&self, reader: &mut StoreReader, key: &[u8]) -> Result<Option<Chunk>> {
+        if let Some(frame) = self.pending.frames.get(key) {
+            return frame.as_deref().map(|f| decode_checked(f, key)).transpose();
+        }
         if reader.generation != self.generation {
             reader.file = File::open(Self::data_path(&self.dir))?;
             reader.generation = self.generation;
@@ -577,21 +765,12 @@ impl MrbgStore {
         reader.file.seek(SeekFrom::Start(loc.offset))?;
         reader.file.read_exact(&mut reader.scratch[..len])?;
         reader.io.record_read(len as u64);
-        let mut cur = &reader.scratch[..len];
-        let chunk = decode_framed(&mut cur)?;
-        if chunk.key != key {
-            return Err(Error::corrupt(
-                "index points at a chunk for a different key",
-            ));
-        }
-        Ok(Some(chunk))
+        decode_checked(&reader.scratch[..len], key).map(Some)
     }
 
     /// Live keys in canonical (lexicographic) order.
     pub fn keys(&self) -> Vec<Vec<u8>> {
-        let mut keys: Vec<Vec<u8>> = self.index.iter().map(|(k, _)| k.clone()).collect();
-        keys.sort_unstable();
-        keys
+        self.keys_where(|_| true)
     }
 
     /// Live keys in `lo..=hi` (inclusive both ends), in canonical order.
@@ -599,12 +778,24 @@ impl MrbgStore {
     /// under a shared lock, then read each chunk through a detached
     /// [`StoreReader`].
     pub fn keys_in_range(&self, lo: &[u8], hi: &[u8]) -> Vec<Vec<u8>> {
+        self.keys_where(|k| k >= lo && k <= hi)
+    }
+
+    /// Live keys passing `keep`, pending set included, in canonical order.
+    fn keys_where(&self, keep: impl Fn(&[u8]) -> bool) -> Vec<Vec<u8>> {
+        let pending = &self.pending.frames;
         let mut keys: Vec<Vec<u8>> = self
             .index
             .iter()
-            .filter(|(k, _)| k.as_slice() >= lo && k.as_slice() <= hi)
+            .filter(|(k, _)| keep(k) && !pending.contains_key(k.as_slice()))
             .map(|(k, _)| k.clone())
             .collect();
+        keys.extend(
+            pending
+                .iter()
+                .filter(|(k, frame)| frame.is_some() && keep(k))
+                .map(|(k, _)| k.clone()),
+        );
         keys.sort_unstable();
         keys
     }
@@ -612,21 +803,37 @@ impl MrbgStore {
     /// Stream all live chunks in canonical (lexicographic key) order.
     ///
     /// Replaces the old "materialize the whole store into a `Vec<Chunk>`"
-    /// pattern: chunks are decoded one at a time out of a [`QueryPass`]
+    /// pattern: chunks are decoded one at a time out of a [`FramePass`]
     /// running the store's configured strategy, so peak memory is bounded
-    /// by one read window plus one chunk regardless of store size.
+    /// by one read window plus one chunk regardless of store size. Pending
+    /// frames are decoded from memory in their key's place.
     pub fn chunks_iter(&mut self) -> ChunksIter<'_> {
-        let keys = self.keys();
+        let pending = &self.pending.frames;
+        let keys: Vec<(Vec<u8>, Option<&[u8]>)> = self
+            .keys()
+            .into_iter()
+            .map(|key| {
+                let frame = pending.get(&key).and_then(Option::as_deref);
+                (key, frame)
+            })
+            .collect();
+        let plan = keys
+            .iter()
+            .map(|(key, frame)| match frame {
+                Some(_) => None,
+                None => self.index.get(key),
+            })
+            .collect();
         ChunksIter {
-            pass: QueryPass::new(
+            frames: FramePass::new(
                 &mut self.file,
                 self.file_len,
                 &mut self.io,
-                &self.index,
                 self.config.strategy,
                 self.config.cache_capacity,
-                keys,
+                plan,
             ),
+            keys: keys.into_iter(),
         }
     }
 
@@ -642,7 +849,7 @@ impl MrbgStore {
 
     /// Offline reconstruction: rewrite live chunks as a single batch,
     /// dropping every obsolete version (paper §3.4). A commit of its own —
-    /// see the module docs.
+    /// see the module docs. The pending set is written back first.
     ///
     /// Copy-only: live frames stream out of a windowed read pass in
     /// canonical key order and are appended to the temp file *verbatim*.
@@ -652,6 +859,7 @@ impl MrbgStore {
     /// a corrupt live frame fails the compaction (leaving the original
     /// file and index in place) and is never laundered into the new file.
     pub fn compact(&mut self) -> Result<CompactionStats> {
+        self.write_back()?;
         let before_bytes = self.file_len;
         let batches_before = self.index.batches().len() as u32;
 
@@ -667,12 +875,16 @@ impl MrbgStore {
         let mut write_io = IoStats::default();
         let mut append = AppendBuffer::new(self.config.append_capacity, 0);
         let mut live = self.index.sorted_mut();
+        let frames: Vec<(&[u8], LiveFrame<'_>)> = live
+            .iter()
+            .map(|(key, loc)| (*key, LiveFrame::Stored(**loc)))
+            .collect();
         copy_live_frames(
             &mut self.file,
             self.file_len,
             &mut self.io,
             self.config,
-            &live,
+            &frames,
             |frame| append.append(frame, &mut tmp, &mut write_io).map(drop),
         )?;
         // Fsync the reconstruction before the rename makes it visible.
@@ -735,12 +947,26 @@ impl MrbgStore {
     /// into a checkpoint. The index is written straight from the sorted
     /// live list, since key order is offset order in the image.
     pub fn export(&mut self) -> Result<Vec<u8>> {
-        let data_len = self.index.live_bytes();
-        let mut payload = Vec::with_capacity(
-            varint_len(data_len) + data_len as usize + 16 + self.index.len() * 32,
-        );
+        // The live set: the stored frames the pending set does not shadow,
+        // plus the pending frames, in canonical key order.
+        let pending = &self.pending.frames;
+        let mut live: Vec<(&[u8], LiveFrame<'_>)> = self
+            .index
+            .sorted_mut()
+            .into_iter()
+            .filter(|(key, _)| !pending.contains_key(*key))
+            .map(|(key, loc)| (key, LiveFrame::Stored(*loc)))
+            .collect();
+        if !pending.is_empty() {
+            live.extend(pending.iter().filter_map(|(key, frame)| {
+                Some((key.as_slice(), LiveFrame::Pending(frame.as_deref()?)))
+            }));
+            live.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        }
+        let data_len: u64 = live.iter().map(|(_, f)| f.len() as u64).sum();
+        let mut payload =
+            Vec::with_capacity(varint_len(data_len) + data_len as usize + 16 + live.len() * 32);
         write_varint(data_len, &mut payload);
-        let live = self.index.sorted_mut();
         copy_live_frames(
             &mut self.file,
             self.file_len,
@@ -752,7 +978,7 @@ impl MrbgStore {
                 Ok(())
             },
         )?;
-        ChunkIndex::write_compacted(&live, &mut payload);
+        ChunkIndex::write_compacted(live.iter().map(|(key, f)| (*key, f.len())), &mut payload);
         Ok(payload)
     }
 
@@ -813,15 +1039,45 @@ impl MrbgStore {
     }
 }
 
+/// Where a live chunk's latest frame is: in the data file, or in the
+/// pending set.
+#[derive(Clone, Copy)]
+enum LiveFrame<'a> {
+    Stored(ChunkLoc),
+    Pending(&'a [u8]),
+}
+
+impl LiveFrame<'_> {
+    fn len(&self) -> u32 {
+        match self {
+            LiveFrame::Stored(loc) => loc.len,
+            LiveFrame::Pending(frame) => frame.len() as u32,
+        }
+    }
+}
+
+/// Decode a frame the index or the pending set holds for `key`, verifying
+/// its checksum and its key.
+fn decode_checked(mut frame: &[u8], key: &[u8]) -> Result<Chunk> {
+    let chunk = decode_framed(&mut frame)?;
+    if chunk.key != key {
+        return Err(Error::corrupt(
+            "index points at a chunk for a different key",
+        ));
+    }
+    Ok(chunk)
+}
+
 /// The loop [`MrbgStore::compact`] and [`MrbgStore::export`] share: plan a
-/// [`FramePass`] over the live locations in canonical key order, verify
-/// each raw frame's checksum and key, and hand it to `sink` verbatim.
+/// [`FramePass`] over the stored frames of `live` (canonical key order),
+/// verify each raw frame's checksum and key, and hand it — or the pending
+/// frame in its place — to `sink` verbatim.
 fn copy_live_frames(
     file: &mut File,
     file_len: u64,
     io: &mut IoStats,
     config: StoreConfig,
-    live: &[(&[u8], &mut ChunkLoc)],
+    live: &[(&[u8], LiveFrame<'_>)],
     mut sink: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
     let mut pass = FramePass::new(
@@ -830,13 +1086,23 @@ fn copy_live_frames(
         io,
         config.strategy,
         config.cache_capacity,
-        live.iter().map(|(_, loc)| Some(**loc)).collect(),
+        live.iter()
+            .map(|(_, frame)| match frame {
+                LiveFrame::Stored(loc) => Some(*loc),
+                LiveFrame::Pending(_) => None,
+            })
+            .collect(),
     );
-    for (key, _) in live {
-        let frame = pass
-            .next_frame()?
-            .ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?;
-        verify_frame(frame, key)?;
+    for (key, live_frame) in live {
+        let stored = pass.next_frame()?;
+        let frame = match live_frame {
+            LiveFrame::Pending(frame) => frame,
+            LiveFrame::Stored(_) => {
+                let frame = stored.ok_or_else(|| Error::corrupt("indexed chunk disappeared"))?;
+                verify_frame(frame, key)?;
+                frame
+            }
+        };
         sink(frame)?;
     }
     Ok(())

@@ -257,6 +257,9 @@ fn soak_shutdown_drains_queued_compactions() {
                     .collect())
             })
             .unwrap();
+            // The commit writes the round's pending frames back, so the
+            // obsolete versions reach the file.
+            mgr.flush_indexes().unwrap();
         }
         before = mgr.file_bytes();
         assert!(mgr.schedule_compactions(5).unwrap() > 0, "nothing was due");

@@ -7,6 +7,9 @@
 //!   commits, appends, compactions and crashes (drop without commit, with
 //!   or without a torn tail), a reopened store is exactly the model at the
 //!   last commit.
+//! * **Deferred commits**: a store that commits once at the end reads
+//!   exactly like one that commits after every merge, through every read
+//!   path, across compactions, and reopens to the same live set.
 //! * **Frame merge**: merging a delta into stored frames yields, per key,
 //!   exactly the framed chunk of an independent BTreeMap model — or a
 //!   removal when the model is empty.
@@ -28,7 +31,7 @@ use i2mapreduce::core::Op as DeltaOp;
 use i2mapreduce::prelude::*;
 use i2mapreduce::store::{
     encode_framed, frame_entries, Chunk, ChunkEntry, ChunkIndex, ChunkLoc, DeltaChunk, DeltaEntry,
-    MrbgStore,
+    MrbgStore, StoreReader,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -143,7 +146,8 @@ fn model_chunks(model: &Model) -> Vec<Chunk> {
 
 #[derive(Clone, Debug)]
 enum CommitOp {
-    /// `merge_apply_deferred`: frames to the page cache, no commit.
+    /// `merge_apply_deferred`: frames to the pending set (and, past its
+    /// bound, written back to the page cache), no commit.
     DeferredMerge(Vec<(u8, Vec<(u8, Option<u8>)>)>),
     /// `persist_index`.
     Commit,
@@ -158,6 +162,26 @@ enum CommitOp {
     TornCrash(u32),
 }
 
+/// The pending-set bound of `reopened_store_is_the_last_commit`.
+const COMMIT_TEST_PENDING_CAP: u64 = 256;
+
+/// A store's pending set as the commit test sees it: per touched key, its
+/// merged frame's length, or `None` for a removal.
+type PendingModel = BTreeMap<Vec<u8>, Option<u64>>;
+
+fn pending_bytes(pending: &PendingModel) -> u64 {
+    pending.values().flatten().sum()
+}
+
+/// A write-back: the pending frames land back to back from `at`, in key
+/// order, as frames of the uncommitted tail.
+fn write_back(pending: &mut PendingModel, at: &mut u64, frame_ends: &mut Vec<u64>) {
+    for len in std::mem::take(pending).into_values().flatten() {
+        *at += len;
+        frame_ends.push(*at);
+    }
+}
+
 fn commit_op() -> impl Strategy<Value = CommitOp> {
     let edges = proptest::collection::vec((0u8..6, proptest::option::of(any::<u8>())), 1..4);
     let chunk = proptest::collection::vec((0u8..6, any::<u8>()), 1..4);
@@ -169,6 +193,86 @@ fn commit_op() -> impl Strategy<Value = CommitOp> {
         1 => Just(CommitOp::Crash),
         3 => any::<u32>().prop_map(CommitOp::TornCrash),
     ]
+}
+
+// ---------------------------------------------------------------------------
+// Deferred commits
+// ---------------------------------------------------------------------------
+
+/// The pending-set bound of `deferring_the_commit_is_invisible`: a few
+/// merges of values ≥ 128 B cross it.
+const DEFER_TEST_PENDING_CAP: u64 = 1024;
+
+#[derive(Clone, Debug)]
+enum DeferOp {
+    /// Per-key changes over a five-MK domain; `true` instead deletes
+    /// every MK, removing the key's chunk.
+    Merge(Vec<(u8, Vec<(u8, Option<Vec<u8>>)>, bool)>),
+    /// `compact` the deferring store (a commit of its own).
+    Compact,
+}
+
+fn defer_op() -> impl Strategy<Value = DeferOp> {
+    let changes = proptest::collection::vec((0u8..5, proptest::option::of(edge_value())), 1..5);
+    let wipe = prop_oneof![5 => Just(false), 1 => Just(true)];
+    prop_oneof![
+        6 => proptest::collection::vec((0u8..16, changes, wipe), 1..8).prop_map(DeferOp::Merge),
+        1 => Just(DeferOp::Compact),
+    ]
+}
+
+/// One merge's delta chunks, one per distinct key in key order.
+fn defer_deltas(groups: Vec<(u8, Vec<(u8, Option<Vec<u8>>)>, bool)>) -> Vec<DeltaChunk> {
+    let mut by_key: BTreeMap<u8, Vec<DeltaEntry>> = BTreeMap::new();
+    for (key, changes, wipe) in groups {
+        let entries = by_key.entry(key).or_default();
+        if wipe {
+            entries.extend((0..5).map(|mk| DeltaEntry::Delete(MapKey(mk))));
+        } else {
+            entries.extend(changes.into_iter().map(|(mk, value)| match value {
+                Some(v) => DeltaEntry::Insert(MapKey(mk as u128), v),
+                None => DeltaEntry::Delete(MapKey(mk as u128)),
+            }));
+        }
+    }
+    by_key
+        .into_iter()
+        .map(|(key, entries)| DeltaChunk {
+            key: vec![key],
+            entries,
+        })
+        .collect()
+}
+
+/// Every read path of `a` and `b` returns the same: `len`, `live_bytes`,
+/// `keys_in_range`, `get` and `get_with` of every key, `chunks_iter`, and
+/// the `export` payload bytes.
+fn assert_same_reads(
+    a: &mut MrbgStore,
+    b: &mut MrbgStore,
+    readers: &mut (StoreReader, StoreReader),
+    (lo, hi): (u8, u8),
+) {
+    assert_eq!(a.len(), b.len());
+    assert_eq!(a.live_bytes(), b.live_bytes());
+    assert_eq!(a.keys_in_range(&[lo], &[hi]), b.keys_in_range(&[lo], &[hi]));
+    for key in 0..16u8 {
+        let got = a.get(&[key]).unwrap();
+        assert_eq!(got, b.get(&[key]).unwrap(), "get {key}");
+        assert_eq!(
+            a.get_with(&mut readers.0, &[key]).unwrap(),
+            got,
+            "get_with {key}"
+        );
+        assert_eq!(
+            b.get_with(&mut readers.1, &[key]).unwrap(),
+            got,
+            "get_with {key}"
+        );
+    }
+    let chunks = |s: &mut MrbgStore| s.chunks_iter().collect::<Result<Vec<Chunk>, _>>().unwrap();
+    assert_eq!(chunks(a), chunks(b));
+    assert_eq!(a.export().unwrap(), b.export().unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -267,16 +371,22 @@ proptest! {
     fn reopened_store_is_the_last_commit(ops in proptest::collection::vec(commit_op(), 1..24), tag in 0u64..u64::MAX) {
         let dir = scratch(&format!("commit-{tag}"));
         let data = dir.join("mrbg.data");
-        let mut store = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
+        // A pending-set bound a few merges fill, so deferred merges also
+        // write back — and crashes tear — uncommitted tails.
+        let config = StoreConfig { cache_capacity: COMMIT_TEST_PENDING_CAP, ..StoreConfig::default() };
+        let mut store = MrbgStore::create(&dir, config).unwrap();
         // `live` follows the in-memory store, `committed` the last commit.
         let mut live = Model::new();
         let mut committed = Model::new();
+        // The store's pending set: each touched key's merged frame length
+        // (`None` a removal) since the last write-back.
+        let mut pending = PendingModel::new();
         // Where a reopen starts walking the tail: the end of the last
         // batch in the index file (`disk_end`) — and the same for the
         // in-memory index (`mem_end`), which becomes `disk_end` at the
         // next commit. `frame_ends`: every frame boundary past `disk_end`.
         let mut disk_end = store.file_len();
-        let mut mem_end = disk_end;
+        let mut mem_end;
         let mut frame_ends: Vec<u64> = Vec::new();
 
         // The ops, then one last crash so every sequence ends in a reopen.
@@ -286,19 +396,27 @@ proptest! {
                 CommitOp::DeferredMerge(groups) => {
                     let (deltas, by_key) = merge_deltas(groups);
                     let mut at = store.file_len();
-                    for (_, frame) in store.merge_apply_deferred(deltas).unwrap().iter() {
-                        if let Some(frame) = frame {
-                            at += frame.len() as u64;
-                            frame_ends.push(at);
-                        }
+                    for (key, frame) in store.merge_apply_deferred(deltas).unwrap().iter() {
+                        pending.insert(key.to_vec(), frame.map(|f| f.len() as u64));
+                    }
+                    // Past the bound, the merge writes the whole pending
+                    // set back as one batch; below it the file is unchanged.
+                    if pending_bytes(&pending) > COMMIT_TEST_PENDING_CAP {
+                        write_back(&mut pending, &mut at, &mut frame_ends);
                     }
                     prop_assert_eq!(at, store.file_len());
+                    prop_assert_eq!(store.pending_bytes(), pending_bytes(&pending));
                     prop_assert!(store.is_dirty());
                     mem_end = at;
                     apply_to_model(&mut live, by_key);
                 }
                 CommitOp::Commit => {
+                    // The commit grows the file by exactly the pending frames.
+                    let mut at = store.file_len();
+                    write_back(&mut pending, &mut at, &mut frame_ends);
                     store.persist_index().unwrap();
+                    prop_assert_eq!(at, store.file_len());
+                    mem_end = at;
                     commits = true;
                 }
                 CommitOp::Append(chunks) => {
@@ -309,12 +427,14 @@ proptest! {
                         })
                         .collect();
                     store.append_batch(model_chunks(&batch)).unwrap();
+                    pending.clear();
                     live.extend(batch);
                     mem_end = store.file_len();
                     commits = true;
                 }
                 CommitOp::Compact => {
                     store.compact().unwrap();
+                    pending.clear();
                     prop_assert_eq!(store.live_bytes(), store.file_len());
                     // A new file: nothing of the old tail is left.
                     frame_ends.clear();
@@ -324,6 +444,7 @@ proptest! {
                 CommitOp::Crash | CommitOp::TornCrash(_) => {
                     let full = store.file_len();
                     drop(store);
+                    pending.clear();
                     let mut torn = 0;
                     if let CommitOp::TornCrash(seed) = op {
                         let cut = disk_end + seed as u64 % (full - disk_end + 1);
@@ -338,7 +459,7 @@ proptest! {
                         frame_ends.retain(|&end| end <= cut);
                         torn = cut - frame_ends.last().copied().unwrap_or(disk_end);
                     }
-                    store = MrbgStore::open(&dir, StoreConfig::default()).unwrap();
+                    store = MrbgStore::open(&dir, config).unwrap();
                     prop_assert_eq!(store.take_salvaged_bytes(), torn);
                     prop_assert_eq!(
                         store.file_len(),
@@ -418,7 +539,10 @@ proptest! {
         let file_before = store.file_len();
         let merged = store.merge_apply_deferred(deltas).unwrap();
         prop_assert_eq!(merged.len(), cases.len());
-        prop_assert_eq!(store.file_len(), file_before + merged.bytes().len() as u64);
+        // The merged frames wait in the pending set: the file grows only
+        // at the write-back, by exactly those frames.
+        prop_assert_eq!(store.file_len(), file_before);
+        prop_assert_eq!(store.pending_bytes(), merged.bytes().len() as u64);
         let want: BTreeMap<Vec<u8>, Chunk> =
             model_chunks(&model).into_iter().map(|c| (c.key.clone(), c)).collect();
         let mut appended = Vec::new();
@@ -447,6 +571,60 @@ proptest! {
         }
         prop_assert_eq!(merged.bytes(), &appended[..]);
         prop_assert_eq!(store.all_chunks().unwrap(), model_chunks(&model));
+        store.persist_index().unwrap();
+        let data = std::fs::read(store.dir().join("mrbg.data")).unwrap();
+        prop_assert_eq!(&data[file_before as usize..], merged.bytes());
+        prop_assert_eq!(store.all_chunks().unwrap(), model_chunks(&model));
+    }
+
+    #[test]
+    fn deferring_the_commit_is_invisible(ops in proptest::collection::vec(defer_op(), 1..16), range in (0u8..16, 0u8..16), tag in 0u64..u64::MAX) {
+        // One store commits after every merge, the other only at the end
+        // (and at its compactions): every read must agree after every step.
+        let config = StoreConfig { cache_capacity: DEFER_TEST_PENDING_CAP, ..StoreConfig::default() };
+        let dirs = (scratch(&format!("eager-{tag}")), scratch(&format!("deferred-{tag}")));
+        let mut eager = MrbgStore::create(&dirs.0, config).unwrap();
+        let mut deferred = MrbgStore::create(&dirs.1, config).unwrap();
+        let initial: Vec<Chunk> = (0..8u8)
+            .map(|k| Chunk::new(vec![k], (0..2).map(|mk| ChunkEntry {
+                mk: MapKey(mk),
+                value: vec![k; 130 * (k as usize % 2)],
+            }).collect()))
+            .collect();
+        eager.append_batch(initial.clone()).unwrap();
+        deferred.append_batch(initial).unwrap();
+        // Detached before any merge: they must chase the pending set and
+        // every compaction of the file under them.
+        let mut readers = (eager.reader().unwrap(), deferred.reader().unwrap());
+        assert_same_reads(&mut eager, &mut deferred, &mut readers, range);
+        for op in ops {
+            match op {
+                DeferOp::Merge(groups) => {
+                    let deltas = defer_deltas(groups);
+                    let merged = eager.merge_apply(deltas.clone()).unwrap();
+                    prop_assert_eq!(deferred.merge_apply_deferred(deltas).unwrap(), merged);
+                    prop_assert!(deferred.pending_bytes() <= DEFER_TEST_PENDING_CAP);
+                    prop_assert!(!eager.is_dirty());
+                }
+                DeferOp::Compact => {
+                    deferred.compact().unwrap();
+                    prop_assert_eq!(deferred.pending_bytes(), 0);
+                }
+            }
+            assert_same_reads(&mut eager, &mut deferred, &mut readers, range);
+        }
+        deferred.persist_index().unwrap();
+        prop_assert!(!deferred.is_dirty());
+        let live = eager.all_chunks().unwrap();
+        drop((eager, deferred));
+        let mut reopened = (
+            MrbgStore::open(&dirs.0, config).unwrap(),
+            MrbgStore::open(&dirs.1, config).unwrap(),
+        );
+        prop_assert_eq!(reopened.0.all_chunks().unwrap(), live.clone());
+        prop_assert_eq!(reopened.1.all_chunks().unwrap(), live);
+        let _ = std::fs::remove_dir_all(&dirs.0);
+        let _ = std::fs::remove_dir_all(&dirs.1);
     }
 
     #[test]

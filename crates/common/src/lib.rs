@@ -42,7 +42,6 @@ pub use failpoint::{FailAction, FailSite, FailpointRegistry};
 pub use hash::{stable_hash128, stable_hash64, MapKey};
 pub use metrics::{IoStats, JobMetrics, Stage, StageTimes};
 pub use telemetry::{
-    EventKind, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ServeOutcome,
-    StoreOpKind, TaskRef, TelemetryConfig, TelemetryMode, TraceEvent, TraceLog, TraceRecorder,
-    WorkerTrace,
+    EventKind, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, StoreOpKind,
+    TaskRef, TelemetryConfig, TelemetryMode, TraceEvent, TraceLog, TraceRecorder, WorkerTrace,
 };

@@ -198,11 +198,6 @@ pub struct JobMetrics {
     /// Serving-plane point lookups that went to the store's read path
     /// (cache miss or stale-version invalidation).
     pub serve_misses: u64,
-    /// Records pulled through the ingestion cursor since the last drain.
-    pub ingested_records: u64,
-    /// MRBG-Store keys targeted for recomputation by ingestion
-    /// invalidations (corrections/reorgs; see `core::ingest`).
-    pub invalidated_keys: u64,
 }
 
 impl JobMetrics {
@@ -238,8 +233,6 @@ impl JobMetrics {
             recovery_ms,
             serve_hits,
             serve_misses,
-            ingested_records,
-            invalidated_keys,
         } = other;
         self.jobs_started += jobs_started;
         self.stages += *stages;
@@ -260,8 +253,6 @@ impl JobMetrics {
         self.recovery_ms += recovery_ms;
         self.serve_hits += serve_hits;
         self.serve_misses += serve_misses;
-        self.ingested_records += ingested_records;
-        self.invalidated_keys += invalidated_keys;
     }
 
     /// Every counter as `name value` report lines, in declaration order.
@@ -289,8 +280,6 @@ impl JobMetrics {
             recovery_ms,
             serve_hits,
             serve_misses,
-            ingested_records,
-            invalidated_keys,
         } = self;
         let mut out = vec![format!("jobs_started {jobs_started}")];
         for stage in Stage::ALL {
@@ -325,8 +314,6 @@ impl JobMetrics {
         out.push(format!("recovery_ms {recovery_ms}"));
         out.push(format!("serve_hits {serve_hits}"));
         out.push(format!("serve_misses {serve_misses}"));
-        out.push(format!("ingested_records {ingested_records}"));
-        out.push(format!("invalidated_keys {invalidated_keys}"));
         out
     }
 }
@@ -402,8 +389,6 @@ mod tests {
             recovery_ms: 17,
             serve_hits: 6,
             serve_misses: 2,
-            ingested_records: 30,
-            invalidated_keys: 5,
             ..Default::default()
         };
         b.store_io.record_read(9);
@@ -425,8 +410,6 @@ mod tests {
         assert_eq!(a.recovery_ms, 17);
         assert_eq!(a.serve_hits, 6);
         assert_eq!(a.serve_misses, 2);
-        assert_eq!(a.ingested_records, 30);
-        assert_eq!(a.invalidated_keys, 5);
         assert_eq!(a.measured(), Duration::from_millis(4));
     }
 
@@ -434,18 +417,18 @@ mod tests {
     fn report_lines_cover_every_counter() {
         let mut m = JobMetrics {
             serve_hits: 7,
-            invalidated_keys: 3,
+            serve_misses: 3,
             ..Default::default()
         };
         m.store_io.record_read(100);
         let lines = m.report_lines();
         assert!(lines.contains(&"serve_hits 7".to_string()));
-        assert!(lines.contains(&"invalidated_keys 3".to_string()));
+        assert!(lines.contains(&"serve_misses 3".to_string()));
         assert!(lines.contains(&"store_io_bytes_read 100".to_string()));
         m.store_io.record_sync();
         assert!(m.report_lines().contains(&"store_io_syncs 1".to_string()));
-        // 1 jobs + 4 stages + 2*6 io blocks + 17 scalar counters.
-        assert_eq!(lines.len(), 34);
+        // 1 jobs + 4 stages + 2*6 io blocks + 15 scalar counters.
+        assert_eq!(lines.len(), 32);
     }
 
     #[test]

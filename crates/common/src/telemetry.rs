@@ -1,16 +1,16 @@
 //! Telemetry plane: a lock-light span/event recorder, a live metrics
 //! registry, and exporters for run timelines (see DESIGN.md §10).
 //!
-//! The runtime has five interacting planes (executor lanes, sharded store,
-//! serving, ingestion, fault recovery); until this module the only windows
+//! The runtime has interacting planes (executor lanes, sharded store,
+//! checkpointing, fault recovery); until this module the only windows
 //! into a run were end-of-run [`crate::metrics::JobMetrics`] aggregates.
-//! The telemetry plane adds the per-task / per-shard / per-lookup record
+//! The telemetry plane adds the per-task / per-shard record
 //! needed to reconstruct *why* a run behaved the way it did — and it is
 //! the executor's only record of task attempts:
 //!
 //! * [`TraceRecorder`] — per-worker ring buffers of sequence-stamped,
 //!   typed [`TraceEvent`]s. Each worker (plus one *driver* slot for the
-//!   coordinating thread, helpers, and the serving front) appends to its
+//!   coordinating thread and helpers) appends to its
 //!   own rarely-contended buffer; memory is bounded by an explicit
 //!   capacity and overflow increments a **drop counter** — a truncated
 //!   trace always says so, it never silently looks complete.
@@ -40,7 +40,7 @@
 //! `Counters` bumps one relaxed atomic per event. `Full` additionally
 //! takes one per-slot mutex (uncontended: each worker owns its slot) and
 //! appends ~100 bytes. Events fire at *task/op* granularity — per attempt,
-//! per shard op, per lookup — never per record, which keeps `Full` within
+//! per shard op — never per record, which keeps `Full` within
 //! 5% of `Off` on the shuffle data plane (`micro_trace` bench, gated).
 
 use crate::metrics::{IoStats, Stage, StageTimes};
@@ -73,9 +73,8 @@ pub enum TelemetryMode {
 
 /// Telemetry knobs, carried on `EngineConfig` / `RunBuilder`.
 ///
-/// Deliberately **excluded** from `EngineConfig::config_hash`: observability
-/// must never invalidate ingestion cursors or change engine semantics —
-/// `Off` and `Full` runs are bit-identical in state and store exports.
+/// Observability never changes engine semantics: `Off` and `Full` runs
+/// are bit-identical in state and store exports.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Recording mode (see [`TelemetryMode`]).
@@ -162,29 +161,6 @@ impl StoreOpKind {
     }
 }
 
-/// Outcome of one serving-plane point lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeOutcome {
-    /// Answered from the hot-key cache.
-    Hit,
-    /// Key absent from the cache; went to the store read path.
-    Miss,
-    /// Cached value was stamped with an older shard generation — the
-    /// lookup chased the current generation through the store.
-    GenerationChase,
-}
-
-impl ServeOutcome {
-    /// Stable lowercase name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeOutcome::Hit => "hit",
-            ServeOutcome::Miss => "miss",
-            ServeOutcome::GenerationChase => "generation-chase",
-        }
-    }
-}
-
 /// The typed payload of one trace event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
@@ -228,25 +204,6 @@ pub enum EventKind {
         nanos: u64,
         /// Bytes the operation reclaimed/salvaged/imported (op-specific).
         bytes: u64,
-    },
-    /// One serving-plane point lookup.
-    ServeLookup {
-        /// Cache outcome.
-        outcome: ServeOutcome,
-        /// End-to-end lookup wall nanoseconds.
-        nanos: u64,
-    },
-    /// An ingestion cursor staged a batch from its source.
-    IngestPoll {
-        /// Structure records staged.
-        records: u64,
-        /// Invalidated keys staged.
-        invalidations: u64,
-    },
-    /// An ingestion cursor committed a staged batch's high-water marks.
-    IngestCommit {
-        /// Structure records committed.
-        records: u64,
     },
     /// One iteration's checkpoint was written.
     CheckpointSave {
@@ -292,7 +249,7 @@ pub enum EventKind {
 }
 
 /// Number of distinct [`EventKind`] variants (per-kind counter array size).
-const N_KINDS: usize = 11;
+const N_KINDS: usize = 8;
 
 /// Stable per-kind names, indexed by [`kind_index`]. Used for registry
 /// snapshots and the JSONL `type` field.
@@ -301,9 +258,6 @@ const KIND_NAMES: [&str; N_KINDS] = [
     "task_end",
     "retry",
     "store_op",
-    "serve_lookup",
-    "ingest_poll",
-    "ingest_commit",
     "checkpoint_save",
     "checkpoint_restore",
     "stage",
@@ -316,13 +270,10 @@ fn kind_index(kind: &EventKind) -> usize {
         EventKind::TaskEnd { .. } => 1,
         EventKind::Retry { .. } => 2,
         EventKind::StoreOp { .. } => 3,
-        EventKind::ServeLookup { .. } => 4,
-        EventKind::IngestPoll { .. } => 5,
-        EventKind::IngestCommit { .. } => 6,
-        EventKind::CheckpointSave { .. } => 7,
-        EventKind::CheckpointRestore { .. } => 8,
-        EventKind::StageSample { .. } => 9,
-        EventKind::StoreIoSample { .. } => 10,
+        EventKind::CheckpointSave { .. } => 4,
+        EventKind::CheckpointRestore { .. } => 5,
+        EventKind::StageSample { .. } => 6,
+        EventKind::StoreIoSample { .. } => 7,
     }
 }
 
@@ -674,18 +625,6 @@ impl TraceLog {
                         &mut out,
                         &mut first,
                     ),
-                    EventKind::ServeLookup { outcome, nanos } => push(
-                        format!(
-                            "{{\"name\":\"serve-{}\",\"cat\":\"serve\",\"ph\":\"X\",\"ts\":{:.3},\
-                             \"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{}}}}",
-                            outcome.name(),
-                            (e.at_nanos.saturating_sub(*nanos)) as f64 / 1_000.0,
-                            *nanos as f64 / 1_000.0,
-                            tid
-                        ),
-                        &mut out,
-                        &mut first,
-                    ),
                     other => push(
                         format!(
                             "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{ts:.3},\
@@ -759,26 +698,6 @@ impl TraceLog {
                             nanos,
                             bytes
                         );
-                    }
-                    EventKind::ServeLookup { outcome, nanos } => {
-                        let _ = write!(
-                            out,
-                            ",\"outcome\":\"{}\",\"nanos\":{}",
-                            outcome.name(),
-                            nanos
-                        );
-                    }
-                    EventKind::IngestPoll {
-                        records,
-                        invalidations,
-                    } => {
-                        let _ = write!(
-                            out,
-                            ",\"records\":{records},\"invalidations\":{invalidations}"
-                        );
-                    }
-                    EventKind::IngestCommit { records } => {
-                        let _ = write!(out, ",\"records\":{records}");
                     }
                     EventKind::CheckpointSave { iteration, nanos }
                     | EventKind::CheckpointRestore { iteration, nanos } => {
@@ -1157,13 +1076,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Register `hist` under `name`, replacing any prior instrument —
-    /// used to surface an existing shared sink (e.g. the serving plane's
-    /// latency histogram) without double-recording.
-    pub fn register_histogram(&self, name: &str, hist: Arc<LatencyHistogram>) {
-        lock(&self.histograms).insert(name.to_string(), hist);
-    }
-
     /// Point-in-time snapshot of every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let counters = lock(&self.counters)
@@ -1299,11 +1211,19 @@ mod tests {
         assert!(log.validate().unwrap_err().contains("strictly increasing"));
     }
 
+    /// A payload-light event for the ring-mechanics tests.
+    fn save(iteration: u64) -> EventKind {
+        EventKind::CheckpointSave {
+            iteration,
+            nanos: 0,
+        }
+    }
+
     #[test]
     fn drops_are_counted_never_silent() {
         let r = TraceRecorder::new(TelemetryMode::Full, 1, 2);
         for i in 0..5u64 {
-            r.emit(0, EventKind::IngestCommit { records: i });
+            r.emit(0, save(i));
         }
         assert_eq!(r.dropped_events(), 3);
         let log = r.take();
@@ -1312,16 +1232,16 @@ mod tests {
         // Dropped-total survives the take (honest across assembled logs).
         assert_eq!(r.dropped_events(), 3);
         // The ring re-arms after a take.
-        r.emit(0, EventKind::IngestCommit { records: 9 });
+        r.emit(0, save(9));
         assert_eq!(r.take().len(), 1);
     }
 
     #[test]
     fn seq_stays_monotone_across_takes() {
         let r = TraceRecorder::new(TelemetryMode::Full, 1, 64);
-        r.emit(0, EventKind::IngestCommit { records: 1 });
+        r.emit(0, save(1));
         let mut log = r.take();
-        r.emit(0, EventKind::IngestCommit { records: 2 });
+        r.emit(0, save(2));
         log.merge(r.take());
         log.validate().unwrap();
         let seqs: Vec<u64> = log.workers[0].events.iter().map(|e| e.seq).collect();
@@ -1397,15 +1317,17 @@ mod tests {
                 ok: true,
             },
         );
-        r.emit_driver(EventKind::ServeLookup {
-            outcome: ServeOutcome::Hit,
+        r.emit_driver(EventKind::StoreOp {
+            op: StoreOpKind::Commit,
+            shard: 1,
             nanos: 250,
+            bytes: 64,
         });
         let json = r.take().to_chrome_json();
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""), "paired span present");
         assert!(json.contains("map-3@0"));
-        assert!(json.contains("serve-hit"));
+        assert!(json.contains("store-commit-1"));
         // Balanced braces/brackets (cheap well-formedness proxy — the
         // format has no nested strings with braces).
         let opens = json.matches('{').count();

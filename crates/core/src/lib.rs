@@ -24,12 +24,8 @@
 //!   declares to run through [`run::RunSession::run_delta`].
 //! * [`run`] — the single construction surface: a validated
 //!   [`run::EngineConfig`] behind a [`run::RunBuilder`] that assembles a
-//!   [`run::RunSession`] (initial/incremental/delta runs, serving
-//!   handles, settled teardown).
-//! * [`ingest`] — cursor-based ingestion: partitioned, sequence-numbered
-//!   feeds consumed through high-water-mark [`ingest::IngestCursor`]s,
-//!   with config/schema versioning and invalidations that trigger
-//!   targeted recomputation via the delta engine.
+//!   [`run::RunSession`] (initial/incremental/delta runs, settled
+//!   teardown).
 //! * [`cpc`] — the change propagation filter (paper §5.3).
 //! * [`checkpoint`] — per-iteration state/MRBGraph checkpoints (paper §6.1).
 //! * [`delta`] — the `+`/`−` delta input representation (paper §3.3).
@@ -88,7 +84,6 @@ pub mod delta;
 pub mod delta_iter;
 mod driver;
 pub mod incr_iter;
-pub mod ingest;
 pub mod iter_engine;
 pub mod iterative;
 pub mod onestep;
@@ -103,7 +98,6 @@ pub use cpc::{ChangePropagation, Verdict};
 pub use delta::{Delta, DeltaRecord, Op};
 pub use delta_iter::{DeltaIterativeSpec, UpdateContract};
 pub use incr_iter::IncrParams;
-pub use ingest::{FeedItem, IngestBatch, IngestCursor, IngestSource, MemSource};
 pub use iter_engine::{
     build_partitioned, build_small_state, PartitionedData, RunReport, SmallStateData,
     SmallStateIterEngine,

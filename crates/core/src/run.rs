@@ -17,12 +17,11 @@
 //! The session exposes the run modes as methods —
 //! [`RunSession::run_initial`], [`RunSession::run_incremental`],
 //! [`RunSession::run_delta`], all one fixed-point driver returning a
-//! [`RunReport`] — plus the serving plane ([`RunSession::serve`]) and a
-//! single [`RunSession::finish`] that settles the store plane (fence
-//! overlapped compactions, commit dirty shards, drain trailing counters)
-//! exactly once and hands the stores back. `tests/builder_equivalence.rs`
-//! pins seeded runs of all three modes to fingerprints of their state,
-//! live store chunks and checkpoint writes.
+//! [`RunReport`] — and a single [`RunSession::finish`] that settles the
+//! store plane (fence overlapped compactions, commit dirty shards, drain
+//! trailing counters) exactly once and hands the stores back.
+//! `tests/builder_equivalence.rs` pins seeded runs of all three modes to
+//! fingerprints of their state, live store chunks and checkpoint writes.
 
 use crate::checkpoint::IterCheckpointer;
 use crate::delta::Delta;
@@ -38,9 +37,7 @@ use i2mr_common::telemetry::{MetricsSnapshot, TelemetryConfig, TraceLog};
 use i2mr_dfs::MiniDfs;
 use i2mr_mapred::{JobConfig, WorkerPool};
 use i2mr_store::runtime::{StoreManager, StoreRuntimeConfig};
-use i2mr_store::serve::{ServeConfig, ServeHandle};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Every knob of an engine run, consolidated.
 ///
@@ -64,8 +61,6 @@ pub struct EngineConfig {
     /// written. Larger cadences trade re-execution distance on recovery
     /// for checkpoint I/O.
     pub checkpoint_every: u64,
-    /// Serving-plane tunables ([`RunSession::serve`]).
-    pub serve: ServeConfig,
     /// Telemetry plane: `Off` (default — no recorder, bit-identical to
     /// the untraced engine), `Counters` (per-kind atomic counters only),
     /// or `Full` (typed spans into per-worker rings, exportable as Chrome
@@ -81,7 +76,6 @@ impl Default for EngineConfig {
             incr: IncrParams::default(),
             store: StoreRuntimeConfig::default(),
             checkpoint_every: 1,
-            serve: ServeConfig::default(),
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -127,38 +121,6 @@ impl EngineConfig {
         }
         Ok(())
     }
-
-    /// A deterministic fingerprint of every knob, for change detection
-    /// (the ingestion cursor embeds it so a refresh under a different
-    /// configuration is flagged stale rather than silently mixed).
-    ///
-    /// Computed as FNV-1a over the `Debug` rendering of each sub-config —
-    /// stable within a build, sensitive to any field change, and free of
-    /// serde machinery.
-    ///
-    /// `telemetry` is deliberately **excluded**: observability must never
-    /// invalidate an ingestion cursor. Turning tracing on to diagnose a
-    /// live pipeline, then off again, would otherwise flag every cursor
-    /// stale and force full replays — for a knob that cannot change any
-    /// computed result (`tests/trace_equivalence.rs` proves runs are
-    /// bit-identical across modes).
-    pub fn config_hash(&self) -> u64 {
-        let repr = format!(
-            "{:?}|{:?}|{:?}|{:?}|{}|{:?}",
-            self.job, self.iter, self.incr, self.store, self.checkpoint_every, self.serve
-        );
-        fnv1a64(repr.as_bytes())
-    }
-}
-
-/// FNV-1a, 64-bit. Also used by the ingestion front for schema hashes.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Where the session's store plane comes from.
@@ -239,12 +201,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
     /// opens its stores; ignored for [`RunBuilder::stores`]).
     pub fn store_runtime(mut self, store: StoreRuntimeConfig) -> Self {
         self.config.store = store;
-        self
-    }
-
-    /// Set the serving-plane tunables.
-    pub fn serve_config(mut self, serve: ServeConfig) -> Self {
-        self.config.serve = serve;
         self
     }
 
@@ -563,24 +519,6 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         )
     }
 
-    /// Open the serving plane over the session's store plane: concurrent
-    /// point/window lookups with a version-invalidated hot-key cache (see
-    /// [`i2mr_store::serve`]). The handle borrows the session; refreshes
-    /// may run concurrently with serving on other threads of the caller.
-    pub fn serve(&self) -> Result<ServeHandle<'_>> {
-        let handle = self.stores_required("serve")?.serve(self.config.serve);
-        // Route hit/miss/chase counters (and spans, in Full mode) into the
-        // session's registry so `ServeHandle::snapshot` stays live across
-        // metric drains.
-        Ok(match self.telemetry.recorder() {
-            Some(_) => handle.with_telemetry(
-                Arc::clone(self.telemetry.registry()),
-                self.telemetry.recorder_handle(),
-            ),
-            None => handle,
-        })
-    }
-
     /// Settle the store plane exactly once — fence overlapped compactions,
     /// commit dirty shards, drain trailing counters — and hand the
     /// stores back. This is the *session-level* settle point: individual
@@ -612,7 +550,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         })
     }
 
-    pub(crate) fn stores_required(&self, what: &str) -> Result<&StoreManager> {
+    fn stores_required(&self, what: &str) -> Result<&StoreManager> {
         self.stores().ok_or_else(|| {
             Error::config(format!(
                 "{what} requires a store plane — configure RunBuilder::store_dir / open_store_dir / stores"
@@ -702,54 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn config_hash_tracks_every_knob() {
-        let base = EngineConfig::default();
-        let h0 = base.config_hash();
-        assert_eq!(h0, EngineConfig::default().config_hash(), "deterministic");
-
-        let mut c = EngineConfig::default();
-        c.iter.epsilon = 1e-9;
-        assert_ne!(h0, c.config_hash());
-
-        let c = EngineConfig {
-            checkpoint_every: 4,
-            ..Default::default()
-        };
-        assert_ne!(h0, c.config_hash());
-
-        let mut c = EngineConfig::default();
-        c.serve.cache_capacity += 1;
-        assert_ne!(h0, c.config_hash());
-
-        let mut c = EngineConfig::default();
-        c.job.n_workers += 1;
-        assert_ne!(h0, c.config_hash());
-
-        let mut c = EngineConfig::default();
-        c.incr.pdelta_threshold = 0.25;
-        assert_ne!(h0, c.config_hash());
-
-        let mut c = EngineConfig::default();
-        c.store.policy.min_batches += 1;
-        assert_ne!(h0, c.config_hash());
-    }
-
-    #[test]
-    fn config_hash_ignores_telemetry() {
-        // Observability must never invalidate ingestion cursors: flipping
-        // tracing on/off around a diagnosis session keeps the same hash.
-        use i2mr_common::telemetry::{TelemetryConfig, TelemetryMode};
-        let h0 = EngineConfig::default().config_hash();
-        let mut telemetry = TelemetryConfig::with_mode(TelemetryMode::Full);
-        telemetry.jsonl_path = Some("/tmp/trace.jsonl".into());
-        let c = EngineConfig {
-            telemetry,
-            ..Default::default()
-        };
-        assert_eq!(h0, c.config_hash());
-    }
-
-    #[test]
     fn builder_runs_the_initial_computation() {
         let spec = Averager;
         let session = RunBuilder::new(&spec)
@@ -804,7 +694,6 @@ mod tests {
         let mut data = build_partitioned(&spec, 2, ring(8));
         let delta = Delta::new();
         assert!(session.run_incremental(&mut data, &delta).is_err());
-        assert!(session.serve().is_err());
     }
 
     #[test]
@@ -819,11 +708,5 @@ mod tests {
             .stores(stores)
             .build();
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
     }
 }

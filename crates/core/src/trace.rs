@@ -7,11 +7,10 @@
 //!
 //! 1. `Telemetry::new` sizes a [`TraceRecorder`] to the session's worker
 //!    pool (`n_workers` slots plus the driver slot for coordinator /
-//!    store-plane / serving emissions) and allocates the session's
+//!    store-plane emissions) and allocates the session's
 //!    [`MetricsRegistry`].
 //! 2. `RunSession::build` installs the recorder on the executor and the
-//!    store plane; the ingestion front and the engines emit through the
-//!    same handle.
+//!    store plane; the engines emit through the same handle.
 //! 3. Mid-run, [`Telemetry::snapshot`] folds the recorder's per-kind
 //!    counters and drop counter into a cheap point-in-time
 //!    [`MetricsSnapshot`] — live visibility, replacing the old
@@ -76,11 +75,6 @@ impl Telemetry {
     /// A cloned recorder handle, for installing on subsystems.
     pub(crate) fn recorder_handle(&self) -> Option<Arc<TraceRecorder>> {
         self.recorder.clone()
-    }
-
-    /// The session's live metrics registry (shared with serving handles).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// A cheap point-in-time snapshot of everything live: registry

@@ -1,4 +1,4 @@
-//! Query strategies and the query pass executor.
+//! Query strategies and the planned frame pass that executes them.
 //!
 //! Table 4 of the paper compares four ways to retrieve the chunks a merge
 //! needs; all four are implemented behind [`QueryStrategy`]:
@@ -13,14 +13,13 @@
 //!   Algorithm 1 using the known positions of upcoming requests; the
 //!   paper's (and our) default.
 //!
-//! A [`QueryPass`] is created per merge with the full sorted list of keys to
-//! be retrieved; [`QueryPass::get`] must then be called in exactly that
-//! order (the engine's merge loop naturally does). The windows themselves
-//! live in the [`FramePass`] underneath, which serves raw frame bytes to
-//! consumers that never decode (compaction, export).
+//! A [`FramePass`] is planned per merge, compaction or export with the
+//! locations of every chunk it will retrieve, in query order, and then
+//! serves each planned location's raw frame bytes in exactly that order.
+//! Callers check each frame ([`crate::format::verify_frame`]) or decode it
+//! ([`crate::format::decode_framed`]) themselves.
 
-use crate::format::{decode_framed, Chunk};
-use crate::index::{ChunkIndex, ChunkLoc};
+use crate::index::ChunkLoc;
 use crate::window::{dynamic_window_size, Window, DEFAULT_GAP_THRESHOLD};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
@@ -60,10 +59,9 @@ impl Default for QueryStrategy {
 /// Sentinel batch id for the shared single window.
 const SHARED_WINDOW: u32 = u32::MAX;
 
-/// A planned, windowed read over a sequence of chunk locations: the I/O
-/// half of a [`QueryPass`], serving each planned location as its raw frame
-/// bytes. Compaction and export drive one directly — they copy frames
-/// verbatim and never need a decoded [`Chunk`].
+/// A planned, windowed read over a sequence of chunk locations, serving
+/// each planned location as its raw frame bytes. Merges verify each frame
+/// against its key; compaction and export copy frames verbatim.
 pub struct FramePass<'a> {
     file: &'a mut File,
     file_len: u64,
@@ -104,9 +102,11 @@ impl<'a> FramePass<'a> {
     }
 
     /// The bytes of the next planned frame, exactly `ChunkLoc::len` of
-    /// them and **unverified** — the caller decodes ([`QueryPass`]) or
-    /// checks ([`crate::format::verify_frame`]) them. `None` when that
-    /// position has no preserved chunk.
+    /// them and **unverified** — the caller decodes
+    /// ([`crate::format::decode_framed`]) or checks
+    /// ([`crate::format::verify_frame`]) them. `None` when that position
+    /// has no preserved chunk. A frame the index places past the end of
+    /// the file is [`Error::Corrupt`] under every strategy.
     ///
     /// The slice points straight into the window (or scratch) buffer —
     /// retrieval copies each chunk's bytes exactly once, from the kernel
@@ -125,6 +125,9 @@ impl<'a> FramePass<'a> {
         Ok(Some(match self.strategy {
             QueryStrategy::IndexOnly => {
                 let len = loc.len as usize;
+                if loc.offset.saturating_add(len as u64) > self.file_len {
+                    return Err(past_the_end(loc, self.file_len));
+                }
                 self.scratch.resize(len, 0);
                 self.file.seek(SeekFrom::Start(loc.offset))?;
                 self.file.read_exact(&mut self.scratch[..len])?;
@@ -200,80 +203,26 @@ impl<'a> FramePass<'a> {
         self.file.read_exact(&mut w.buf[..len])?;
         self.io.record_read(len as u64);
         if !w.contains(loc) {
-            return Err(Error::corrupt(format!(
-                "indexed chunk at {}+{} reaches past the {}-byte data file",
-                loc.offset, loc.len, self.file_len
-            )));
+            return Err(past_the_end(loc, self.file_len));
         }
         Ok(())
     }
 }
 
-/// One planned retrieval pass over the MRBGraph file: a [`FramePass`]
-/// over the planned keys' locations, decoding and key-checking each frame.
-pub struct QueryPass<'a> {
-    frames: FramePass<'a>,
-    keys: Vec<Vec<u8>>,
-}
-
-impl<'a> QueryPass<'a> {
-    /// Plan a pass over `keys` (the engine's merge order).
-    pub fn new(
-        file: &'a mut File,
-        file_len: u64,
-        io: &'a mut IoStats,
-        index: &ChunkIndex,
-        strategy: QueryStrategy,
-        cache_capacity: u64,
-        keys: Vec<Vec<u8>>,
-    ) -> Self {
-        let plan = keys.iter().map(|k| index.get(k)).collect();
-        QueryPass {
-            frames: FramePass::new(file, file_len, io, strategy, cache_capacity, plan),
-            keys,
-        }
-    }
-
-    /// Retrieve the next planned chunk. `key` must equal the next planned
-    /// key; returns `None` when the key has no preserved chunk.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Chunk>> {
-        let i = self.frames.next;
-        if self.keys.get(i).map(Vec::as_slice) != Some(key) {
-            return Err(Error::corrupt(format!(
-                "query pass called out of plan order at position {i}"
-            )));
-        }
-        self.decode_next()
-    }
-
-    /// Number of planned keys not yet retrieved.
-    pub fn remaining(&self) -> usize {
-        self.frames.remaining()
-    }
-
-    /// Decode the frame at the next planned position and check it holds
-    /// that position's key.
-    fn decode_next(&mut self) -> Result<Option<Chunk>> {
-        let key = &self.keys[self.frames.next];
-        let Some(mut frame) = self.frames.next_frame()? else {
-            return Ok(None);
-        };
-        let chunk = decode_framed(&mut frame)?;
-        if chunk.key != *key {
-            return Err(Error::corrupt(format!(
-                "index points at a chunk for a different key (wanted {:?})",
-                String::from_utf8_lossy(key)
-            )));
-        }
-        Ok(Some(chunk))
-    }
+/// The index places a frame at `loc` that the `file_len`-byte data file
+/// does not hold in full.
+fn past_the_end(loc: ChunkLoc, file_len: u64) -> Error {
+    Error::corrupt(format!(
+        "indexed chunk at {}+{} reaches past the {}-byte data file",
+        loc.offset, loc.len, file_len
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{encode_framed, ChunkEntry};
-    use crate::index::BatchInfo;
+    use crate::format::{decode_framed, encode_framed, verify_frame, Chunk, ChunkEntry};
+    use crate::index::{BatchInfo, ChunkIndex};
     use i2mr_common::hash::MapKey;
     use std::io::Write;
 
@@ -323,8 +272,19 @@ mod tests {
         (f, offset, index)
     }
 
-    fn keys(ks: &[&str]) -> Vec<Vec<u8>> {
-        ks.iter().map(|k| k.as_bytes().to_vec()).collect()
+    /// The locations of `ks` in query order (a merge's plan).
+    fn plan(index: &ChunkIndex, ks: &[&str]) -> Vec<Option<ChunkLoc>> {
+        ks.iter().map(|k| index.get(k.as_bytes())).collect()
+    }
+
+    /// The next planned chunk, checked to hold `key` the way a merge
+    /// checks it, then decoded. `None` when nothing is preserved there.
+    fn get(pass: &mut FramePass<'_>, key: &str) -> Result<Option<Chunk>> {
+        let Some(mut frame) = pass.next_frame()? else {
+            return Ok(None);
+        };
+        verify_frame(frame, key.as_bytes())?;
+        decode_framed(&mut frame).map(Some)
     }
 
     #[test]
@@ -332,17 +292,16 @@ mod tests {
         let (mut f, len, index) =
             build_store("idxonly", &[vec![("a", b"1"), ("b", b"2"), ("c", b"3")]]);
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::IndexOnly,
             1 << 20,
-            keys(&["a", "b", "c"]),
+            plan(&index, &["a", "b", "c"]),
         );
         for k in ["a", "b", "c"] {
-            let c = pass.get(k.as_bytes()).unwrap().unwrap();
+            let c = get(&mut pass, k).unwrap().unwrap();
             assert_eq!(c.key, k.as_bytes());
         }
         assert_eq!(io.reads, 3);
@@ -354,17 +313,16 @@ mod tests {
         let (mut f, len, index) =
             build_store("dyn", &[vec![("a", b"1"), ("b", b"2"), ("c", b"3")]]);
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::MultiDynamicWindow { gap_threshold: 64 },
             1 << 20,
-            keys(&["a", "b", "c"]),
+            plan(&index, &["a", "b", "c"]),
         );
         for k in ["a", "b", "c"] {
-            assert!(pass.get(k.as_bytes()).unwrap().is_some());
+            assert!(get(&mut pass, k).unwrap().is_some());
         }
         assert_eq!(io.reads, 1, "adjacent chunks: one large I/O");
         assert_eq!(io.bytes_read, len);
@@ -383,17 +341,16 @@ mod tests {
             .collect();
         let (mut f, len, index) = build_store("gap", &[batch]);
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::MultiDynamicWindow { gap_threshold: 8 },
             1 << 20,
-            keys(&["a", "z"]),
+            plan(&index, &["a", "z"]),
         );
-        assert!(pass.get(b"a").unwrap().is_some());
-        assert!(pass.get(b"z").unwrap().is_some());
+        assert!(get(&mut pass, "a").unwrap().is_some());
+        assert!(get(&mut pass, "z").unwrap().is_some());
         assert_eq!(io.reads, 2);
         assert!(io.bytes_read < len / 4, "read {} of {}", io.bytes_read, len);
     }
@@ -410,32 +367,30 @@ mod tests {
             ],
         );
         let mut io_single = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io_single,
-            &index,
             QueryStrategy::SingleFixWindow { window: 64 },
             1 << 20,
-            keys(&["a", "b", "c", "d"]),
+            plan(&index, &["a", "b", "c", "d"]),
         );
         for k in ["a", "b", "c", "d"] {
-            assert!(pass.get(k.as_bytes()).unwrap().is_some());
+            assert!(get(&mut pass, k).unwrap().is_some());
         }
         drop(pass);
 
         let mut io_multi = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io_multi,
-            &index,
             QueryStrategy::MultiFixWindow { window: 64 },
             1 << 20,
-            keys(&["a", "b", "c", "d"]),
+            plan(&index, &["a", "b", "c", "d"]),
         );
         for k in ["a", "b", "c", "d"] {
-            assert!(pass.get(k.as_bytes()).unwrap().is_some());
+            assert!(get(&mut pass, k).unwrap().is_some());
         }
         assert!(
             io_multi.reads < io_single.reads,
@@ -449,17 +404,16 @@ mod tests {
     fn unpreserved_keys_return_none_without_io() {
         let (mut f, len, index) = build_store("none", &[vec![("a", b"1")]]);
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::default(),
             1 << 20,
-            keys(&["0-new-key", "a"]),
+            plan(&index, &["0-new-key", "a"]),
         );
-        assert!(pass.get(b"0-new-key").unwrap().is_none());
-        assert!(pass.get(b"a").unwrap().is_some());
+        assert!(get(&mut pass, "0-new-key").unwrap().is_none());
+        assert!(get(&mut pass, "a").unwrap().is_some());
         assert_eq!(io.reads, 1);
     }
 
@@ -467,16 +421,20 @@ mod tests {
     fn out_of_order_get_is_rejected() {
         let (mut f, len, index) = build_store("order", &[vec![("a", b"1"), ("b", b"2")]]);
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::default(),
             1 << 20,
-            keys(&["a", "b"]),
+            plan(&index, &["a", "b"]),
         );
-        assert!(pass.get(b"b").is_err());
+        // Asking the pass for "b" first: the frame it serves is "a"'s,
+        // and the merge's key check refuses it.
+        assert!(matches!(get(&mut pass, "b"), Err(Error::Corrupt(_))));
+        assert!(get(&mut pass, "b").unwrap().is_some());
+        // A pass serves its plan and nothing past it.
+        assert!(matches!(pass.next_frame(), Err(Error::Corrupt(_))));
     }
 
     #[test]
@@ -503,9 +461,7 @@ mod tests {
             let err = (0..plan.len())
                 .find_map(|_| pass.next_frame().err())
                 .unwrap_or_else(|| panic!("{strategy:?}: read past the end of the file"));
-            if strategy != QueryStrategy::IndexOnly {
-                assert!(matches!(err, Error::Corrupt(_)), "{strategy:?}: {err}");
-            }
+            assert!(matches!(err, Error::Corrupt(_)), "{strategy:?}: {err}");
         }
     }
 
@@ -516,16 +472,15 @@ mod tests {
             &[vec![("k", b"version-1")], vec![("k", b"version-2")]],
         );
         let mut io = IoStats::default();
-        let mut pass = QueryPass::new(
+        let mut pass = FramePass::new(
             &mut f,
             len,
             &mut io,
-            &index,
             QueryStrategy::default(),
             1 << 20,
-            keys(&["k"]),
+            plan(&index, &["k"]),
         );
-        let c = pass.get(b"k").unwrap().unwrap();
+        let c = get(&mut pass, "k").unwrap().unwrap();
         assert_eq!(c.entries[0].value, b"version-2");
     }
 }

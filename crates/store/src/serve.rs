@@ -47,19 +47,15 @@ use crate::runtime::StoreManager;
 use crate::store::StoreReader;
 use i2mr_common::error::Result;
 use i2mr_common::metrics::JobMetrics;
-use i2mr_common::telemetry::{
-    EventKind, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ServeOutcome, TraceRecorder,
-};
+use i2mr_common::telemetry::LatencyHistogram;
 use i2mr_mapred::fault::{TaskId, TaskKind};
 use i2mr_mapred::pool::{Lane, TaskSpec};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Serving-plane tunables. Lives inside `EngineConfig` at the engine API
-/// level; defaults are validated there.
+/// Serving-plane tunables, passed to [`StoreManager::serve`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Hot-key cache capacity in entries *per shard* (`0` disables the
@@ -180,19 +176,6 @@ pub struct ServeMetrics {
     pub p99_nanos: u64,
 }
 
-/// Registry-backed live serving counters plus the optional span recorder,
-/// installed via [`ServeHandle::with_telemetry`]. Unlike the handle's own
-/// drain-reset counters, the registry counters are **never reset** — a
-/// dashboard polling [`ServeHandle::snapshot`] between engine fences sees
-/// monotone live values instead of a flatline.
-struct ServeTelemetry {
-    registry: Arc<MetricsRegistry>,
-    recorder: Option<Arc<TraceRecorder>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    chases: Arc<AtomicU64>,
-}
-
 /// Shared serving front over a [`StoreManager`]. See module docs.
 pub struct ServeHandle<'a> {
     mgr: &'a StoreManager,
@@ -202,10 +185,7 @@ pub struct ServeHandle<'a> {
     misses: AtomicU64,
     stale: AtomicU64,
     /// Point-lookup latency samples, reset by [`ServeHandle::drain_into`].
-    /// `Arc`-shared so [`ServeHandle::with_telemetry`] can register the
-    /// same histogram as the registry's `serve.latency` instrument.
-    latency: Arc<LatencyHistogram>,
-    telemetry: Option<ServeTelemetry>,
+    latency: LatencyHistogram,
 }
 
 impl StoreManager {
@@ -222,46 +202,12 @@ impl StoreManager {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stale: AtomicU64::new(0),
-            latency: Arc::new(LatencyHistogram::new()),
-            telemetry: None,
+            latency: LatencyHistogram::new(),
         }
     }
 }
 
 impl ServeHandle<'_> {
-    /// Attach the telemetry plane: registry-backed live counters
-    /// (`serve.hits` / `serve.misses` / `serve.generation_chases`, never
-    /// reset), the `serve.latency` histogram, and — when `recorder` is
-    /// `Some` — one [`EventKind::ServeLookup`] span per point lookup.
-    pub fn with_telemetry(
-        mut self,
-        registry: Arc<MetricsRegistry>,
-        recorder: Option<Arc<TraceRecorder>>,
-    ) -> Self {
-        registry.register_histogram("serve.latency", Arc::clone(&self.latency));
-        self.telemetry = Some(ServeTelemetry {
-            hits: registry.counter("serve.hits"),
-            misses: registry.counter("serve.misses"),
-            chases: registry.counter("serve.generation_chases"),
-            recorder,
-            registry,
-        });
-        self
-    }
-
-    /// Point-in-time view of the attached registry (every named counter /
-    /// gauge / histogram — serving *and* engine instruments, since the
-    /// session shares one registry). Empty when
-    /// [`ServeHandle::with_telemetry`] was never called. Unlike
-    /// [`ServeHandle::drain_into`], this resets nothing and can be polled
-    /// mid-run at any frequency.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.registry.snapshot())
-            .unwrap_or_default()
-    }
-
     /// Borrow a reader from shard `p`'s pool (creating one when dry), run
     /// `f`, and return the reader for the next lookup. The reader is NOT
     /// returned if `f` failed — a reader mid-error is cheap to discard and
@@ -284,48 +230,26 @@ impl ServeHandle<'_> {
     pub fn get(&self, p: usize, key: &[u8]) -> Result<Option<Chunk>> {
         let started = Instant::now();
         let out = self.get_untimed(p, key);
-        let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.latency.record(nanos);
-        match out {
-            Ok((chunk, outcome)) => {
-                if let Some(t) = &self.telemetry {
-                    if let Some(r) = &t.recorder {
-                        r.emit_driver(EventKind::ServeLookup { outcome, nanos });
-                    }
-                }
-                Ok(chunk)
-            }
-            Err(e) => Err(e),
-        }
+        self.latency
+            .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+        out
     }
 
-    fn get_untimed(&self, p: usize, key: &[u8]) -> Result<(Option<Chunk>, ServeOutcome)> {
+    fn get_untimed(&self, p: usize, key: &[u8]) -> Result<Option<Chunk>> {
         let version = self.mgr.data_version(p);
-        let tele = self.telemetry.as_ref();
-        let mut outcome = ServeOutcome::Miss;
         if self.cfg.cache_capacity > 0 {
             match self.shards[p].cache.lock().lookup(key, version) {
                 CacheLookup::Hit(chunk) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = tele {
-                        t.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok((chunk, ServeOutcome::Hit));
+                    return Ok(chunk);
                 }
                 CacheLookup::Stale => {
                     self.stale.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = tele {
-                        t.chases.fetch_add(1, Ordering::Relaxed);
-                    }
-                    outcome = ServeOutcome::GenerationChase;
                 }
                 CacheLookup::Miss => {}
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = tele {
-            t.misses.fetch_add(1, Ordering::Relaxed);
-        }
         let chunk = self.with_reader(p, |r| self.mgr.read_with(p, r, key))?;
         if self.cfg.cache_capacity > 0 {
             self.shards[p].cache.lock().insert(
@@ -335,7 +259,7 @@ impl ServeHandle<'_> {
                 self.cfg.cache_capacity,
             );
         }
-        Ok((chunk, outcome))
+        Ok(chunk)
     }
 
     /// Window lookup: every live chunk of shard `p` with key in
@@ -496,75 +420,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_stays_live_across_drains() {
-        use i2mr_common::telemetry::{EventKind as Ek, TelemetryMode, TraceRecorder};
-        let pool = WorkerPool::new(2);
-        let mgr = seeded(&pool, "snapshot");
-        let registry = Arc::new(MetricsRegistry::new());
-        let rec = Arc::new(TraceRecorder::new(
-            TelemetryMode::Full,
-            pool.n_workers(),
-            4096,
-        ));
-        let serve = mgr
-            .serve(ServeConfig::default())
-            .with_telemetry(Arc::clone(&registry), Some(Arc::clone(&rec)));
-        for _ in 0..3 {
-            serve.get(1, b"k1-3").unwrap().unwrap();
-        }
-        serve.get(1, b"absent").unwrap();
-        let snap = serve.snapshot();
-        assert_eq!(snap.counter("serve.hits"), 2);
-        assert_eq!(snap.counter("serve.misses"), 2);
-        assert_eq!(snap.histograms["serve.latency"].count, 4);
-        // Draining resets the handle's fence counters but NOT the registry:
-        // a dashboard polling between fences keeps seeing monotone values.
-        let mut jm = JobMetrics::default();
-        serve.drain_into(&mut jm);
-        assert_eq!(serve.metrics(), ServeMetrics::default(), "drained");
-        serve.get(1, b"k1-3").unwrap();
-        let after = serve.snapshot();
-        assert_eq!(after.counter("serve.hits"), 3);
-        assert_eq!(after.counter("serve.misses"), 2);
-        // One ServeLookup span per point lookup, outcomes matching.
-        let log = rec.take();
-        let hits = log.count_matching(|k| {
-            matches!(
-                k,
-                Ek::ServeLookup {
-                    outcome: ServeOutcome::Hit,
-                    ..
-                }
-            )
-        });
-        let misses = log.count_matching(|k| {
-            matches!(
-                k,
-                Ek::ServeLookup {
-                    outcome: ServeOutcome::Miss,
-                    ..
-                }
-            )
-        });
-        assert_eq!((hits, misses), (3, 2));
-    }
-
-    #[test]
     fn generation_chase_counts_into_registry() {
         let pool = WorkerPool::new(2);
         let mgr = seeded(&pool, "chase");
-        let registry = Arc::new(MetricsRegistry::new());
-        let serve = mgr
-            .serve(ServeConfig::default())
-            .with_telemetry(Arc::clone(&registry), None);
+        let serve = mgr.serve(ServeConfig::default());
         serve.get(0, b"k0-5").unwrap().unwrap();
         mgr.merge_apply_all(1, churn(0, 1)).unwrap();
         serve.get(0, b"k0-5").unwrap().unwrap();
-        let snap = serve.snapshot();
-        assert_eq!(snap.counter("serve.generation_chases"), 1);
         // The chase also re-read the store, so it counts as a miss too
         // (mirroring how the fence counters fold).
-        assert_eq!(snap.counter("serve.misses"), 2);
+        assert!(matches!(
+            serve.metrics(),
+            ServeMetrics {
+                stale_evictions: 1,
+                misses: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

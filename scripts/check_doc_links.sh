@@ -12,7 +12,12 @@
 #     heading-slug rules;
 #   * every file the prose names in backticks as `SOMETHING.md` or
 #     `scripts/*.sh` must exist (catches stale "see FOO.md" references
-#     after a rename).
+#     after a rename);
+#   * every source path the prose names in backticks as `path/to/file.rs`,
+#     optionally followed by `:line` or `:first–last`, must name a file in
+#     the repo, exactly or as a path suffix (`run.rs:12` matches
+#     `crates/core/src/run.rs`) — catches references a deletion left
+#     behind. CHANGES.md is exempt: it is history and names deleted files.
 #
 # Usage: scripts/check_doc_links.sh [file.md ...]   (default: repo docs)
 set -euo pipefail
@@ -47,6 +52,15 @@ def anchors_of(path):
             slugs.add(base if n == 0 else f"{base}-{n}")
     return slugs
 
+def repo_sources():
+    """Every `.rs` file in the repo, as a `/`-prefixed relative path."""
+    out = []
+    for root, dirs, names in os.walk("."):
+        dirs[:] = [d for d in dirs if d != "target" and not d.startswith(".")]
+        out += [os.path.join(root, n)[1:] for n in names if n.endswith(".rs")]
+    return out
+
+sources = repo_sources()
 anchor_cache = {}
 for f in files:
     text = open(f, encoding="utf-8").read()
@@ -73,6 +87,12 @@ for f in files:
         candidates = [ref, os.path.normpath(os.path.join(base, ref))]
         if not any(os.path.exists(c) for c in candidates):
             errors.append(f"{f}: names nonexistent file `{ref}`")
+    # Backticked source paths, with an optional `:line` / `:first–last`.
+    if os.path.basename(f) != "CHANGES.md":
+        for m in re.finditer(r"`([\w./-]+\.rs)(?::\d+(?:[–-]\d+)?)?`", text):
+            ref = "/" + os.path.normpath(m.group(1)).lstrip("./")
+            if not any(s.endswith(ref) for s in sources):
+                errors.append(f"{f}: names nonexistent source file `{m.group(1)}`")
 
 for e in errors:
     print(f"check_doc_links: {e}", file=sys.stderr)

@@ -202,9 +202,6 @@ fn main() {
             .incremental(&delta, &wc_mapper_distinct, &HashPartitioner, &wc_reducer)
             .unwrap();
         let t_general = t.elapsed();
-        // incremental() leaves policy-driven compaction draining in the
-        // background; settle it so the measured store size is stable.
-        general.store_manager().fence_compactions().unwrap();
         let general_store_bytes = general.store_file_bytes();
 
         // Accumulator path (preserves only the output kv-pairs).

@@ -158,7 +158,6 @@ fn bench_serve_under_merge(c: &mut Criterion) {
                 merging.maybe_compact(round).unwrap();
                 round += 1;
             }
-            merging.fence_compactions().unwrap();
             rounds.store(round - 1, Ordering::Relaxed);
         });
         let samples = measure(&merging, keys_per_shard, lookups);

@@ -21,8 +21,8 @@
 //!   and task bodies (paper §8.8 / Fig. 13).
 //! * [`telemetry`] — the telemetry plane: a lock-light span/event
 //!   [`telemetry::TraceRecorder`] with per-worker ring buffers and explicit
-//!   drop counters, a live [`telemetry::MetricsRegistry`] with its
-//!   [`telemetry::LatencyHistogram`]s, Chrome/JSONL trace exporters, and
+//!   drop counters, the [`telemetry::LatencyHistogram`] the serving plane
+//!   records into, Chrome/JSONL trace exporters, and
 //!   the paper-table extractors [`telemetry::fig9`] / [`telemetry::table4`]
 //!   (see DESIGN.md §10).
 
@@ -42,6 +42,6 @@ pub use failpoint::{FailAction, FailSite, FailpointRegistry};
 pub use hash::{stable_hash128, stable_hash64, MapKey};
 pub use metrics::{IoStats, JobMetrics, Stage, StageTimes};
 pub use telemetry::{
-    EventKind, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, StoreOpKind,
-    TaskRef, TelemetryConfig, TelemetryMode, TraceEvent, TraceLog, TraceRecorder, WorkerTrace,
+    EventKind, LatencyHistogram, MetricsSnapshot, StoreOpKind, TaskRef, TelemetryConfig,
+    TelemetryMode, TraceEvent, TraceLog, TraceRecorder, WorkerTrace,
 };

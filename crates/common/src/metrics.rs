@@ -168,7 +168,7 @@ pub struct JobMetrics {
     pub reduce_invocations: u64,
     /// MRBG-Store I/O (zero for engines that do not maintain the store).
     pub store_io: IoStats,
-    /// Background store compactions scheduled by the compaction policy.
+    /// Store compactions run (by the compaction policy or on request).
     pub store_compactions: u64,
     /// Obsolete MRBGraph bytes those compactions reclaimed.
     pub store_bytes_reclaimed: u64,

@@ -1,5 +1,5 @@
-//! Telemetry plane: a lock-light span/event recorder, a live metrics
-//! registry, and exporters for run timelines (see DESIGN.md §10).
+//! Telemetry plane: a lock-light span/event recorder, a latency
+//! histogram, and exporters for run timelines (see DESIGN.md §10).
 //!
 //! The runtime has interacting planes (executor lanes, sharded store,
 //! checkpointing, fault recovery); until this module the only windows
@@ -14,10 +14,8 @@
 //!   own rarely-contended buffer; memory is bounded by an explicit
 //!   capacity and overflow increments a **drop counter** — a truncated
 //!   trace always says so, it never silently looks complete.
-//! * [`MetricsRegistry`] — named counters / gauges /
-//!   [`LatencyHistogram`]s with a cheap point-in-time
-//!   [`MetricsRegistry::snapshot`] callable mid-run, replacing
-//!   drain-only-at-fence visibility.
+//! * [`LatencyHistogram`] — a lock-free log2-bucketed histogram the
+//!   serving plane records its lookup latencies into.
 //! * Exporters — Chrome `chrome://tracing` trace-event JSON
 //!   ([`TraceLog::to_chrome_json`]), a line-per-event JSONL sink
 //!   ([`TraceLog::to_jsonl`]), and the paper-table extractors
@@ -48,7 +46,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Lock a mutex, transparently recovering from poisoning (the workspace's
@@ -136,7 +134,7 @@ pub enum StoreOpKind {
     Merge,
     /// Append of fresh chunks to a shard.
     Append,
-    /// Background compaction of a shard.
+    /// Compaction of a shard.
     Compact,
     /// Torn-tail salvage observed on a shard (bytes discarded on open).
     Salvage,
@@ -168,7 +166,7 @@ pub enum EventKind {
     TaskStart {
         /// Which task.
         task: TaskRef,
-        /// Scheduling lane index (0 = serve, 1 = data, 2 = compact).
+        /// Scheduling lane index (0 = serve, 1 = data).
         lane: u8,
         /// 1-based attempt number. Only the failure of attempt `a` mints
         /// attempt `a + 1` (see [`EventKind::Retry`]), so a task's attempt
@@ -895,7 +893,7 @@ const HIST_BUCKETS: usize = 64;
 /// plane's per-lookup read path. Bucket `i` holds samples with
 /// `floor(log2(nanos)) == i`, so a quantile estimate is an upper bound
 /// within 2× of the true value — the resolution a tail-latency dashboard
-/// or [`MetricsRegistry::snapshot`] needs.
+/// needs.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -968,28 +966,12 @@ impl LatencyHistogram {
     }
 }
 
-/// Point-in-time view of a [`LatencyHistogram`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Samples recorded.
-    pub count: u64,
-    /// Median upper bound (log2-bucket edge).
-    pub p50: u64,
-    /// 99th-percentile upper bound (log2-bucket edge).
-    pub p99: u64,
-}
-
-/// Point-in-time view of a [`MetricsRegistry`]: every named instrument's
-/// current value. Cheap to take mid-run (relaxed atomic loads under three
-/// short map locks).
+/// Point-in-time view of a session's live counters: the recorder's
+/// per-kind event counts and its drop counter. Cheap to take mid-run.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges.
-    pub gauges: BTreeMap<String, u64>,
-    /// Latency histograms.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -998,112 +980,14 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A gauge's value (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// Render as sorted `name value` lines (dashboard / log friendly).
+    /// Render as sorted `counter name value` lines (dashboard / log
+    /// friendly).
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
             let _ = writeln!(out, "counter {k} {v}");
         }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "gauge {k} {v}");
-        }
-        for (k, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram {k} count={} p50<={} p99<={}",
-                h.count, h.p50, h.p99
-            );
-        }
         out
-    }
-}
-
-/// Registry of named counters / gauges / latency histograms.
-///
-/// Instruments are created on first use and live for the registry's
-/// lifetime as `Arc`-shared atomics: holders update them with relaxed
-/// stores off the registry's locks, so the per-event cost is one atomic.
-/// Unlike `JobMetrics` drains, registry values are **never reset** — a
-/// dashboard polling [`MetricsRegistry::snapshot`] between fences sees
-/// live, monotone values.
-#[derive(Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<LatencyHistogram>>>,
-}
-
-impl MetricsRegistry {
-    /// New empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        Arc::clone(
-            lock(&self.counters)
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<AtomicU64> {
-        Arc::clone(
-            lock(&self.gauges)
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Set the gauge `name` to `value`.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        self.gauge(name).store(value, Ordering::Relaxed);
-    }
-
-    /// Get or create the latency histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<LatencyHistogram> {
-        Arc::clone(
-            lock(&self.histograms)
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(LatencyHistogram::new())),
-        )
-    }
-
-    /// Point-in-time snapshot of every instrument.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = lock(&self.counters)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = lock(&self.gauges)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = lock(&self.histograms)
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: h.count(),
-                        p50: h.quantile(0.50),
-                        p99: h.quantile(0.99),
-                    },
-                )
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
     }
 }
 
@@ -1333,22 +1217,6 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn registry_snapshot_is_live_and_monotone() {
-        let reg = MetricsRegistry::new();
-        let hits = reg.counter("serve.hits");
-        hits.fetch_add(3, Ordering::Relaxed);
-        reg.histogram("serve.latency").record(1_000);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("serve.hits"), 3);
-        assert_eq!(snap.histograms["serve.latency"].count, 1);
-        assert_eq!(snap.counter("absent"), 0);
-        // Counters are shared handles, not copies.
-        hits.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(reg.snapshot().counter("serve.hits"), 4);
-        assert!(snap.render().contains("counter serve.hits 3"));
     }
 
     /// One trace event on `slot` at `ms` milliseconds.

@@ -21,8 +21,8 @@
 //! `max_iterations − k`, at least one pass, converging at `iter.epsilon`).
 //!
 //! Around every pass the driver runs the same fence — executor recovery
-//! counters, store-plane counters, the checkpoint, the compaction
-//! schedule — and when a fault escapes the executor it rewinds to the
+//! counters, store-plane counters, the checkpoint, policy-driven
+//! compaction — and when a fault escapes the executor it rewinds to the
 //! last sealed checkpoint and resumes (§6.1). Checkpoints are the
 //! iteration-0 baseline, every pass of an initial run (with the stores
 //! when they are preserved every iteration), and every MRBG pass (with the
@@ -185,8 +185,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                 metrics.retries += self.pool.drain_recovery();
                 metrics.recovery_ms += std::mem::take(&mut pending_recovery_ms);
                 if let Some(stores) = stores {
-                    // Drain before scheduling: the drain takes every shard's
-                    // write lock and would queue behind new compactions.
                     stores.drain_metrics(&mut metrics);
                 }
                 if let Some(ck) = checkpoint {
@@ -197,10 +195,9 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                     emit_checkpoint_save(self.recorder, iteration, t);
                 }
                 if let Some(stores) = stores {
-                    // Background compactions overlap the next pass's map
-                    // phase and are fenced before its next store write
-                    // (§3.4: not charged to a Fig. 9 stage).
-                    stores.schedule_compactions(iteration)?;
+                    // §3.4's off-line reconstruction, not charged to a
+                    // Fig. 9 stage; its counters land in the next drain.
+                    stores.maybe_compact(iteration)?;
                 }
                 Ok(stats)
             });
@@ -285,8 +282,6 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
             report.per_iteration.push(metrics);
         }
         if let Some(stores) = self.stores {
-            // Settle first, so the save below does not queue behind
-            // still-running compactions.
             settle_trailing(stores, &mut report.per_iteration)?;
         }
         // Record the completed run when its last pass wrote no checkpoint:
@@ -349,8 +344,7 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
 /// Fold the trailing store-plane counters of a finished run into its
 /// per-iteration metrics: settle into the last iteration's slot, or — with
 /// no recorded iteration — into a fresh slot kept only if it carries
-/// anything (a bare fence would silently drop retired compactions'
-/// counters in the manager's destructor).
+/// anything.
 fn settle_trailing(stores: &StoreManager, per_iteration: &mut Vec<JobMetrics>) -> Result<()> {
     match per_iteration.last_mut() {
         Some(last) => stores.settle_into(last),

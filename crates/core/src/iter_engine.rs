@@ -541,8 +541,7 @@ impl<S: IterativeSpec> Driver<'_, S> {
         }
         if let Some(stores) = stores {
             // Preservation: one batch per shard, appended as concurrent
-            // StoreMerge tasks driven by the store runtime. (The append
-            // fences the previous pass's overlapped compactions.)
+            // StoreMerge tasks driven by the store runtime.
             stores.append_batch_all(iteration, batches)?;
         }
         self.stage(metrics, Stage::Reduce, iteration, t);

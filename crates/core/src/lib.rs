@@ -32,8 +32,8 @@
 //! * [`output`] — maintained final outputs for patching refreshed results.
 //! * [`tasklevel`] — an Incoop-style task-grain incremental baseline used
 //!   by the grain ablation (paper §1, §8.1.1).
-//! * [`trace`] — the session telemetry plane: the span recorder / metrics
-//!   registry lifecycle ([`i2mr_common::telemetry`] holds the machinery),
+//! * [`trace`] — the session telemetry plane: the span recorder
+//!   lifecycle ([`i2mr_common::telemetry`] holds the machinery),
 //!   mid-run [`trace::Telemetry::snapshot`], exporter wiring, and the
 //!   human-readable [`trace::render_report`].
 //!

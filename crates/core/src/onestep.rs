@@ -438,16 +438,13 @@ where
         self.delta_pool.recycle_all(runs);
 
         // The refreshed plane goes back to the caller without a settle:
-        // commit the merged shards (the merge itself is deferred). Then
-        // fold the store plane's counters into this run's metrics first
-        // (the drain takes shard write locks and must not queue behind the
-        // compactions below), then schedule policy-driven compaction as
-        // detached background work — it overlaps whatever the caller does
-        // next; the following refresh's merge fences it. Stats of a
-        // still-running compaction are drained by the next refresh.
+        // commit the merged shards (the merge itself is deferred), run
+        // policy-driven compaction on the committed files, then fold the
+        // store plane's counters — the compactions included — into this
+        // run's metrics.
         self.stores.flush_indexes()?;
+        self.stores.maybe_compact(0)?;
         self.stores.drain_metrics(&mut metrics);
-        self.stores.schedule_compactions(0)?;
         Ok(metrics)
     }
 

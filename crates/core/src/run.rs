@@ -18,8 +18,8 @@
 //! [`RunSession::run_initial`], [`RunSession::run_incremental`],
 //! [`RunSession::run_delta`], all one fixed-point driver returning a
 //! [`RunReport`] — and a single [`RunSession::finish`] that settles the
-//! store plane (fence overlapped compactions, commit dirty shards, drain
-//! trailing counters) exactly once and hands the stores back.
+//! store plane (commit dirty shards, drain trailing counters) exactly
+//! once and hands the stores back.
 //! `tests/builder_equivalence.rs` pins seeded runs of all three modes to
 //! fingerprints of their state, live store chunks and checkpoint writes.
 
@@ -204,9 +204,9 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         self
     }
 
-    /// Configure the telemetry plane (span tracing, live metrics
-    /// registry, trace exporters). Off by default; `Off` runs are
-    /// bit-identical to a build without telemetry wired at all.
+    /// Configure the telemetry plane (span tracing, live event counters,
+    /// trace exporters). Off by default; `Off` runs are bit-identical to
+    /// a build without telemetry wired at all.
     ///
     /// ```
     /// use i2mr_core::run::RunBuilder;
@@ -380,7 +380,7 @@ pub struct RunSession<'s, S: IterativeSpec> {
     pool: WorkerPool,
     stores: Option<MaybeOwned<'s, StoreManager>>,
     checkpointer: Option<MaybeOwned<'s, IterCheckpointer>>,
-    /// The session's telemetry plane (recorder + live metrics registry).
+    /// The session's telemetry plane (configuration + span recorder).
     /// The recorder handle is installed on the pool and stores at build
     /// time and detached by [`RunSession::finish`].
     telemetry: Telemetry,
@@ -388,12 +388,12 @@ pub struct RunSession<'s, S: IterativeSpec> {
 
 /// What [`RunSession::finish`] hands back: the settled store plane (for
 /// reuse by a later session or a checkpoint export) and the trailing
-/// store-plane counters retired by the final fence.
+/// store-plane counters drained by the final settle.
 pub struct SessionFinish {
     /// The settled store plane, if the session had one.
     pub stores: Option<StoreManager>,
-    /// Counters of store work (compactions, reclaimed bytes, I/O) that
-    /// retired after the last run returned.
+    /// Counters of store work (compactions, reclaimed bytes, I/O) done
+    /// after the last run settled.
     pub trailing: JobMetrics,
     /// The session's accumulated trace (`None` when telemetry was `Off`).
     /// Taken after the final settle, so trailing store-plane spans are
@@ -433,9 +433,9 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         &self.telemetry
     }
 
-    /// A cheap point-in-time snapshot of the live metrics registry plus
-    /// the recorder's per-kind counters — callable mid-run from any
-    /// thread, no drain or fence required (see
+    /// A cheap point-in-time snapshot of the recorder's per-kind event
+    /// counters and drop counter — callable mid-run from any thread, no
+    /// drain or fence required (see
     /// [`crate::trace::Telemetry::snapshot`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.telemetry.snapshot()
@@ -519,11 +519,11 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
         )
     }
 
-    /// Settle the store plane exactly once — fence overlapped compactions,
-    /// commit dirty shards, drain trailing counters — and hand the
-    /// stores back. This is the *session-level* settle point: individual
-    /// runs still settle their own reports, `finish` catches any store
-    /// work scheduled after the last run returned.
+    /// Settle the store plane exactly once — commit dirty shards, drain
+    /// trailing counters — and hand the stores back. This is the
+    /// *session-level* settle point: individual runs still settle their
+    /// own reports, `finish` catches any store work done after the last
+    /// run returned.
     pub fn finish(self) -> Result<SessionFinish> {
         let mut trailing = JobMetrics::default();
         if let Some(stores) = &self.stores {

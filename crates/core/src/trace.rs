@@ -2,13 +2,12 @@
 //! [`crate::run::RunSession`].
 //!
 //! The recording machinery itself lives in [`i2mr_common::telemetry`] (span
-//! recorder, metrics registry, exporters, fig9/table4 extractors); this
-//! module owns the *lifecycle*:
+//! recorder, exporters, fig9/table4 extractors); this module owns the
+//! *lifecycle*:
 //!
 //! 1. `Telemetry::new` sizes a [`TraceRecorder`] to the session's worker
 //!    pool (`n_workers` slots plus the driver slot for coordinator /
-//!    store-plane emissions) and allocates the session's
-//!    [`MetricsRegistry`].
+//!    store-plane emissions).
 //! 2. `RunSession::build` installs the recorder on the executor and the
 //!    store plane; the engines emit through the same handle.
 //! 3. Mid-run, [`Telemetry::snapshot`] folds the recorder's per-kind
@@ -27,19 +26,16 @@
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::{JobMetrics, Stage};
 use i2mr_common::telemetry::{
-    EventKind, MetricsRegistry, MetricsSnapshot, TelemetryConfig, TelemetryMode, TraceLog,
-    TraceRecorder,
+    EventKind, MetricsSnapshot, TelemetryConfig, TelemetryMode, TraceLog, TraceRecorder,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A session's telemetry plane: configuration, the shared span recorder
-/// (absent when the mode is [`TelemetryMode::Off`]), and the live metrics
-/// registry.
+/// A session's telemetry plane: configuration and the shared span
+/// recorder (absent when the mode is [`TelemetryMode::Off`]).
 pub struct Telemetry {
     config: TelemetryConfig,
     recorder: Option<Arc<TraceRecorder>>,
-    registry: Arc<MetricsRegistry>,
 }
 
 impl Telemetry {
@@ -55,11 +51,7 @@ impl Telemetry {
                     TraceRecorder::new(config.mode, n_workers, config.ring_capacity),
                 )),
             };
-        Telemetry {
-            config,
-            recorder,
-            registry: Arc::new(MetricsRegistry::new()),
-        }
+        Telemetry { config, recorder }
     }
 
     /// The configuration this plane runs under.
@@ -77,12 +69,12 @@ impl Telemetry {
         self.recorder.clone()
     }
 
-    /// A cheap point-in-time snapshot of everything live: registry
-    /// counters/gauges/histograms, the recorder's per-kind event counters
-    /// (`trace.*`) and drop counter (`trace.dropped_events`) — callable
-    /// mid-run, no drains.
+    /// A cheap point-in-time snapshot of everything live: the recorder's
+    /// per-kind event counters (`trace.*`) and drop counter
+    /// (`trace.dropped_events`) — callable mid-run, no drains. Empty when
+    /// no recorder is installed.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.registry.snapshot();
+        let mut snap = MetricsSnapshot::default();
         if let Some(rec) = &self.recorder {
             for (name, count) in rec.kind_counts() {
                 snap.counters.insert(format!("trace.{name}"), count);

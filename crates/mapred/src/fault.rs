@@ -27,8 +27,8 @@ pub enum TaskKind {
     /// loads) scheduled by the store runtime as first-class pool tasks.
     StoreMerge,
     Reduce,
-    /// Background per-partition store compaction (policy-driven, runs
-    /// between iterations at the tail of the schedule).
+    /// Per-partition store compaction (policy-driven, runs synchronously
+    /// at the pass fence).
     Compact,
     /// Serving-plane point/window lookups fanned out by the serve module
     /// (scheduled on the executor's highest-priority lane).

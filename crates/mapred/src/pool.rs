@@ -21,14 +21,14 @@
 //!   busy executing — so affinity is a hint that yields under load but is
 //!   deterministic when the preferred worker is free.
 //! * **Priority lanes.** Every queue (per-worker deques and the injector)
-//!   is split into three [`Lane`]s: `Serve` (serving-plane point reads)
-//!   preempts `Data` (map/sort/merge/reduce), which preempts `Compact`
-//!   (background store reconstruction). Workers and thieves always drain
-//!   higher lanes first, so a flood of queued compactions can never sit in
-//!   front of a latency-sensitive lookup — the scheduling half of the
-//!   serving plane's p99 story. Preemption is at job granularity (a
-//!   running compaction is never interrupted), which bounds the added
-//!   latency at one task body.
+//!   is split into two [`Lane`]s: `Serve` (serving-plane point reads)
+//!   preempts `Data` (everything else: map/sort/reduce and the store's
+//!   merges, commits and compactions). Workers and thieves always drain
+//!   the higher lane first, so queued data-plane work never sits in front
+//!   of a latency-sensitive lookup — the scheduling half of the serving
+//!   plane's p99 story. Preemption is at job granularity (a running task
+//!   is never interrupted), which bounds the added latency at one task
+//!   body.
 //! * **Helping fences.** A thread blocked in [`WorkerPool::fence`] (or the
 //!   `run_tasks` coordinator waiting out its batch) does not just park: it
 //!   *helps*, repeatedly claiming queued jobs it is already waiting on and
@@ -41,12 +41,12 @@
 //!   pinned jobs are taken only from *busy* victims, so idle-placement
 //!   determinism is unchanged.
 //! * **Epoch/fence API.** [`WorkerPool::submit_at`] enqueues detached
-//!   background work (store compactions) tagged with an epoch from
-//!   [`WorkerPool::next_epoch`]; [`WorkerPool::fence`] blocks until every
-//!   task at or before that epoch has drained, surfacing the first error.
-//!   Engines use this to let the previous iteration's compactions overlap
-//!   the next iteration's map phase, fencing only before the merge that
-//!   needs the shards quiescent.
+//!   background work tagged with an epoch from [`WorkerPool::next_epoch`];
+//!   [`WorkerPool::fence`] blocks until every task at or before that epoch
+//!   has drained, surfacing the first error. No engine calls it: the store
+//!   plane compacts synchronously at the pass fence. It is kept only
+//!   because the end-to-end benchmark's `mapred.pool.fence_us` probe
+//!   measures it; once that probe is gone, the epoch plane can go too.
 //! * **Cross-worker recovery.** A failed attempt is *rescheduled onto a
 //!   different worker* with exponential backoff (base = the configured
 //!   detection delay, doubling per failed attempt) until the attempt
@@ -65,7 +65,7 @@
 //!   (panics), driving the chaos-soak suites.
 //! * **Graceful shutdown.** Dropping the last handle (or calling
 //!   [`WorkerPool::shutdown`]) drains every queued task — including
-//!   pending background compactions — before joining the workers.
+//!   unfenced background work — before joining the workers.
 //!
 //! # Re-entrancy
 //!
@@ -105,22 +105,20 @@ use std::time::{Duration, Instant};
 pub enum Lane {
     /// Serving-plane reads: preempt everything queued.
     Serve,
-    /// Data-plane tasks (map/sort/store-merge/reduce) — the default.
+    /// Data-plane tasks (map/sort/reduce, store merges, commits and
+    /// compactions) — the default.
     #[default]
     Data,
-    /// Background compactions: run only when nothing else is queued.
-    Compact,
 }
 
 /// Number of scheduling lanes.
-const N_LANES: usize = 3;
+const N_LANES: usize = 2;
 
 impl Lane {
     fn idx(self) -> usize {
         match self {
             Lane::Serve => 0,
             Lane::Data => 1,
-            Lane::Compact => 2,
         }
     }
 }
@@ -530,8 +528,8 @@ fn submit_bg_attempt(
     let job: Job = Box::new(move |worker: usize| {
         let guard = guard;
         // Backoff runs on the retry worker: detached background work has no
-        // coordinator thread to park the delay on, and compaction retries
-        // are rare enough that briefly occupying one worker is acceptable.
+        // coordinator thread to park the delay on, and its retries are
+        // rare enough that briefly occupying one worker is acceptable.
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
@@ -1038,8 +1036,8 @@ impl WorkerPool {
     ///
     /// The caller does not just park: while fenced work is still *queued*
     /// (as opposed to executing), it claims those jobs and runs them
-    /// inline — a fence over a pile of scheduled compactions drains it as
-    /// an extra worker instead of idling behind a saturated pool. Helping
+    /// inline — a fence over a pile of queued background work drains it
+    /// as an extra worker instead of idling behind a saturated pool. Helping
     /// is scoped to epochs at or before `epoch`: jobs the fence is already
     /// waiting on, never work that could outlive it.
     pub fn fence(&self, epoch: u64) -> Result<()> {
@@ -1088,7 +1086,7 @@ impl WorkerPool {
     }
 
     /// Gracefully stop the executor: drain every queued task (including
-    /// background compactions), then join the worker threads. Idempotent;
+    /// unfenced background work), then join the worker threads. Idempotent;
     /// also invoked when the last handle drops. Subsequent submissions run
     /// inline on the caller.
     pub fn shutdown(&self) {
@@ -1653,10 +1651,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_lane_preempts_queued_data_and_compact_work() {
+    fn serve_lane_preempts_queued_data_work() {
         // Saturate the single worker, then queue one job per lane while it
-        // is blocked. Release order must be Serve, Data, Compact regardless
-        // of submission order (Compact first, Serve last).
+        // is blocked. Release order must be Serve, Data regardless of
+        // submission order (Data first, Serve last).
         let pool = WorkerPool::new(1);
         let gate = Arc::new(AtomicBool::new(false));
         let order = Arc::new(parking_lot::Mutex::new(Vec::<&'static str>::new()));
@@ -1680,11 +1678,7 @@ mod tests {
         }
         std::thread::sleep(Duration::from_millis(2));
         let e2 = pool.next_epoch();
-        for (lane, tag) in [
-            (Lane::Compact, "compact"),
-            (Lane::Data, "data"),
-            (Lane::Serve, "serve"),
-        ] {
+        for (lane, tag) in [(Lane::Data, "data"), (Lane::Serve, "serve")] {
             let order = Arc::clone(&order);
             pool.submit_at(
                 e2,
@@ -1697,7 +1691,7 @@ mod tests {
         }
         gate.store(true, Ordering::SeqCst);
         pool.fence(e2).unwrap();
-        assert_eq!(*order.lock(), vec!["serve", "data", "compact"]);
+        assert_eq!(*order.lock(), vec!["serve", "data"]);
     }
 
     #[test]

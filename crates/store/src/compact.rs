@@ -6,9 +6,10 @@
 //! [`crate::store::MrbgStore::compact`]; this module holds its report type
 //! plus the [`CompactionPolicy`] that decides *when* a partition's store is
 //! worth reconstructing — the dynamic-maintenance cost trade-off the store
-//! runtime ([`crate::runtime`]) applies between iterations.
+//! runtime ([`crate::runtime`]) applies synchronously at each pass fence,
+//! once the pass's counters are drained and its checkpoint is written.
 
-/// When to schedule a partition's offline reconstruction.
+/// When a partition's offline reconstruction is due.
 ///
 /// A compaction reads every live chunk and rewrites it, so it costs roughly
 /// `file_bytes + live_bytes` of disk traffic. What it buys is cheaper merge

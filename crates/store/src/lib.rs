@@ -26,7 +26,8 @@
 //!   the commit writes back once per refresh.
 //! * [`runtime`] — [`StoreManager`], the store runtime layer owning all
 //!   per-partition stores: sharded partition-affine merges on the worker
-//!   pool, a split read path, and policy-driven background compaction.
+//!   pool, a split read path, and policy-driven compaction at the pass
+//!   fence.
 //! * [`serve`] — [`ServeHandle`], the serving plane: concurrent
 //!   point/window lookups of live results over per-shard reader pools
 //!   with a version-invalidated hot-key cache, fanned out on the

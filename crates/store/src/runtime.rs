@@ -11,9 +11,7 @@
 //!
 //! * **A handle, not a borrow.** The manager is constructed with (a clone
 //!   of) the shared executor and schedules all shard work on it — callers
-//!   no longer thread a pool through every store operation, and background
-//!   tasks submitted by the manager keep running after the submitting call
-//!   returns.
+//!   no longer thread a pool through every store operation.
 //! * **Sharded, partition-affine merges** — [`StoreManager::merge_apply_all`]
 //!   runs each partition's delta merge as a first-class
 //!   [`TaskKind::StoreMerge`] task pinned to the partition's preferred
@@ -32,36 +30,25 @@
 //!   shards are fully concurrent, and reads on one shard proceed while
 //!   that shard merges. (Lookups on the *same* shard share its one
 //!   reader; only merges, appends, and compactions take the write lock.)
-//! * **Cross-iteration overlapped compaction** —
-//!   [`StoreManager::schedule_compactions`] consults the
-//!   [`CompactionPolicy`] (garbage-ratio, batch-count and file-size
-//!   thresholds) and submits
-//!   [`TaskKind::Compact`] tasks as *detached background work* on the
-//!   executor, tagged with a fence epoch. Engines call it at the end of an
-//!   iteration: the compactions then run concurrently with the **next**
-//!   iteration's map phase and are fenced
-//!   ([`StoreManager::fence_compactions`]) only when the next merge needs
-//!   the shards quiescent — the cross-iteration overlap the paper's
-//!   "reconstruction happens while the worker is idle" (§3.4) only
-//!   approximated with the between-iteration tail. The synchronous
-//!   [`StoreManager::maybe_compact`] (schedule + immediate fence) remains
-//!   for callers without a following phase to overlap.
+//! * **Policy-driven compaction** — [`StoreManager::maybe_compact`]
+//!   consults the [`CompactionPolicy`] (garbage-ratio, batch-count and
+//!   file-size thresholds) and reconstructs exactly the shards that cross
+//!   them, one pinned [`TaskKind::Compact`] task per due shard, and waits
+//!   for them. The iterative driver calls it at each pass fence, after the
+//!   drain and the checkpoint, so a failed compaction errs at the fence;
+//!   the one-step engine calls it once per refresh, after the commit.
+//!   (The paper rebuilds the file "when the worker is idle", §3.4; no
+//!   paper figure measures when, and overlapping it with the next map
+//!   phase bought under 2 % end to end — DESIGN.md §5.)
+//!   [`StoreManager::compact_all`] reconstructs every shard.
 //! * **Aggregated observability** — [`StoreManager::drain_metrics`] folds
 //!   every shard's [`IoStats`] (store + detached readers) and the
-//!   compaction counters into a [`JobMetrics`]. It deliberately does *not*
-//!   fence: stats of still-running background compactions are drained by a
-//!   later call (engines fence once at end of run).
+//!   compaction counters into a [`JobMetrics`].
 //!
 //! `parallel: false` in [`StoreRuntimeConfig`] degrades every scheduled
 //! operation to an inline loop on the caller thread — the *serial plane* —
 //! which the equivalence suite and the `micro_store` bench use as the
 //! baseline the sharded plane must match byte-for-byte.
-//!
-//! Ordering note: a background compaction and a following merge on the
-//! same shard are serialized by the shard's `RwLock`, and compaction never
-//! changes live content, so overlapping it with the next map phase cannot
-//! change what any merge or export observes — `tests/store_equivalence.rs`
-//! proves the planes byte-identical with the overlap enabled.
 
 use crate::compact::{CompactionPolicy, CompactionStats};
 use crate::format::Chunk;
@@ -72,7 +59,7 @@ use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::{IoStats, JobMetrics};
 use i2mr_common::telemetry::{EventKind, StoreOpKind, TraceRecorder};
 use i2mr_mapred::fault::{FailSite, FailpointRegistry, TaskId, TaskKind};
-use i2mr_mapred::pool::{Lane, TaskSpec, WorkerPool};
+use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,7 +72,7 @@ use std::time::Instant;
 pub struct StoreRuntimeConfig {
     /// Per-shard store configuration.
     pub store: StoreConfig,
-    /// When to schedule background compactions.
+    /// When a shard is due for compaction.
     pub policy: CompactionPolicy,
     /// Schedule shard operations on the worker pool (`true`, the sharded
     /// plane) or run them inline on the caller thread (`false`, the serial
@@ -104,7 +91,7 @@ impl Default for StoreRuntimeConfig {
 }
 
 impl StoreRuntimeConfig {
-    /// The serial baseline plane: inline operations, no background
+    /// The serial baseline plane: inline operations, no policy-driven
     /// compaction. Equivalence tests pit this against the default.
     pub fn serial() -> Self {
         StoreRuntimeConfig {
@@ -115,14 +102,10 @@ impl StoreRuntimeConfig {
     }
 }
 
-/// One partition's store plus its detached read handle. `Arc`-shared so
-/// detached background compaction tasks can own their shard.
+/// One partition's store plus its detached read handle.
 struct Shard {
     store: RwLock<MrbgStore>,
     reader: Mutex<StoreReader>,
-    /// True while a background compaction for this shard is in flight —
-    /// keeps the policy from piling up duplicate reconstructions.
-    compacting: AtomicBool,
     /// True when the shard is fenced off after detected corruption or
     /// retry exhaustion — reads fail fast until
     /// [`StoreManager::rebuild_shard`] restores it from a checkpoint.
@@ -136,15 +119,14 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(store: MrbgStore) -> Result<Arc<Self>> {
+    fn new(store: MrbgStore) -> Result<Self> {
         let reader = store.reader()?;
-        Ok(Arc::new(Shard {
+        Ok(Shard {
             store: RwLock::new(store),
             reader: Mutex::new(reader),
-            compacting: AtomicBool::new(false),
             quarantined: AtomicBool::new(false),
             data_version: AtomicU64::new(0),
-        }))
+        })
     }
 
     /// Publish a content change (release-pairs with serving-plane loads).
@@ -164,17 +146,9 @@ struct RuntimeStats {
 /// Owner and scheduler of all per-partition MRBG stores. See module docs.
 pub struct StoreManager {
     pool: WorkerPool,
-    shards: Vec<Arc<Shard>>,
+    shards: Vec<Shard>,
     config: StoreRuntimeConfig,
-    stats: Arc<Mutex<RuntimeStats>>,
-    /// Fence epochs this manager has scheduled compactions at and not yet
-    /// fenced, with the shards each epoch covers. Epochs are the
-    /// executor's error-ownership boundary, so the manager fences exactly
-    /// its own epochs and can never consume (or miss) failures belonging
-    /// to another submitter on the shared pool; the shard lists let a
-    /// fence clear exactly the in-flight flags it settled (a concurrent
-    /// `schedule_compactions`'s newer flags stay up).
-    scheduled_epochs: Mutex<Vec<(u64, Vec<usize>)>>,
+    stats: Mutex<RuntimeStats>,
     /// Chaos-injection sites for the store plane ([`FailSite::StoreRead`],
     /// [`FailSite::StoreAppend`], [`FailSite::StoreCompact`]); disarmed by
     /// default. Checks fire inside the scheduled task bodies, *before* any
@@ -191,7 +165,7 @@ pub struct StoreManager {
 }
 
 /// Emit one store-op span if a recorder is installed (free function so
-/// detached task bodies can use an owned clone of the recorder handle).
+/// task bodies can share the one recorder handle their caller took).
 fn emit_store_op(
     rec: &Option<Arc<TraceRecorder>>,
     op: StoreOpKind,
@@ -214,17 +188,12 @@ impl StoreManager {
         dir.join(format!("shard-{p}"))
     }
 
-    fn assemble(
-        pool: &WorkerPool,
-        shards: Vec<Arc<Shard>>,
-        config: StoreRuntimeConfig,
-    ) -> StoreManager {
+    fn assemble(pool: &WorkerPool, shards: Vec<Shard>, config: StoreRuntimeConfig) -> StoreManager {
         StoreManager {
             pool: pool.clone(),
             shards,
             config,
-            stats: Arc::new(Mutex::new(RuntimeStats::default())),
-            scheduled_epochs: Mutex::new(Vec::new()),
+            stats: Mutex::new(RuntimeStats::default()),
             failpoints: Arc::new(FailpointRegistry::disarmed()),
             recorder: Mutex::new(None),
         }
@@ -483,9 +452,7 @@ impl StoreManager {
     /// refresh instead of once per iteration. (A shard whose pending set
     /// outgrows [`StoreConfig::cache_capacity`] writes it back to the page
     /// cache early.) A caller that hands the merged plane back to user
-    /// code without a settle must call `flush_indexes` itself. Overlapped
-    /// background compactions are fenced first, so every merge observes
-    /// fully reconstructed shards.
+    /// code without a settle must call `flush_indexes` itself.
     ///
     /// Returns one [`MergedBatch`] per shard (empty for untouched
     /// partitions), indexed by partition.
@@ -498,7 +465,6 @@ impl StoreManager {
     where
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
-        self.fence_compactions()?;
         let rec = self.recorder();
         let merge_one = |p: usize| -> Result<MergedBatch> {
             let t = Instant::now();
@@ -616,7 +582,7 @@ impl StoreManager {
     /// by its first executed attempt; a retry after a mid-append I/O
     /// failure cannot replay it and surfaces the loss as a task error
     /// (fault-injection retries fire *before* the first execution and are
-    /// unaffected). Fences overlapped compactions first.
+    /// unaffected).
     pub fn append_batch_all(&self, iteration: u64, batches: Vec<Vec<Chunk>>) -> Result<()> {
         if batches.len() != self.shards.len() {
             return Err(Error::config(format!(
@@ -625,7 +591,6 @@ impl StoreManager {
                 self.shards.len()
             )));
         }
-        self.fence_compactions()?;
         let rec = self.recorder();
         if !self.config.parallel {
             for (p, (shard, batch)) in self.shards.iter().zip(batches).enumerate() {
@@ -686,16 +651,12 @@ impl StoreManager {
         self.pool.run_tasks(tasks).map(|_| ())
     }
 
-    /// Shards whose garbage currently crosses the policy thresholds and
-    /// that have no compaction already in flight.
+    /// Shards whose garbage currently crosses the policy thresholds.
     fn due_shards(&self) -> Vec<usize> {
         self.shards
             .iter()
             .enumerate()
             .filter(|(_, shard)| {
-                if shard.compacting.load(Ordering::Acquire) {
-                    return false;
-                }
                 let s = shard.store.read();
                 self.config
                     .policy
@@ -705,119 +666,21 @@ impl StoreManager {
             .collect()
     }
 
-    /// Consult the compaction policy and submit [`TaskKind::Compact`]
-    /// tasks for exactly the garbage-heavy shards as *detached background
-    /// work* on the executor, returning immediately with the number of
-    /// compactions scheduled. Engines call this at the end of an
-    /// iteration; the tasks then overlap the next iteration's map phase
-    /// and are fenced before the next merge touches the shards
-    /// ([`StoreManager::fence_compactions`], called by
-    /// [`StoreManager::merge_apply_all`] / [`StoreManager::append_batch_all`]).
-    ///
-    /// On the serial plane this degrades to the inline synchronous pass.
-    /// Compaction is idempotent, so retries are safe.
-    pub fn schedule_compactions(&self, iteration: u64) -> Result<usize> {
-        if !self.config.parallel {
-            return self.maybe_compact(iteration).map(|v| v.len());
-        }
-        let due = self.due_shards();
-        let n = due.len();
-        if n == 0 {
-            return Ok(0);
-        }
-        let epoch = self.pool.next_epoch();
-        self.scheduled_epochs.lock().push((epoch, due.clone()));
-        let rec = self.recorder();
-        for p in due {
-            let shard = Arc::clone(&self.shards[p]);
-            shard.compacting.store(true, Ordering::Release);
-            let stats = Arc::clone(&self.stats);
-            let fp = Arc::clone(&self.failpoints);
-            let rec = rec.clone();
-            self.pool.submit_at(
-                epoch,
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::Compact,
-                        index: p,
-                        iteration,
-                    },
-                    p % self.pool.n_workers(),
-                    move |_| {
-                        // The `compacting` flag is cleared by the next
-                        // fence, not here: a task that fails terminally
-                        // without running (injected fault) or panics must
-                        // not leave the shard excluded forever.
-                        fp.check(FailSite::StoreCompact, "background-compact")?;
-                        let t = Instant::now();
-                        let s = shard.store.write().compact()?;
-                        emit_store_op(
-                            &rec,
-                            StoreOpKind::Compact,
-                            p,
-                            t.elapsed().as_nanos() as u64,
-                            s.reclaimed(),
-                        );
-                        let mut rt = stats.lock();
-                        rt.compactions += 1;
-                        rt.bytes_reclaimed += s.reclaimed();
-                        Ok(())
-                    },
-                )
-                .on_lane(Lane::Compact),
-            );
-        }
-        Ok(n)
-    }
-
-    /// Block until every background compaction this manager scheduled has
-    /// drained, surfacing the first terminal error among *this manager's*
-    /// epochs only. (Waiting covers the executor's epochs up to the
-    /// manager's latest — a pool-wide barrier that is conservative but
-    /// never misses this manager's work; error retrieval is exact-epoch,
-    /// so co-tenant submitters' failures are neither consumed nor
-    /// misattributed.) Once drained, every shard's in-flight flag is
-    /// cleared — including after a failed or panicked compaction, so no
-    /// shard is ever permanently excluded from the policy.
-    pub fn fence_compactions(&self) -> Result<()> {
-        let epochs: Vec<(u64, Vec<usize>)> = std::mem::take(&mut *self.scheduled_epochs.lock());
-        if epochs.is_empty() {
-            return Ok(());
-        }
-        let mut first_err = None;
-        for (e, shards) in epochs {
-            if let Err(err) = self.pool.fence(e) {
-                first_err.get_or_insert(err);
-            }
-            // Clear exactly the flags this epoch raised — a concurrent
-            // schedule_compactions's newer in-flight shards stay flagged.
-            for p in shards {
-                self.shards[p].compacting.store(false, Ordering::Release);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// End-of-run settle: fence outstanding background compactions,
-    /// commit every dirty shard, then fold the plane's trailing counters
-    /// into `metrics`. The one settle discipline every engine shares —
-    /// change it here, not per engine.
+    /// End-of-run settle: commit every dirty shard, then fold the plane's
+    /// trailing counters into `metrics`. The one settle discipline every
+    /// engine shares — change it here, not per engine.
     pub fn settle_into(&self, metrics: &mut JobMetrics) -> Result<()> {
-        self.fence_compactions()?;
         self.flush_indexes()?;
         self.drain_metrics(metrics);
         Ok(())
     }
 
-    /// Synchronous policy-driven compaction: consult the policy,
-    /// reconstruct exactly the shards whose garbage crossed the
-    /// thresholds, and wait for the results. Callers with a following map
-    /// phase to overlap should prefer [`StoreManager::schedule_compactions`].
+    /// Policy-driven compaction: consult the policy, reconstruct exactly
+    /// the shards whose garbage crossed the thresholds (one pinned
+    /// [`TaskKind::Compact`] task each; an inline loop on the serial
+    /// plane), and wait for the results. Compaction is idempotent, so
+    /// retries are safe.
     pub fn maybe_compact(&self, iteration: u64) -> Result<Vec<(usize, CompactionStats)>> {
-        self.fence_compactions()?;
         let due = self.due_shards();
         self.compact_shards(iteration, due)
     }
@@ -825,7 +688,6 @@ impl StoreManager {
     /// Unconditionally compact every shard (offline reconstruction of the
     /// whole plane). Returns total reclaimed bytes.
     pub fn compact_all(&self, iteration: u64) -> Result<u64> {
-        self.fence_compactions()?;
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let stats = self.compact_shards(iteration, all)?;
         Ok(stats.iter().map(|(_, s)| s.reclaimed()).sum())
@@ -868,7 +730,6 @@ impl StoreManager {
                             Ok(s)
                         },
                     )
-                    .on_lane(Lane::Compact)
                 })
                 .collect();
             self.pool.run_tasks(tasks)?
@@ -919,10 +780,6 @@ impl StoreManager {
 
     /// Drain the plane's accumulated observability into `metrics`: shard +
     /// reader [`IoStats`] (reset afterwards) and the compaction counters.
-    ///
-    /// Does not fence: counters of still-running background compactions
-    /// land in a later drain (engines fence once at end of run and fold
-    /// the remainder into the final iteration's metrics).
     pub fn drain_metrics(&self, metrics: &mut JobMetrics) {
         let rec = self.recorder();
         // Accumulate the drained delta separately so the telemetry
@@ -962,28 +819,19 @@ impl StoreManager {
     }
 
     /// Serialize shard `p` for checkpointing (live chunks only; see
-    /// [`MrbgStore::export`]). Safe while compactions are in flight: the
-    /// shard lock serializes them, and compaction never changes live
-    /// content, so the canonical export bytes are unaffected.
+    /// [`MrbgStore::export`]). Compaction never changes live content, so
+    /// the canonical export bytes are the same before and after it.
     pub fn export(&self, p: usize) -> Result<Vec<u8>> {
         self.shards[p].store.write().export()
     }
 }
 
 impl Drop for StoreManager {
-    /// Settle outstanding background compactions when the manager goes
-    /// away: waits for them to drain and pops this manager's fence-table
-    /// entries from the shared executor, so epochs nobody would ever fence
-    /// again cannot accumulate there. A terminal compaction error at this
-    /// point has no caller left to report to — callers that must observe
-    /// it call [`StoreManager::fence_compactions`] before dropping; the
-    /// work itself is never lost either way (executor shutdown drains).
-    /// Then commits whatever deferred merges are still uncommitted, so a
-    /// manager that goes away without a settle (an error return, a test)
-    /// still leaves the state it held on disk; callers that must observe
-    /// a commit error call [`StoreManager::flush_indexes`] themselves.
+    /// Commit whatever deferred merges are still uncommitted, so a manager
+    /// that goes away without a settle (an error return, a test) still
+    /// leaves the state it held on disk; callers that must observe a
+    /// commit error call [`StoreManager::flush_indexes`] themselves.
     fn drop(&mut self) {
-        let _ = self.fence_compactions();
         let _ = self.flush_indexes();
     }
 }
@@ -1383,81 +1231,6 @@ mod tests {
         mgr.drain_metrics(&mut m2);
         assert_eq!(m2.store_compactions, 0);
         assert_eq!(m2.store_io.reads, 0);
-    }
-
-    #[test]
-    fn scheduled_compactions_overlap_and_fence() {
-        let pool = WorkerPool::new(2);
-        let mgr = StoreManager::create(&pool, scratch("sched"), N, eager_policy()).unwrap();
-        seed(&mgr);
-        for round in 1..=6u64 {
-            mgr.merge_apply_all(round, churn(0, round)).unwrap();
-            mgr.flush_indexes().unwrap();
-        }
-        let garbage_before = mgr.file_bytes();
-        let scheduled = mgr.schedule_compactions(7).unwrap();
-        assert_eq!(scheduled, 1, "only shard 0 crossed the thresholds");
-        // While the compaction drains in the background, reads still work
-        // (split read path + shard lock).
-        assert!(mgr.get(0, b"k0-3").unwrap().is_some());
-        mgr.fence_compactions().unwrap();
-        assert!(mgr.file_bytes() < garbage_before, "garbage not reclaimed");
-        let mut m = JobMetrics::default();
-        mgr.drain_metrics(&mut m);
-        assert_eq!(m.store_compactions, 1);
-        assert!(m.store_bytes_reclaimed > 0);
-        // Nothing left due afterwards.
-        assert_eq!(mgr.schedule_compactions(8).unwrap(), 0);
-    }
-
-    #[test]
-    fn merge_fences_pending_compactions_first() {
-        // Schedule a background compaction, then immediately merge the
-        // same shard: the merge must observe the reconstructed store and
-        // the final contents must equal the serial plane's.
-        let pool = WorkerPool::new(2);
-        let par = StoreManager::create(&pool, scratch("fence-par"), N, eager_policy()).unwrap();
-        let ser =
-            StoreManager::create(&pool, scratch("fence-ser"), N, StoreRuntimeConfig::serial())
-                .unwrap();
-        for mgr in [&par, &ser] {
-            seed(mgr);
-            for round in 1..=6u64 {
-                mgr.merge_apply_all(round, churn(0, round)).unwrap();
-                // Background on the parallel plane, inline on the serial one.
-                mgr.schedule_compactions(round).unwrap();
-            }
-            mgr.fence_compactions().unwrap();
-        }
-        par.compact_all(7).unwrap();
-        ser.compact_all(7).unwrap();
-        for p in 0..N {
-            assert_eq!(par.export(p).unwrap(), ser.export(p).unwrap());
-        }
-    }
-
-    #[test]
-    fn shutdown_drains_scheduled_compactions() {
-        // The executor's graceful shutdown drains queued compactions even
-        // when nobody fences: the satellite "shutdown drains queued
-        // compactions" contract. The manager is kept alive across the
-        // shutdown — dropping it first would settle the work through
-        // StoreManager::drop's own fence and prove nothing about shutdown.
-        let pool = WorkerPool::new(1);
-        let dir = scratch("shutdown-drain");
-        let mgr = StoreManager::create(&pool, &dir, N, eager_policy()).unwrap();
-        seed(&mgr);
-        for round in 1..=6u64 {
-            mgr.merge_apply_all(round, churn(0, round)).unwrap();
-            mgr.flush_indexes().unwrap();
-        }
-        let before = mgr.file_bytes();
-        assert_eq!(mgr.schedule_compactions(7).unwrap(), 1);
-        pool.shutdown(); // graceful: drains the queued Compact task
-        assert!(
-            mgr.file_bytes() < before,
-            "queued compaction was dropped, not drained"
-        );
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!   `merge_apply_*` returns observes the merged value: the merge bumped
 //!   the content version (killing any cached ancestor) and the store read
 //!   path reads the post-merge index under the shard's shared lock, even
-//!   if a background compaction has bumped the file generation since.
+//!   if a compaction has bumped the file generation since.
 //! * **Serve-lane fan-out** — [`ServeHandle::multi_get`] fans large
 //!   batches out as [`TaskKind::ServeRead`] tasks on the executor's
 //!   [`Lane::Serve`], the highest-priority lane: queued serving reads are
-//!   dispatched before data-plane work and before background compactions
+//!   dispatched before data-plane work, compactions included
 //!   (`mapred::pool` module docs), which is what keeps tail latency flat
 //!   while an incremental merge is running (the `micro_serve` bench gates
 //!   p99-under-merge ≤ 3× idle p99).

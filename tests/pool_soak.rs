@@ -3,7 +3,7 @@
 //! The persistent work-stealing executor replaced spawn-per-call
 //! scheduling, so its failure modes are now *races*: a fence that misses a
 //! task, a steal that loses or duplicates work, a shutdown that drops
-//! queued background compactions, batches from concurrent callers
+//! queued background work, batches from concurrent callers
 //! corrupting each other's result slots. This suite hunts those loudly:
 //!
 //! * `soak_*` — seeded randomized task DAGs (chained batches whose inputs
@@ -200,76 +200,6 @@ fn soak_fence_sees_all_prior_tasks_and_none_after() {
             pool.fence(e2).unwrap();
             assert_eq!(pool.pending_at_or_before(e2), 0);
         }
-    }
-}
-
-#[test]
-fn soak_shutdown_drains_queued_compactions() {
-    // The real store plane: schedule policy-driven background compactions,
-    // then shut down without fencing — the reclamation must still happen.
-    use i2mapreduce::store::{CompactionPolicy, StoreManager, StoreRuntimeConfig};
-    let dir = std::env::temp_dir().join(format!("i2mr-soak-drain-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = StoreRuntimeConfig {
-        policy: CompactionPolicy {
-            min_garbage_ratio: 0.2,
-            min_batches: 2,
-            min_file_bytes: 0,
-        },
-        ..Default::default()
-    };
-
-    let pool = WorkerPool::new(1);
-    let before;
-    {
-        let mgr = StoreManager::create(&pool, &dir, 2, cfg).unwrap();
-        use i2mapreduce::store::{Chunk, ChunkEntry};
-        use i2mr_common::hash::MapKey;
-        let batch = |v: u64| {
-            (0..2)
-                .map(|p| {
-                    (0..16)
-                        .map(|i| {
-                            Chunk::new(
-                                format!("k{p}-{i:03}").into_bytes(),
-                                vec![ChunkEntry {
-                                    mk: MapKey(v as u128),
-                                    value: vec![v as u8; 64],
-                                }],
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        mgr.append_batch_all(0, batch(0)).unwrap();
-        for round in 1..=4u64 {
-            mgr.merge_apply_all(round, |p| {
-                use i2mapreduce::store::{DeltaChunk, DeltaEntry};
-                Ok((0..16)
-                    .map(|i| DeltaChunk {
-                        key: format!("k{p}-{i:03}").into_bytes(),
-                        entries: vec![
-                            DeltaEntry::Delete(MapKey(round as u128 - 1)),
-                            DeltaEntry::Insert(MapKey(round as u128), vec![round as u8; 64]),
-                        ],
-                    })
-                    .collect())
-            })
-            .unwrap();
-            // The commit writes the round's pending frames back, so the
-            // obsolete versions reach the file.
-            mgr.flush_indexes().unwrap();
-        }
-        before = mgr.file_bytes();
-        assert!(mgr.schedule_compactions(5).unwrap() > 0, "nothing was due");
-        // No fence and no drop (StoreManager::drop would settle the work
-        // itself): shutdown alone must drain the queued Compact tasks.
-        pool.shutdown();
-        assert!(
-            mgr.file_bytes() < before,
-            "shutdown dropped queued compactions instead of draining them"
-        );
     }
 }
 

@@ -1,9 +1,9 @@
-//! Store-plane equivalence: the sharded, background-compacting store
-//! runtime must be **byte-identical** to the serial plane.
+//! Store-plane equivalence: the sharded, policy-compacting store runtime
+//! must be **byte-identical** to the serial plane.
 //!
 //! The store runtime changes *where* and *when* store work happens —
-//! merges as concurrent partition-affine pool tasks, compaction scheduled
-//! by policy between iterations — but must never change *what* the store
+//! merges as concurrent partition-affine pool tasks, compaction run by
+//! policy at each pass fence — but must never change *what* the store
 //! holds. These tests drive a seeded incremental PageRank refresh through
 //! both planes and compare: final state bit-for-bit, and every shard's
 //! canonical export byte-for-byte after a closing compaction.
@@ -29,8 +29,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// Run the full seeded PageRank lifecycle — preserved initial convergence
 /// plus two incremental delta refreshes — on one store plane. Returns the
-/// final state snapshot, the manager, and the background-compaction count
-/// the engines recorded along the way.
+/// final state snapshot, the manager, and the compaction count the
+/// engines recorded along the way.
 fn run_lifecycle(tag: &str, runtime: StoreRuntimeConfig) -> (Vec<(u64, f64)>, StoreManager, u64) {
     let cfg = JobConfig::symmetric(N);
     let pool = WorkerPool::new(N);
@@ -86,8 +86,8 @@ fn run_lifecycle(tag: &str, runtime: StoreRuntimeConfig) -> (Vec<(u64, f64)>, St
     (data.state_snapshot(), stores, compactions)
 }
 
-/// An eager policy so background compaction provably interleaves with the
-/// run even at test-sized stores.
+/// An eager policy so compaction provably fires between the run's passes
+/// even at test-sized stores.
 fn eager_sharded() -> StoreRuntimeConfig {
     StoreRuntimeConfig {
         policy: CompactionPolicy {

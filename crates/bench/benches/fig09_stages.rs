@@ -78,12 +78,13 @@ fn pad_graph(graph: &[(u64, Vec<u64>)]) -> Vec<(u64, PaddedSv)> {
 
 fn print_stages(name: &str, st: &i2mr_common::metrics::StageTimes) {
     println!(
-        "   {:<22} map {:>8.1}ms  shuffle {:>8.1}ms  sort {:>8.1}ms  reduce {:>8.1}ms",
+        "   {:<22} map {:>8.1}ms  shuffle {:>8.1}ms  sort {:>8.1}ms  reduce {:>8.1}ms  compact {:>6.1}ms",
         name,
         st.map.as_secs_f64() * 1e3,
         st.shuffle.as_secs_f64() * 1e3,
         st.sort.as_secs_f64() * 1e3,
         st.reduce.as_secs_f64() * 1e3,
+        st.compact.as_secs_f64() * 1e3,
     );
 }
 

@@ -4,7 +4,8 @@
 //! able to produce:
 //!
 //! * **Fig. 9**: wall time of the individual MapReduce stages (map, shuffle,
-//!   sort, reduce) summed across all iterations → [`StageTimes`].
+//!   sort, reduce) summed across all iterations, plus the MRBG-Store's
+//!   off-line reconstruction (compact) → [`StageTimes`].
 //! * **Table 4**: number of I/O reads and bytes read by the MRBG-Store's
 //!   query algorithm → [`IoStats`].
 //! * **Fig. 8/10/11/12**: end-to-end runtimes per engine → [`JobMetrics`],
@@ -16,7 +17,8 @@
 use std::ops::AddAssign;
 use std::time::Duration;
 
-/// One of the four MapReduce stages the paper's Fig. 9 breaks time into.
+/// One of the four MapReduce stages the paper's Fig. 9 breaks time into,
+/// plus the store compaction the pass fence runs after them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Running user Map functions over input / delta records.
@@ -27,11 +29,20 @@ pub enum Stage {
     Sort,
     /// Running user Reduce functions (including MRBG-Store access in i2MR).
     Reduce,
+    /// Reconstructing MRBG-Store files at the pass fence (paper §3.4's
+    /// off-line compaction; not one of Fig. 9's four stages).
+    Compact,
 }
 
 impl Stage {
-    /// All stages in the paper's Fig. 9 presentation order.
-    pub const ALL: [Stage; 4] = [Stage::Map, Stage::Shuffle, Stage::Sort, Stage::Reduce];
+    /// All stages: the paper's Fig. 9 presentation order, then compaction.
+    pub const ALL: [Stage; 5] = [
+        Stage::Map,
+        Stage::Shuffle,
+        Stage::Sort,
+        Stage::Reduce,
+        Stage::Compact,
+    ];
 
     /// Lowercase display name used by the bench harness.
     pub fn name(self) -> &'static str {
@@ -40,6 +51,7 @@ impl Stage {
             Stage::Shuffle => "shuffle",
             Stage::Sort => "sort",
             Stage::Reduce => "reduce",
+            Stage::Compact => "compact",
         }
     }
 }
@@ -55,6 +67,8 @@ pub struct StageTimes {
     pub sort: Duration,
     /// Wall time in user Reduce functions (incl. MRBG-Store access).
     pub reduce: Duration,
+    /// Wall time compacting MRBG-Store files at the pass fence.
+    pub compact: Duration,
 }
 
 impl StageTimes {
@@ -65,6 +79,7 @@ impl StageTimes {
             Stage::Shuffle => self.shuffle += d,
             Stage::Sort => self.sort += d,
             Stage::Reduce => self.reduce += d,
+            Stage::Compact => self.compact += d,
         }
     }
 
@@ -75,12 +90,13 @@ impl StageTimes {
             Stage::Shuffle => self.shuffle,
             Stage::Sort => self.sort,
             Stage::Reduce => self.reduce,
+            Stage::Compact => self.compact,
         }
     }
 
-    /// Total across all four stages.
+    /// Total across all stages.
     pub fn total(&self) -> Duration {
-        self.map + self.shuffle + self.sort + self.reduce
+        self.map + self.shuffle + self.sort + self.reduce + self.compact
     }
 }
 
@@ -90,6 +106,7 @@ impl AddAssign for StageTimes {
         self.shuffle += rhs.shuffle;
         self.sort += rhs.sort;
         self.reduce += rhs.reduce;
+        self.compact += rhs.compact;
     }
 }
 
@@ -328,9 +345,11 @@ mod tests {
         st.add(Stage::Map, Duration::from_millis(10));
         st.add(Stage::Map, Duration::from_millis(5));
         st.add(Stage::Reduce, Duration::from_millis(20));
+        st.add(Stage::Compact, Duration::from_millis(3));
         assert_eq!(st.get(Stage::Map), Duration::from_millis(15));
         assert_eq!(st.get(Stage::Shuffle), Duration::ZERO);
-        assert_eq!(st.total(), Duration::from_millis(35));
+        assert_eq!(st.get(Stage::Compact), Duration::from_millis(3));
+        assert_eq!(st.total(), Duration::from_millis(38));
     }
 
     #[test]
@@ -427,13 +446,13 @@ mod tests {
         assert!(lines.contains(&"store_io_bytes_read 100".to_string()));
         m.store_io.record_sync();
         assert!(m.report_lines().contains(&"store_io_syncs 1".to_string()));
-        // 1 jobs + 4 stages + 2*6 io blocks + 15 scalar counters.
-        assert_eq!(lines.len(), 32);
+        // 1 jobs + 5 stages + 2*6 io blocks + 15 scalar counters.
+        assert_eq!(lines.len(), 33);
     }
 
     #[test]
     fn stage_names_match_paper() {
         let names: Vec<_> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["map", "shuffle", "sort", "reduce"]);
+        assert_eq!(names, ["map", "shuffle", "sort", "reduce", "compact"]);
     }
 }

@@ -1150,6 +1150,11 @@ mod tests {
             iteration: 1,
             nanos: 2_000,
         });
+        r.emit_driver(EventKind::StageSample {
+            stage: Stage::Compact,
+            iteration: 1,
+            nanos: 700,
+        });
         r.emit_driver(EventKind::StoreIoSample {
             reads: 3,
             bytes_read: 300,
@@ -1170,6 +1175,7 @@ mod tests {
         let st = fig9(&log);
         assert_eq!(st.get(Stage::Map), Duration::from_nanos(1_500));
         assert_eq!(st.get(Stage::Reduce), Duration::from_nanos(2_000));
+        assert_eq!(st.get(Stage::Compact), Duration::from_nanos(700));
         let io = table4(&log);
         assert_eq!((io.reads, io.bytes_read), (4, 307));
         assert_eq!(

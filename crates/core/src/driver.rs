@@ -195,9 +195,11 @@ impl<'r, S: IterativeSpec> Driver<'r, S> {
                     emit_checkpoint_save(self.recorder, iteration, t);
                 }
                 if let Some(stores) = stores {
-                    // §3.4's off-line reconstruction, not charged to a
-                    // Fig. 9 stage; its counters land in the next drain.
+                    // §3.4's off-line reconstruction: its wall time is the
+                    // Compact stage, its counters land in the next drain.
+                    let t = Instant::now();
                     stores.maybe_compact(iteration)?;
+                    self.stage(&mut metrics, Stage::Compact, iteration, t);
                 }
                 Ok(stats)
             });

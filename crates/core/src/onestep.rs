@@ -439,11 +439,13 @@ where
 
         // The refreshed plane goes back to the caller without a settle:
         // commit the merged shards (the merge itself is deferred), run
-        // policy-driven compaction on the committed files, then fold the
-        // store plane's counters — the compactions included — into this
-        // run's metrics.
+        // space-bounded compaction on the committed files (the Compact
+        // stage), then fold the store plane's counters — the compactions
+        // included — into this run's metrics.
         self.stores.flush_indexes()?;
+        let t = Instant::now();
         self.stores.maybe_compact(0)?;
+        metrics.stages.add(Stage::Compact, t.elapsed());
         self.stores.drain_metrics(&mut metrics);
         Ok(metrics)
     }

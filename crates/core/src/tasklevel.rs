@@ -139,8 +139,14 @@ where
     }
 
     /// Upsert changed memos (and delete stale tail entries) into the
-    /// attached store as per-shard StoreMerge merges.
-    fn persist_memos(&mut self, fresh_map: &[usize], fresh_reduce: &[usize]) -> Result<()> {
+    /// attached store as per-shard StoreMerge merges; the compaction that
+    /// follows is timed into `metrics`' Compact stage.
+    fn persist_memos(
+        &mut self,
+        fresh_map: &[usize],
+        fresh_reduce: &[usize],
+        metrics: &mut JobMetrics,
+    ) -> Result<()> {
         let Some(stores) = &self.persist else {
             return Ok(());
         };
@@ -181,7 +187,9 @@ where
             .map(|d| parking_lot::Mutex::new(Some(d)))
             .collect();
         stores.merge_apply_all(0, |p| Ok(cells[p].lock().take().unwrap_or_default()))?;
+        let t = Instant::now();
         stores.maybe_compact(0)?;
+        metrics.stages.add(Stage::Compact, t.elapsed());
         // Memos must survive a restart once `run` returns: commit the
         // (deferred) merges a compaction did not already commit.
         stores.flush_indexes()?;
@@ -355,7 +363,7 @@ where
         // Reduce (and its fingerprints) are done with the sorted runs:
         // park the buffers for the next refresh.
         self.shuffle_pool.recycle_all(runs);
-        self.persist_memos(&fresh_map, &fresh_reduce)?;
+        self.persist_memos(&fresh_map, &fresh_reduce, &mut metrics)?;
 
         self.last_stats = stats;
         let mut output: Vec<(K3, V3)> = self

@@ -172,12 +172,13 @@ pub fn render_report(per_iteration: &[JobMetrics], telemetry: Option<&Telemetry>
     for (i, m) in per_iteration.iter().enumerate() {
         out.push_str(&format!(
             "  iter {:>3}: map {:.2}ms shuffle {:.2}ms sort {:.2}ms reduce {:.2}ms \
-             | shuffled {} rec | retries {}\n",
+             compact {:.2}ms | shuffled {} rec | retries {}\n",
             i + 1,
             ms(m.stages.get(Stage::Map)),
             ms(m.stages.get(Stage::Shuffle)),
             ms(m.stages.get(Stage::Sort)),
             ms(m.stages.get(Stage::Reduce)),
+            ms(m.stages.get(Stage::Compact)),
             m.shuffled_records,
             m.retries,
         ));

@@ -5,18 +5,25 @@
 //! when the worker is idle." (paper §3.4). The reconstruction itself is
 //! [`crate::store::MrbgStore::compact`]; this module holds its report type
 //! plus the [`CompactionPolicy`] that decides *when* a partition's store is
-//! worth reconstructing — the dynamic-maintenance cost trade-off the store
-//! runtime ([`crate::runtime`]) applies synchronously at each pass fence,
-//! once the pass's counters are drained and its checkpoint is written.
+//! reconstructed, which the store runtime ([`crate::runtime`]) applies
+//! synchronously at each pass fence, once the pass's counters are drained
+//! and its checkpoint is written.
+//!
+//! The policy is a space bound. Merge reads size their windows so they do
+//! not read over gaps ([`crate::window::DEFAULT_GAP_THRESHOLD`]), so
+//! obsolete versions between live frames cost disk space, not merge bytes;
+//! a compaction buys back that space and nothing a refresh reads.
 
-/// When a partition's offline reconstruction is due.
+/// When a partition's offline reconstruction is due: a bound on how far
+/// the file may outgrow its live bytes.
 ///
 /// A compaction reads every live chunk and rewrites it, so it costs roughly
-/// `file_bytes + live_bytes` of disk traffic. What it buys is cheaper merge
-/// passes: obsolete versions sit in the gaps the window algorithms read
-/// over, so each merge pays extra bytes proportional to the garbage
-/// fraction. The policy triggers only when the accumulated garbage makes
-/// that trade worthwhile — all three thresholds must hold.
+/// `file_bytes + live_bytes` of disk traffic plus two fsyncs. It does not
+/// make merges cheaper: their windows stop at gaps of
+/// [`crate::window::DEFAULT_GAP_THRESHOLD`], so the obsolete versions in
+/// those gaps are never read. What it buys is disk space, so the default
+/// lets a shard's file grow to 4× its live bytes (75 % garbage) before
+/// reconstructing it. All three thresholds must hold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompactionPolicy {
     /// Minimum garbage fraction `(file_bytes - live_bytes) / file_bytes`.
@@ -31,7 +38,7 @@ pub struct CompactionPolicy {
 impl Default for CompactionPolicy {
     fn default() -> Self {
         CompactionPolicy {
-            min_garbage_ratio: 0.5,
+            min_garbage_ratio: 0.75,
             min_batches: 4,
             min_file_bytes: 64 * 1024,
         }
@@ -117,10 +124,14 @@ mod tests {
         let p = CompactionPolicy::default();
         // Below min size: never.
         assert!(!p.should_compact(1024, 0, 10));
-        // Big file, enough batches, >=50% garbage: compact.
-        assert!(p.should_compact(1 << 20, 1 << 19, 5));
+        // Big file, enough batches, 80% garbage: compact.
+        assert!(p.should_compact(5 << 20, 1 << 20, 5));
+        // Exactly 4x the live bytes (75% garbage): compact.
+        assert!(p.should_compact(4 << 20, 1 << 20, 5));
+        // 50% garbage is within the space bound: no longer compacts.
+        assert!(!p.should_compact(1 << 20, 1 << 19, 5));
         // Too few batches.
-        assert!(!p.should_compact(1 << 20, 1 << 19, 2));
+        assert!(!p.should_compact(5 << 20, 1 << 20, 2));
         // Not enough garbage.
         assert!(!p.should_compact(1 << 20, (1 << 20) - 1024, 5));
     }

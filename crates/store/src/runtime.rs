@@ -30,11 +30,12 @@
 //!   shards are fully concurrent, and reads on one shard proceed while
 //!   that shard merges. (Lookups on the *same* shard share its one
 //!   reader; only merges, appends, and compactions take the write lock.)
-//! * **Policy-driven compaction** — [`StoreManager::maybe_compact`]
+//! * **Space-bounded compaction** — [`StoreManager::maybe_compact`]
 //!   consults the [`CompactionPolicy`] (garbage-ratio, batch-count and
-//!   file-size thresholds) and reconstructs exactly the shards that cross
-//!   them, one pinned [`TaskKind::Compact`] task per due shard, and waits
-//!   for them. The iterative driver calls it at each pass fence, after the
+//!   file-size thresholds; by default a file past 4× its live bytes) and
+//!   reconstructs exactly the shards that cross them, one pinned
+//!   [`TaskKind::Compact`] task per due shard, and waits for them. The
+//!   iterative driver calls it at each pass fence, after the
 //!   drain and the checkpoint, so a failed compaction errs at the fence;
 //!   the one-step engine calls it once per refresh, after the commit.
 //!   (The paper rebuilds the file "when the worker is idle", §3.4; no
@@ -1231,6 +1232,63 @@ mod tests {
         mgr.drain_metrics(&mut m2);
         assert_eq!(m2.store_compactions, 0);
         assert_eq!(m2.store_io.reads, 0);
+    }
+
+    #[test]
+    fn default_policy_bounds_the_file_at_four_times_its_live_bytes() {
+        let pool = WorkerPool::new(2);
+        let mgr = StoreManager::create(
+            &pool,
+            scratch("space-bound"),
+            N,
+            StoreRuntimeConfig::default(),
+        )
+        .unwrap();
+        // 64 chunks of ~1 KiB per shard: 4x the live bytes is past the
+        // policy's 64 KiB floor, so the ratio alone decides.
+        let value = "x".repeat(1024);
+        let batches: Vec<Vec<Chunk>> = (0..N)
+            .map(|p| {
+                (0..64)
+                    .map(|i| chunk(&format!("k{p}-{i:02}"), &value))
+                    .collect()
+            })
+            .collect();
+        mgr.append_batch_all(0, batches).unwrap();
+        let mut compactions = 0;
+        for round in 1..=20u64 {
+            // Each commit rewrites half of shard 0's keys (alternating
+            // halves), so the batch is half the live bytes.
+            mgr.merge_apply_all(round, |p| {
+                Ok(match p {
+                    0 => (0..64)
+                        .filter(|i| i % 2 == round as usize % 2)
+                        .map(|i| DeltaChunk {
+                            key: format!("k0-{i:02}").into_bytes(),
+                            entries: vec![
+                                DeltaEntry::Delete(MapKey(1)),
+                                DeltaEntry::Insert(
+                                    MapKey(1),
+                                    format!("{round}{value}").into_bytes(),
+                                ),
+                            ],
+                        })
+                        .collect(),
+                    _ => Vec::new(),
+                })
+            })
+            .unwrap();
+            let before = mgr.with_store_ref(0, |s| s.file_len());
+            mgr.flush_indexes().unwrap();
+            let batch = mgr.with_store_ref(0, |s| s.file_len()) - before;
+            compactions += mgr.maybe_compact(round).unwrap().len();
+            let (file, live) = mgr.with_store_ref(0, |s| (s.file_len(), s.live_bytes()));
+            assert!(
+                file <= 4 * live + batch,
+                "round {round}: file {file} B over 4x live {live} B + batch {batch} B"
+            );
+        }
+        assert!(compactions >= 2, "the bound held without compacting");
     }
 
     #[test]

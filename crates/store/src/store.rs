@@ -1113,6 +1113,7 @@ mod tests {
     use super::*;
     use crate::format::ChunkEntry;
     use crate::merge::DeltaEntry;
+    use crate::window::DEFAULT_GAP_THRESHOLD;
     use i2mr_common::hash::MapKey;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1831,6 +1832,59 @@ mod tests {
         assert!(io.reads >= 1);
         assert!(io.bytes_read > 0);
         assert!(io.writes >= 1);
+    }
+
+    #[test]
+    fn sparse_merge_reads_about_what_it_asks_for() {
+        let mut s = MrbgStore::create(tmpdir("sparse"), StoreConfig::default()).unwrap();
+        let value = "v".repeat(1024);
+        let key = |i: usize| format!("k{i:04}").into_bytes();
+        let rewrite = |i: usize, v: String| DeltaChunk {
+            key: key(i),
+            entries: vec![
+                DeltaEntry::Delete(MapKey(1)),
+                DeltaEntry::Insert(MapKey(1), v.into_bytes()),
+            ],
+        };
+        s.append_batch(
+            (0..1000)
+                .map(|i| chunk(&format!("k{i:04}"), &[(1, &value)]))
+                .collect(),
+        )
+        .unwrap();
+        // Three committed batches, each rewriting a third of the keys: the
+        // obsolete versions sit between live frames in every batch.
+        for round in 0..3 {
+            let deltas = (0..1000)
+                .filter(|i| i % 3 == round)
+                .map(|i| rewrite(i, format!("{round}{value}")))
+                .collect();
+            s.merge_apply(deltas).unwrap();
+        }
+        assert_eq!(s.n_batches(), 4);
+
+        // Touch 1 key in 50.
+        let touched: Vec<usize> = (0..1000).step_by(50).collect();
+        let asked: u64 = touched
+            .iter()
+            .map(|&i| s.index.get(&key(i)).unwrap().len as u64)
+            .sum();
+        s.reset_io_stats();
+        s.merge_apply_deferred(touched.iter().map(|&i| rewrite(i, "new".into())).collect())
+            .unwrap();
+        let io = s.io_stats();
+        assert!(
+            io.bytes_read <= asked + io.reads * DEFAULT_GAP_THRESHOLD,
+            "read {} B in {} reads for {asked} B asked",
+            io.bytes_read,
+            io.reads
+        );
+        assert!(
+            io.bytes_read < s.file_len() / 4,
+            "read {} B of a {} B file",
+            io.bytes_read,
+            s.file_len()
+        );
     }
 
     #[test]

@@ -16,8 +16,16 @@
 
 use crate::index::ChunkLoc;
 
-/// Default gap threshold `T` (paper default: 100 KB).
-pub const DEFAULT_GAP_THRESHOLD: u64 = 100 * 1024;
+/// Default gap threshold `T`: 8 KiB, about the gap whose copy costs as
+/// much as one more read from the page cache.
+///
+/// The paper sets `T` = 100 KB, sized for HDFS disk seeks: there a gap is
+/// cheaper to read over than to seek past. A store that sits in the page
+/// cache pays no seek, so copying a 100 KB gap costs far more than one more
+/// `pread`; a window that reads over such gaps turns a sparse merge into a
+/// scan of the batch. At 8 KiB a sparse merge reads about the frames it
+/// asks for, and a dense one still coalesces neighbours into one read.
+pub const DEFAULT_GAP_THRESHOLD: u64 = 8 * 1024;
 
 /// Compute the read-window size in bytes for a miss at `plan[i]`.
 ///
@@ -127,6 +135,19 @@ mod tests {
         assert_eq!(dynamic_window_size(&plan, 0, 0, 100, 1000), 10);
         // Raising the threshold above the gap extends the window.
         assert_eq!(dynamic_window_size(&plan, 0, 0, 191, 1000), 210);
+    }
+
+    #[test]
+    fn default_threshold_never_reads_over_a_gap_of_its_size() {
+        let t = DEFAULT_GAP_THRESHOLD;
+        let cap = 1 << 30;
+        for gap in [t, t + 1, 100 * 1024] {
+            let plan = vec![loc(0, 10, 0), loc(10 + gap, 10, 0)];
+            assert_eq!(dynamic_window_size(&plan, 0, 0, t, cap), 10, "gap {gap}");
+        }
+        // Just below the threshold the window still coalesces the two.
+        let plan = vec![loc(0, 10, 0), loc(10 + t - 1, 10, 0)];
+        assert_eq!(dynamic_window_size(&plan, 0, 0, t, cap), 10 + t - 1 + 10);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! identical delta rounds:
 //!
 //! * **serial** — the pre-runtime behavior: every partition's merge runs
-//!   inline on the caller thread (`parallel: false`), and reclamation is a
+//!   on a one-worker pool, one shard after another, and reclamation is a
 //!   stop-the-world `compact_all` after every refresh round (the only
 //!   cadence available before the policy existed).
 //! * **sharded** — the store runtime: merges scheduled as partition-affine
@@ -167,6 +167,16 @@ fn pr_chunk(p: usize, v: u64) -> Chunk {
     )
 }
 
+/// The serial plane's pool and runtime: one worker, no policy-driven
+/// compaction.
+fn serial_plane() -> (WorkerPool, StoreRuntimeConfig) {
+    let cfg = StoreRuntimeConfig {
+        policy: CompactionPolicy::never(),
+        ..Default::default()
+    };
+    (WorkerPool::new(1), cfg)
+}
+
 /// Fresh manager with every shard seeded with the initial MRBGraph batch.
 /// Seeding is identical for both planes (inline appends), so the measured
 /// routine contains only merge + reclamation work.
@@ -223,10 +233,11 @@ fn run_merges(mgr: &StoreManager) {
 
 fn bench_merge_plane(c: &mut Criterion) {
     let pool = WorkerPool::new(N_SHARDS);
+    let (one, serial) = serial_plane();
     let mut g = c.benchmark_group("micro_store/merge");
     g.bench_function(BenchmarkId::new("serial", N_SHARDS), |b| {
         b.iter_batched(
-            || seeded_manager(&pool, "m-ser", StoreRuntimeConfig::serial()),
+            || seeded_manager(&one, "m-ser", serial),
             |mgr| run_merges(&mgr),
             BatchSize::LargeInput,
         )
@@ -243,10 +254,11 @@ fn bench_merge_plane(c: &mut Criterion) {
 
 fn bench_mergephase(c: &mut Criterion) {
     let pool = WorkerPool::new(N_SHARDS);
+    let (one, serial) = serial_plane();
     let mut g = c.benchmark_group("micro_store/mergephase");
     g.bench_function(BenchmarkId::new("serial", N_SHARDS), |b| {
         b.iter_batched(
-            || seeded_manager(&pool, "p-ser", StoreRuntimeConfig::serial()),
+            || seeded_manager(&one, "p-ser", serial),
             |mgr| run_plane(&mgr, true),
             BatchSize::LargeInput,
         )
@@ -268,7 +280,8 @@ fn summarize(_c: &mut Criterion) {
     // identical rounds through each plane, then a final full compaction on
     // both — every shard's canonical export must match byte-for-byte.
     let pool = WorkerPool::new(N_SHARDS);
-    let ser = seeded_manager(&pool, "eq-ser", StoreRuntimeConfig::serial());
+    let (one, serial) = serial_plane();
+    let ser = seeded_manager(&one, "eq-ser", serial);
     let shd = seeded_manager(&pool, "eq-shd", sharded_runtime());
     run_plane(&ser, true);
     run_plane(&shd, false);

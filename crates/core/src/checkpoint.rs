@@ -183,11 +183,11 @@ impl IterCheckpointer {
     /// Restore the MRBG stores checkpointed at `iteration` into fresh
     /// directories under `dir`, wrapped in a ready-to-run [`StoreManager`].
     ///
-    /// On the parallel plane the per-shard imports fan out as concurrent
-    /// [`TaskKind::StoreMerge`] tasks on the executor (recovery mirrors
-    /// `StoreManager::open`'s concurrent index preload); the serial plane
-    /// imports inline. Both produce byte-identical shards — see the
-    /// `parallel_restore_equals_serial_restore` test.
+    /// The per-shard imports fan out as concurrent [`TaskKind::StoreMerge`]
+    /// tasks on the executor (recovery mirrors `StoreManager::open`'s
+    /// concurrent index preload). Any pool size produces byte-identical
+    /// shards — see the `many_worker_restore_equals_one_worker_restore`
+    /// test.
     pub fn load_stores(
         &self,
         pool: &WorkerPool,
@@ -196,44 +196,25 @@ impl IterCheckpointer {
         config: StoreRuntimeConfig,
     ) -> Result<StoreManager> {
         let dir = dir.as_ref();
-        let stores = if config.parallel {
-            let tasks: Vec<TaskSpec<'_, MrbgStore>> = (0..self.n_partitions)
-                .map(|p| {
-                    TaskSpec::pinned(
-                        TaskId {
-                            kind: TaskKind::StoreMerge,
-                            index: p,
-                            iteration,
-                        },
-                        p % pool.n_workers(),
-                        move |_| {
-                            let payload =
-                                self.store.load(&self.job, iteration, &Self::mrbg_task(p))?;
-                            // Import truncates its target, so a retried
-                            // attempt reproduces the same shard.
-                            MrbgStore::import(
-                                dir.join(format!("restored-{p}")),
-                                &payload,
-                                config.store,
-                            )
-                        },
-                    )
-                })
-                .collect();
-            pool.run_tasks(tasks)?
-        } else {
-            let mut out = Vec::with_capacity(self.n_partitions);
-            for p in 0..self.n_partitions {
-                let payload = self.store.load(&self.job, iteration, &Self::mrbg_task(p))?;
-                out.push(MrbgStore::import(
-                    dir.join(format!("restored-{p}")),
-                    &payload,
-                    config.store,
-                )?);
-            }
-            out
-        };
-        StoreManager::from_stores(pool, stores, config)
+        let tasks: Vec<TaskSpec<'_, MrbgStore>> = (0..self.n_partitions)
+            .map(|p| {
+                TaskSpec::pinned(
+                    TaskId {
+                        kind: TaskKind::StoreMerge,
+                        index: p,
+                        iteration,
+                    },
+                    p % pool.n_workers(),
+                    move |_| {
+                        let payload = self.store.load(&self.job, iteration, &Self::mrbg_task(p))?;
+                        // Import truncates its target, so a retried
+                        // attempt reproduces the same shard.
+                        MrbgStore::import(dir.join(format!("restored-{p}")), &payload, config.store)
+                    },
+                )
+            })
+            .collect();
+        StoreManager::from_stores(pool, pool.run_tasks(tasks)?, config)
     }
 
     /// Drop checkpoints older than `keep_from` (space reclamation).
@@ -316,10 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_restore_equals_serial_restore() {
-        // Restore-equivalence: fanning shard imports out on the executor
-        // must reproduce exactly the stores a serial restore produces.
-        use i2mr_store::runtime::StoreRuntimeConfig;
+    fn many_worker_restore_equals_one_worker_restore() {
+        // Restore-equivalence: fanning shard imports out on three workers
+        // must reproduce exactly the stores a one-worker restore produces.
         let (dfs, dir) = setup("par-restore");
         let pool = WorkerPool::new(3);
         let n = 5;
@@ -356,14 +336,19 @@ mod tests {
             .load_stores(&pool, 1, dir.join("rest-par"), Default::default())
             .unwrap();
         let ser = ck
-            .load_stores(&pool, 1, dir.join("rest-ser"), StoreRuntimeConfig::serial())
+            .load_stores(
+                &WorkerPool::new(1),
+                1,
+                dir.join("rest-ser"),
+                Default::default(),
+            )
             .unwrap();
         assert_eq!(par.len(), ser.len());
         for p in 0..n {
             assert_eq!(
                 par.export(p).unwrap(),
                 ser.export(p).unwrap(),
-                "shard {p}: parallel and serial restore diverged"
+                "shard {p}: three- and one-worker restores diverged"
             );
             assert_eq!(stores.export(p).unwrap(), par.export(p).unwrap());
         }

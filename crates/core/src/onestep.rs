@@ -83,8 +83,8 @@ where
         )
     }
 
-    /// Create an engine with full control over the store runtime (plane
-    /// mode + compaction policy).
+    /// Create an engine with full control over the store runtime
+    /// (per-shard store config + compaction policy).
     pub fn create_with_runtime(
         pool: &WorkerPool,
         dir: impl AsRef<Path>,

@@ -40,6 +40,12 @@
 //! in the order the engine appends them (the shuffle's K2 sort order), and
 //! query passes promise to request keys in that same order — which is what
 //! makes forward-only read windows correct.
+//!
+//! # Unix only
+//!
+//! Every read of a data file is one positional read
+//! ([`std::os::unix::fs::FileExt::read_exact_at`], a single `pread`) that
+//! leaves the file cursor alone, so the store builds on unix targets only.
 
 pub mod append;
 pub mod compact;

@@ -24,7 +24,7 @@ use crate::window::{dynamic_window_size, Window, DEFAULT_GAP_THRESHOLD};
 use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 
 /// Chunk retrieval strategy (see module docs / paper Table 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +63,7 @@ const SHARED_WINDOW: u32 = u32::MAX;
 /// each planned location as its raw frame bytes. Merges verify each frame
 /// against its key; compaction and export copy frames verbatim.
 pub struct FramePass<'a> {
-    file: &'a mut File,
+    file: &'a File,
     file_len: u64,
     io: &'a mut IoStats,
     strategy: QueryStrategy,
@@ -81,7 +81,7 @@ impl<'a> FramePass<'a> {
     /// Plan a pass over `plan`, the locations in query order. Within one
     /// batch, query order must equal file order (canonical key order does).
     pub fn new(
-        file: &'a mut File,
+        file: &'a File,
         file_len: u64,
         io: &'a mut IoStats,
         strategy: QueryStrategy,
@@ -129,8 +129,8 @@ impl<'a> FramePass<'a> {
                     return Err(past_the_end(loc, self.file_len));
                 }
                 self.scratch.resize(len, 0);
-                self.file.seek(SeekFrom::Start(loc.offset))?;
-                self.file.read_exact(&mut self.scratch[..len])?;
+                self.file
+                    .read_exact_at(&mut self.scratch[..len], loc.offset)?;
                 self.io.record_read(len as u64);
                 &self.scratch[..len]
             }
@@ -199,8 +199,7 @@ impl<'a> FramePass<'a> {
         let w = &mut self.windows[wi];
         w.file_start = loc.offset;
         w.buf.resize(len, 0);
-        self.file.seek(SeekFrom::Start(loc.offset))?;
-        self.file.read_exact(&mut w.buf[..len])?;
+        self.file.read_exact_at(&mut w.buf[..len], loc.offset)?;
         self.io.record_read(len as u64);
         if !w.contains(loc) {
             return Err(past_the_end(loc, self.file_len));
@@ -289,11 +288,11 @@ mod tests {
 
     #[test]
     fn index_only_reads_each_chunk_exactly() {
-        let (mut f, len, index) =
+        let (f, len, index) =
             build_store("idxonly", &[vec![("a", b"1"), ("b", b"2"), ("c", b"3")]]);
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::IndexOnly,
@@ -310,11 +309,10 @@ mod tests {
 
     #[test]
     fn dynamic_window_batches_adjacent_chunks_into_one_read() {
-        let (mut f, len, index) =
-            build_store("dyn", &[vec![("a", b"1"), ("b", b"2"), ("c", b"3")]]);
+        let (f, len, index) = build_store("dyn", &[vec![("a", b"1"), ("b", b"2"), ("c", b"3")]]);
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::MultiDynamicWindow { gap_threshold: 64 },
@@ -339,10 +337,10 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
-        let (mut f, len, index) = build_store("gap", &[batch]);
+        let (f, len, index) = build_store("gap", &[batch]);
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::MultiDynamicWindow { gap_threshold: 8 },
@@ -359,7 +357,7 @@ mod tests {
     fn single_fix_window_thrashes_across_batches() {
         // Two batches; requests alternate between them in key order: a
         // (batch1 latest), b (batch0), c (batch1), d (batch0).
-        let (mut f, len, index) = build_store(
+        let (f, len, index) = build_store(
             "thrash",
             &[
                 vec![("b", b"old-b"), ("d", b"old-d")],
@@ -368,7 +366,7 @@ mod tests {
         );
         let mut io_single = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io_single,
             QueryStrategy::SingleFixWindow { window: 64 },
@@ -382,7 +380,7 @@ mod tests {
 
         let mut io_multi = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io_multi,
             QueryStrategy::MultiFixWindow { window: 64 },
@@ -402,10 +400,10 @@ mod tests {
 
     #[test]
     fn unpreserved_keys_return_none_without_io() {
-        let (mut f, len, index) = build_store("none", &[vec![("a", b"1")]]);
+        let (f, len, index) = build_store("none", &[vec![("a", b"1")]]);
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::default(),
@@ -419,10 +417,10 @@ mod tests {
 
     #[test]
     fn out_of_order_get_is_rejected() {
-        let (mut f, len, index) = build_store("order", &[vec![("a", b"1"), ("b", b"2")]]);
+        let (f, len, index) = build_store("order", &[vec![("a", b"1"), ("b", b"2")]]);
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::default(),
@@ -444,7 +442,7 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
-        let (mut f, len, index) = build_store("short", &[batch]);
+        let (f, len, index) = build_store("short", &[batch]);
         // The index still describes 40 frames; the file lost 10 bytes.
         f.set_len(len - 10).unwrap();
         let plan: Vec<Option<ChunkLoc>> =
@@ -456,8 +454,7 @@ mod tests {
             QueryStrategy::default(),
         ] {
             let mut io = IoStats::default();
-            let mut pass =
-                FramePass::new(&mut f, len - 10, &mut io, strategy, 1 << 20, plan.clone());
+            let mut pass = FramePass::new(&f, len - 10, &mut io, strategy, 1 << 20, plan.clone());
             let err = (0..plan.len())
                 .find_map(|_| pass.next_frame().err())
                 .unwrap_or_else(|| panic!("{strategy:?}: read past the end of the file"));
@@ -467,13 +464,13 @@ mod tests {
 
     #[test]
     fn latest_version_wins_across_batches() {
-        let (mut f, len, index) = build_store(
+        let (f, len, index) = build_store(
             "latest",
             &[vec![("k", b"version-1")], vec![("k", b"version-2")]],
         );
         let mut io = IoStats::default();
         let mut pass = FramePass::new(
-            &mut f,
+            &f,
             len,
             &mut io,
             QueryStrategy::default(),

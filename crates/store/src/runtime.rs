@@ -46,10 +46,12 @@
 //!   every shard's [`IoStats`] (store + detached readers) and the
 //!   compaction counters into a [`JobMetrics`].
 //!
-//! `parallel: false` in [`StoreRuntimeConfig`] degrades every scheduled
-//! operation to an inline loop on the caller thread — the *serial plane* —
-//! which the equivalence suite and the `micro_store` bench use as the
-//! baseline the sharded plane must match byte-for-byte.
+//! Every shard operation — open, merge, commit, append, compact — runs
+//! through one fan-out: one task per shard, pinned to the shard's
+//! preferred worker, so all of them are scheduled, retried and traced
+//! alike. A one-worker [`WorkerPool`] runs the same plane on the fewest
+//! threads; the equivalence suites and the `micro_store` bench use it as
+//! the reference the many-worker plane must match byte for byte.
 
 use crate::compact::{CompactionPolicy, CompactionStats};
 use crate::format::Chunk;
@@ -68,39 +70,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Tunables of the store runtime (per-shard [`StoreConfig`] plus the
-/// plane-level knobs).
-#[derive(Clone, Copy, Debug)]
+/// plane's compaction policy).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StoreRuntimeConfig {
     /// Per-shard store configuration.
     pub store: StoreConfig,
     /// When a shard is due for compaction.
     pub policy: CompactionPolicy,
-    /// Schedule shard operations on the worker pool (`true`, the sharded
-    /// plane) or run them inline on the caller thread (`false`, the serial
-    /// baseline plane).
-    pub parallel: bool,
-}
-
-impl Default for StoreRuntimeConfig {
-    fn default() -> Self {
-        StoreRuntimeConfig {
-            store: StoreConfig::default(),
-            policy: CompactionPolicy::default(),
-            parallel: true,
-        }
-    }
-}
-
-impl StoreRuntimeConfig {
-    /// The serial baseline plane: inline operations, no policy-driven
-    /// compaction. Equivalence tests pit this against the default.
-    pub fn serial() -> Self {
-        StoreRuntimeConfig {
-            store: StoreConfig::default(),
-            policy: CompactionPolicy::never(),
-            parallel: false,
-        }
-    }
 }
 
 /// One partition's store plus its detached read handle.
@@ -184,6 +160,35 @@ fn emit_store_op(
     }
 }
 
+/// The one shard fan-out: a `(kind, p, iteration)` task per shard `p` of
+/// `shards`, pinned to worker `p % n_workers` (the affinity rule map,
+/// reduce and sort tasks use), with results in `shards` order. `body`
+/// may be re-invoked on retry and must be idempotent.
+fn fan_out<T: Send>(
+    pool: &WorkerPool,
+    kind: TaskKind,
+    iteration: u64,
+    shards: &[usize],
+    body: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let body = &body;
+    let tasks = shards
+        .iter()
+        .map(|&p| {
+            TaskSpec::pinned(
+                TaskId {
+                    kind,
+                    index: p,
+                    iteration,
+                },
+                p % pool.n_workers(),
+                move |_| body(p),
+            )
+        })
+        .collect();
+    pool.run_tasks(tasks)
+}
+
 impl StoreManager {
     fn shard_dir(dir: &Path, p: usize) -> PathBuf {
         dir.join(format!("shard-{p}"))
@@ -232,11 +237,10 @@ impl StoreManager {
         Ok(Self::assemble(pool, shards, config))
     }
 
-    /// Open `n` existing shards under `dir`. On the parallel plane the
-    /// index preloads run as concurrent [`TaskKind::StoreMerge`] tasks on
-    /// the executor (paper §3.4: the index is preloaded before Reduce
-    /// computation — here all partitions preload at once); the serial
-    /// plane loads inline.
+    /// Open `n` existing shards under `dir`, the index preloads running as
+    /// concurrent [`TaskKind::StoreMerge`] tasks on the executor (paper
+    /// §3.4: the index is preloaded before Reduce computation — here all
+    /// partitions preload at once).
     pub fn open(
         pool: &WorkerPool,
         dir: impl AsRef<Path>,
@@ -244,29 +248,13 @@ impl StoreManager {
         config: StoreRuntimeConfig,
     ) -> Result<Self> {
         let dir = dir.as_ref();
-        let shards = if config.parallel {
-            let tasks: Vec<TaskSpec<'_, MrbgStore>> = (0..n)
-                .map(|p| {
-                    TaskSpec::pinned(
-                        TaskId {
-                            kind: TaskKind::StoreMerge,
-                            index: p,
-                            iteration: 0,
-                        },
-                        p % pool.n_workers(),
-                        move |_| MrbgStore::open(Self::shard_dir(dir, p), config.store),
-                    )
-                })
-                .collect();
-            pool.run_tasks(tasks)?
-                .into_iter()
-                .map(Shard::new)
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            (0..n)
-                .map(|p| Shard::new(MrbgStore::open(Self::shard_dir(dir, p), config.store)?))
-                .collect::<Result<Vec<_>>>()?
-        };
+        let all: Vec<usize> = (0..n).collect();
+        let shards = fan_out(pool, TaskKind::StoreMerge, 0, &all, |p| {
+            MrbgStore::open(Self::shard_dir(dir, p), config.store)
+        })?
+        .into_iter()
+        .map(Shard::new)
+        .collect::<Result<Vec<_>>>()?;
         Ok(Self::assemble(pool, shards, config))
     }
 
@@ -439,10 +427,10 @@ impl StoreManager {
     }
 
     /// Merge delta MRBGraphs into exactly the `touched` shards, one
-    /// [`TaskKind::StoreMerge`] task per *touched* partition (inline loop
-    /// on the serial plane) — untouched shards get no task and no lock
-    /// traffic. `deltas_of(p)` builds partition `p`'s delta chunks; it may
-    /// be re-invoked on retry and must be idempotent.
+    /// [`TaskKind::StoreMerge`] task per *touched* partition — untouched
+    /// shards get no task and no lock traffic. `deltas_of(p)` builds
+    /// partition `p`'s delta chunks; it may be re-invoked on retry and
+    /// must be idempotent.
     ///
     /// The write and the commit are deferred
     /// ([`MrbgStore::merge_apply_deferred`]): the merged frames stay in
@@ -466,54 +454,29 @@ impl StoreManager {
     where
         F: Fn(usize) -> Result<Vec<DeltaChunk>> + Sync,
     {
-        let rec = self.recorder();
-        let merge_one = |p: usize| -> Result<MergedBatch> {
-            let t = Instant::now();
-            let deltas = deltas_of(p)?;
-            let mut out = MergedBatch::default();
-            if !deltas.is_empty() {
+        let merged = self.shard_op(
+            TaskKind::StoreMerge,
+            StoreOpKind::Merge,
+            iteration,
+            touched,
+            |p, shard| {
+                let deltas = deltas_of(p)?;
+                if deltas.is_empty() {
+                    return Ok((MergedBatch::default(), 0));
+                }
                 // Fire before the write lock: an injected failure leaves
                 // the shard untouched (and clean), so the rescheduled
                 // attempt merges cleanly.
                 self.failpoints.check(FailSite::StoreAppend, "merge")?;
-                let shard = &self.shards[p];
-                out = shard.store.write().merge_apply_deferred(deltas)?;
+                let merged = shard.store.write().merge_apply_deferred(deltas)?;
                 shard.bump_version();
-            }
-            emit_store_op(
-                &rec,
-                StoreOpKind::Merge,
-                p,
-                t.elapsed().as_nanos() as u64,
-                0,
-            );
-            Ok(out)
-        };
+                Ok((merged, 0))
+            },
+        )?;
         let mut out: Vec<MergedBatch> = (0..self.shards.len())
             .map(|_| MergedBatch::default())
             .collect();
-        if !self.config.parallel {
-            for &p in touched {
-                out[p] = merge_one(p)?;
-            }
-            return Ok(out);
-        }
-        let merge_one = &merge_one;
-        let tasks: Vec<TaskSpec<'_, MergedBatch>> = touched
-            .iter()
-            .map(|&p| {
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::StoreMerge,
-                        index: p,
-                        iteration,
-                    },
-                    p % self.pool.n_workers(),
-                    move |_| merge_one(p),
-                )
-            })
-            .collect();
-        for (&p, merged) in touched.iter().zip(self.pool.run_tasks(tasks)?) {
+        for (&p, merged) in touched.iter().zip(merged) {
             out[p] = merged;
         }
         Ok(out)
@@ -524,13 +487,13 @@ impl StoreManager {
     /// file + `sync_all` + rename) — once per shard however many deferred
     /// merges it absorbed. This is where a refresh's merged bytes reach
     /// the data file, so the dirty shards commit concurrently: one pinned
-    /// [`TaskKind::StoreMerge`] task each on the executor (an inline loop
-    /// on the serial plane, and after the executor's shutdown). Each
-    /// commit fires [`FailSite::StoreAppend`] (`"commit"`) before its
-    /// write-back and emits one [`StoreOpKind::Commit`] span carrying the
-    /// bytes it wrote back. A failed commit leaves its shard dirty with
-    /// its pending frames readable; a retry, a later flush or the
-    /// manager's drop writes them.
+    /// [`TaskKind::StoreMerge`] task each on the executor (inline on the
+    /// caller after the executor's shutdown). Each commit fires
+    /// [`FailSite::StoreAppend`] (`"commit"`) before its write-back and
+    /// emits one [`StoreOpKind::Commit`] span carrying the bytes it wrote
+    /// back. A failed commit leaves its shard dirty with its pending
+    /// frames readable; a retry, a later flush or the manager's drop
+    /// writes them.
     ///
     /// Folded into [`StoreManager::settle_into`], so no settle path can
     /// leave an uncommitted shard behind; engines that return a merged
@@ -540,42 +503,20 @@ impl StoreManager {
         let dirty: Vec<usize> = (0..self.shards.len())
             .filter(|&p| self.shards[p].store.read().is_dirty())
             .collect();
-        let rec = self.recorder();
-        let commit_one = |p: usize| -> Result<()> {
-            self.failpoints.check(FailSite::StoreAppend, "commit")?;
-            let t = Instant::now();
-            let mut store = self.shards[p].store.write();
-            let bytes = store.pending_bytes();
-            store.persist_index()?;
-            drop(store);
-            emit_store_op(
-                &rec,
-                StoreOpKind::Commit,
-                p,
-                t.elapsed().as_nanos() as u64,
-                bytes,
-            );
-            Ok(())
-        };
-        if !self.config.parallel {
-            return dirty.into_iter().try_for_each(commit_one);
-        }
-        let commit_one = &commit_one;
-        let tasks: Vec<TaskSpec<'_, ()>> = dirty
-            .into_iter()
-            .map(|p| {
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::StoreMerge,
-                        index: p,
-                        iteration: 0,
-                    },
-                    p % self.pool.n_workers(),
-                    move |_| commit_one(p),
-                )
-            })
-            .collect();
-        self.pool.run_tasks(tasks).map(drop)
+        self.shard_op(
+            TaskKind::StoreMerge,
+            StoreOpKind::Commit,
+            0,
+            &dirty,
+            |_, shard| {
+                self.failpoints.check(FailSite::StoreAppend, "commit")?;
+                let mut store = shard.store.write();
+                let bytes = store.pending_bytes();
+                store.persist_index()?;
+                Ok(((), bytes))
+            },
+        )
+        .map(drop)
     }
 
     /// Append one batch of chunks per shard (initial preservation), one
@@ -592,64 +533,29 @@ impl StoreManager {
                 self.shards.len()
             )));
         }
-        let rec = self.recorder();
-        if !self.config.parallel {
-            for (p, (shard, batch)) in self.shards.iter().zip(batches).enumerate() {
-                self.failpoints.check(FailSite::StoreAppend, "append")?;
-                let t = Instant::now();
-                shard.store.write().append_batch(batch)?;
-                shard.bump_version();
-                emit_store_op(
-                    &rec,
-                    StoreOpKind::Append,
-                    p,
-                    t.elapsed().as_nanos() as u64,
-                    0,
-                );
-            }
-            return Ok(());
-        }
         let cells: Vec<Mutex<Option<Vec<Chunk>>>> =
             batches.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let fp = &self.failpoints;
-        let rec = &rec;
-        let tasks: Vec<TaskSpec<'_, ()>> = cells
-            .iter()
-            .enumerate()
-            .map(|(p, cell)| {
-                let shard = &self.shards[p];
-                TaskSpec::pinned(
-                    TaskId {
-                        kind: TaskKind::StoreMerge,
-                        index: p,
-                        iteration,
-                    },
-                    p % self.pool.n_workers(),
-                    move |_| {
-                        // Fire before the one-shot cell is consumed so an
-                        // injected failure leaves the batch intact for the
-                        // rescheduled attempt; only a genuine mid-append
-                        // loss routes to the consumed-cell error below.
-                        fp.check(FailSite::StoreAppend, "append")?;
-                        let batch = cell.lock().take().ok_or_else(|| {
-                            Error::corrupt("store batch consumed by a failed earlier attempt")
-                        })?;
-                        let t = Instant::now();
-                        shard.store.write().append_batch(batch)?;
-                        shard.bump_version();
-                        emit_store_op(
-                            rec,
-                            StoreOpKind::Append,
-                            p,
-                            t.elapsed().as_nanos() as u64,
-                            0,
-                        );
-                        Ok(())
-                    },
-                )
-            })
-            .collect();
-        self.pool.run_tasks(tasks).map(|_| ())
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.shard_op(
+            TaskKind::StoreMerge,
+            StoreOpKind::Append,
+            iteration,
+            &all,
+            |p, shard| {
+                // Fire before the one-shot cell is consumed so an injected
+                // failure leaves the batch intact for the rescheduled
+                // attempt; only a genuine mid-append loss routes to the
+                // consumed-cell error below.
+                self.failpoints.check(FailSite::StoreAppend, "append")?;
+                let batch = cells[p].lock().take().ok_or_else(|| {
+                    Error::corrupt("store batch consumed by a failed earlier attempt")
+                })?;
+                shard.store.write().append_batch(batch)?;
+                shard.bump_version();
+                Ok(((), 0))
+            },
+        )
+        .map(drop)
     }
 
     /// Shards whose garbage currently crosses the policy thresholds.
@@ -678,9 +584,8 @@ impl StoreManager {
 
     /// Policy-driven compaction: consult the policy, reconstruct exactly
     /// the shards whose garbage crossed the thresholds (one pinned
-    /// [`TaskKind::Compact`] task each; an inline loop on the serial
-    /// plane), and wait for the results. Compaction is idempotent, so
-    /// retries are safe.
+    /// [`TaskKind::Compact`] task each), and wait for the results.
+    /// Compaction is idempotent, so retries are safe.
     pub fn maybe_compact(&self, iteration: u64) -> Result<Vec<(usize, CompactionStats)>> {
         let due = self.due_shards();
         self.compact_shards(iteration, due)
@@ -699,59 +604,17 @@ impl StoreManager {
         iteration: u64,
         shards: Vec<usize>,
     ) -> Result<Vec<(usize, CompactionStats)>> {
-        if shards.is_empty() {
-            return Ok(Vec::new());
-        }
-        let fp = &self.failpoints;
-        let rec = self.recorder();
-        let rec = &rec;
-        let stats: Vec<CompactionStats> = if self.config.parallel {
-            let tasks: Vec<TaskSpec<'_, CompactionStats>> = shards
-                .iter()
-                .map(|&p| {
-                    let shard = &self.shards[p];
-                    TaskSpec::pinned(
-                        TaskId {
-                            kind: TaskKind::Compact,
-                            index: p,
-                            iteration,
-                        },
-                        p % self.pool.n_workers(),
-                        move |_| {
-                            fp.check(FailSite::StoreCompact, "compact")?;
-                            let t = Instant::now();
-                            let s = shard.store.write().compact()?;
-                            emit_store_op(
-                                rec,
-                                StoreOpKind::Compact,
-                                p,
-                                t.elapsed().as_nanos() as u64,
-                                s.reclaimed(),
-                            );
-                            Ok(s)
-                        },
-                    )
-                })
-                .collect();
-            self.pool.run_tasks(tasks)?
-        } else {
-            shards
-                .iter()
-                .map(|&p| {
-                    fp.check(FailSite::StoreCompact, "compact")?;
-                    let t = Instant::now();
-                    let s = self.shards[p].store.write().compact()?;
-                    emit_store_op(
-                        rec,
-                        StoreOpKind::Compact,
-                        p,
-                        t.elapsed().as_nanos() as u64,
-                        s.reclaimed(),
-                    );
-                    Ok(s)
-                })
-                .collect::<Result<_>>()?
-        };
+        let stats = self.shard_op(
+            TaskKind::Compact,
+            StoreOpKind::Compact,
+            iteration,
+            &shards,
+            |_, shard| {
+                self.failpoints.check(FailSite::StoreCompact, "compact")?;
+                let s = shard.store.write().compact()?;
+                Ok((s, s.reclaimed()))
+            },
+        )?;
         let out: Vec<(usize, CompactionStats)> = shards.into_iter().zip(stats).collect();
         let mut rt = self.stats.lock();
         for (_, s) in &out {
@@ -759,6 +622,28 @@ impl StoreManager {
             rt.bytes_reclaimed += s.reclaimed();
         }
         Ok(out)
+    }
+
+    /// [`fan_out`] of one store operation over `shards` on this manager's
+    /// executor. `body(p, shard)` returns its result and the byte count of
+    /// the `op` span the fan-out emits per shard, timed over the body. A
+    /// body fires its own failpoint, ahead of the lock or the one-shot
+    /// state it guards, so an injected failure leaves the shard as it was.
+    fn shard_op<T: Send>(
+        &self,
+        kind: TaskKind,
+        op: StoreOpKind,
+        iteration: u64,
+        shards: &[usize],
+        body: impl Fn(usize, &Shard) -> Result<(T, u64)> + Sync,
+    ) -> Result<Vec<T>> {
+        let rec = self.recorder();
+        fan_out(&self.pool, kind, iteration, shards, |p| {
+            let t = Instant::now();
+            let (out, bytes) = body(p, &self.shards[p])?;
+            emit_store_op(&rec, op, p, t.elapsed().as_nanos() as u64, bytes);
+            Ok(out)
+        })
     }
 
     /// Aggregate I/O across shards and readers without resetting.
@@ -891,13 +776,28 @@ mod tests {
         }
     }
 
+    /// The reference plane's runtime, run on a one-worker pool: no
+    /// policy-driven compaction.
+    fn never_compact() -> StoreRuntimeConfig {
+        StoreRuntimeConfig {
+            policy: CompactionPolicy::never(),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn sharded_and_serial_planes_agree() {
-        let pool = WorkerPool::new(2);
-        let par =
-            StoreManager::create(&pool, scratch("par"), N, StoreRuntimeConfig::default()).unwrap();
+        // "Serial" is the one-worker pool: every shard task runs on one
+        // thread, against the two-worker plane with the default policy.
+        let par = StoreManager::create(
+            &WorkerPool::new(2),
+            scratch("par"),
+            N,
+            StoreRuntimeConfig::default(),
+        )
+        .unwrap();
         let ser =
-            StoreManager::create(&pool, scratch("ser"), N, StoreRuntimeConfig::serial()).unwrap();
+            StoreManager::create(&WorkerPool::new(1), scratch("ser"), N, never_compact()).unwrap();
         for mgr in [&par, &ser] {
             seed(mgr);
             for round in 1..=3u64 {
@@ -923,41 +823,40 @@ mod tests {
     #[test]
     fn touched_merge_matches_full_merge_byte_for_byte() {
         // The workset path (touched shards only) must leave every shard
-        // byte-identical to the full-fanout path, on both planes.
-        let pool = WorkerPool::new(2);
-        let full =
-            StoreManager::create(&pool, scratch("full"), N, StoreRuntimeConfig::default()).unwrap();
-        let par = StoreManager::create(
-            &pool,
-            scratch("touch-par"),
+        // byte-identical to the full-fanout path, on one and two workers.
+        let full = StoreManager::create(
+            &WorkerPool::new(2),
+            scratch("full"),
             N,
             StoreRuntimeConfig::default(),
         )
         .unwrap();
-        let ser =
-            StoreManager::create(&pool, scratch("touch-ser"), N, StoreRuntimeConfig::serial())
-                .unwrap();
+        let touched: Vec<StoreManager> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let pool = WorkerPool::new(workers);
+                let dir = scratch(&format!("touch-{workers}"));
+                StoreManager::create(&pool, dir, N, StoreRuntimeConfig::default()).unwrap()
+            })
+            .collect();
         seed(&full);
-        seed(&par);
-        seed(&ser);
+        touched.iter().for_each(seed);
         for round in 1..=3u64 {
             let target = (round as usize) % N;
             let full_out = full.merge_apply_all(round, churn(target, round)).unwrap();
-            let par_out = par
-                .merge_apply_touched(round, &[target], churn(target, round))
-                .unwrap();
-            let ser_out = ser
-                .merge_apply_touched(round, &[target], churn(target, round))
-                .unwrap();
-            assert_eq!(full_out, par_out);
-            assert_eq!(full_out, ser_out);
+            for mgr in &touched {
+                let out = mgr
+                    .merge_apply_touched(round, &[target], churn(target, round))
+                    .unwrap();
+                assert_eq!(full_out, out);
+            }
         }
         let mut m = JobMetrics::default();
-        par.settle_into(&mut m).unwrap();
-        ser.settle_into(&mut m).unwrap();
-        for p in 0..N {
-            assert_eq!(full.export(p).unwrap(), par.export(p).unwrap());
-            assert_eq!(full.export(p).unwrap(), ser.export(p).unwrap());
+        for mgr in &touched {
+            mgr.settle_into(&mut m).unwrap();
+            for p in 0..N {
+                assert_eq!(full.export(p).unwrap(), mgr.export(p).unwrap());
+            }
         }
     }
 
@@ -982,8 +881,9 @@ mod tests {
 
     #[test]
     fn group_commit_is_two_syncs_per_dirty_shard() {
-        let pool = WorkerPool::new(2);
-        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
+        let config = StoreRuntimeConfig::default();
+        for workers in [1, 2] {
+            let pool = WorkerPool::new(workers);
             let dir = scratch("group-commit");
             let mgr = StoreManager::create(&pool, &dir, N, config).unwrap();
             seed(&mgr);
@@ -1027,9 +927,15 @@ mod tests {
     #[test]
     fn settle_emits_one_commit_span_per_dirty_shard() {
         use i2mr_common::telemetry::{TelemetryMode, TraceRecorder};
-        let pool = WorkerPool::new(2);
-        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
-            let mgr = StoreManager::create(&pool, scratch("commit-span"), N, config).unwrap();
+        for workers in [1, 2] {
+            let pool = WorkerPool::new(workers);
+            let mgr = StoreManager::create(
+                &pool,
+                scratch("commit-span"),
+                N,
+                StoreRuntimeConfig::default(),
+            )
+            .unwrap();
             seed(&mgr);
             let rec = Arc::new(TraceRecorder::new(TelemetryMode::Full, 1, 4096));
             mgr.set_recorder(Some(Arc::clone(&rec)));
@@ -1066,75 +972,73 @@ mod tests {
     }
 
     /// Fault the k-th commit of a three-round run: a transient fault is
-    /// retried and appends each pending frame once; a terminal one (or any
-    /// fault on the serial plane, which does not retry) surfaces as `Err`
-    /// with the pending frames still readable, and a later commit — or the
-    /// manager's drop — still writes them.
+    /// retried and appends each pending frame once; a terminal one surfaces
+    /// as `Err` with the pending frames still readable, and a later commit
+    /// — or the manager's drop — still writes them.
     #[test]
     fn commit_faults_retry_or_keep_the_pending_frames() {
         use i2mr_mapred::fault::{FailAction, FailpointRegistry};
         const ROUNDS: u64 = 3;
         let pool = WorkerPool::new(2);
+        let config = StoreRuntimeConfig::default();
         let churn_all = |round: u64| move |p: usize| churn(p, round)(p);
         let value = |mgr: &StoreManager, p: usize| {
             let chunk = mgr.get(p, format!("k{p}-3").as_bytes()).unwrap().unwrap();
             chunk.entries[0].value.clone()
         };
-        for config in [StoreRuntimeConfig::default(), StoreRuntimeConfig::serial()] {
-            for k in 1..=ROUNDS {
-                for terminal in [false, true] {
-                    let dir = scratch("commit-fault");
-                    let mut mgr = StoreManager::create(&pool, &dir, N, config).unwrap();
-                    seed(&mgr);
-                    for round in 1..=ROUNDS {
-                        let want = format!("v{round}").into_bytes();
-                        mgr.merge_apply_all(round, churn_all(round)).unwrap();
-                        if round != k {
-                            mgr.flush_indexes().unwrap();
-                            continue;
-                        }
-                        let pending: u64 = (0..N)
-                            .map(|p| mgr.with_store_ref(p, |s| s.pending_bytes()))
-                            .sum();
-                        assert!(pending > 0);
-                        let written = mgr.io_stats().bytes_written;
-                        let budget = if terminal { u32::MAX } else { 1 };
-                        let fp = Arc::new(FailpointRegistry::seeded(k, budget).arm(
-                            FailSite::StoreAppend,
-                            1.0,
-                            FailAction::Error,
-                        ));
-                        mgr.set_failpoints(Arc::clone(&fp));
-                        let committed = mgr.flush_indexes();
-                        mgr.set_failpoints(Arc::new(FailpointRegistry::disarmed()));
-                        assert!(fp.fired() >= 1);
-                        if config.parallel && !terminal {
-                            committed.unwrap();
-                            assert_eq!(mgr.io_stats().bytes_written - written, pending);
-                            let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
-                            for p in 0..N {
-                                assert_eq!(value(&reopened, p), want);
-                            }
-                            continue;
-                        }
-                        assert!(committed.is_err(), "k={k}: the fault did not surface");
-                        // The fault fired before any write-back: the frames
-                        // are still pending, and every read sees them.
-                        assert_eq!(mgr.io_stats().bytes_written, written);
+        for k in 1..=ROUNDS {
+            for terminal in [false, true] {
+                let dir = scratch("commit-fault");
+                let mut mgr = StoreManager::create(&pool, &dir, N, config).unwrap();
+                seed(&mgr);
+                for round in 1..=ROUNDS {
+                    let want = format!("v{round}").into_bytes();
+                    mgr.merge_apply_all(round, churn_all(round)).unwrap();
+                    if round != k {
+                        mgr.flush_indexes().unwrap();
+                        continue;
+                    }
+                    let pending: u64 = (0..N)
+                        .map(|p| mgr.with_store_ref(p, |s| s.pending_bytes()))
+                        .sum();
+                    assert!(pending > 0);
+                    let written = mgr.io_stats().bytes_written;
+                    let budget = if terminal { u32::MAX } else { 1 };
+                    let fp = Arc::new(FailpointRegistry::seeded(k, budget).arm(
+                        FailSite::StoreAppend,
+                        1.0,
+                        FailAction::Error,
+                    ));
+                    mgr.set_failpoints(Arc::clone(&fp));
+                    let committed = mgr.flush_indexes();
+                    mgr.set_failpoints(Arc::new(FailpointRegistry::disarmed()));
+                    assert!(fp.fired() >= 1);
+                    if !terminal {
+                        committed.unwrap();
+                        assert_eq!(mgr.io_stats().bytes_written - written, pending);
+                        let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
                         for p in 0..N {
-                            assert_eq!(value(&mgr, p), want);
+                            assert_eq!(value(&reopened, p), want);
                         }
-                        if k % 2 == 1 {
-                            mgr.flush_indexes().unwrap();
-                            assert_eq!(mgr.io_stats().bytes_written - written, pending);
-                        } else {
-                            drop(mgr);
-                            let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
-                            for p in 0..N {
-                                assert_eq!(value(&reopened, p), want);
-                            }
-                            break;
+                        continue;
+                    }
+                    assert!(committed.is_err(), "k={k}: the fault did not surface");
+                    // The fault fired before any write-back: the frames
+                    // are still pending, and every read sees them.
+                    assert_eq!(mgr.io_stats().bytes_written, written);
+                    for p in 0..N {
+                        assert_eq!(value(&mgr, p), want);
+                    }
+                    if k % 2 == 1 {
+                        mgr.flush_indexes().unwrap();
+                        assert_eq!(mgr.io_stats().bytes_written - written, pending);
+                    } else {
+                        drop(mgr);
+                        let reopened = StoreManager::open(&pool, &dir, N, config).unwrap();
+                        for p in 0..N {
+                            assert_eq!(value(&reopened, p), want);
                         }
+                        break;
                     }
                 }
             }

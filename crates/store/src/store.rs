@@ -96,7 +96,7 @@ use i2mr_common::error::{Error, Result};
 use i2mr_common::metrics::IoStats;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Tunables for one store instance.
@@ -109,8 +109,6 @@ pub struct StoreConfig {
     /// more merged-frame bytes than this, they are written back to the
     /// data file (see [`MrbgStore::merge_apply_deferred`]).
     pub cache_capacity: u64,
-    /// Append-buffer flush threshold.
-    pub append_capacity: usize,
 }
 
 impl Default for StoreConfig {
@@ -118,7 +116,6 @@ impl Default for StoreConfig {
         StoreConfig {
             strategy: QueryStrategy::default(),
             cache_capacity: 4 * 1024 * 1024,
-            append_capacity: DEFAULT_APPEND_CAPACITY,
         }
     }
 }
@@ -307,7 +304,7 @@ impl MrbgStore {
     /// itself was lost, and no read could serve that chunk.
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let mut file = File::options()
+        let file = File::options()
             .read(true)
             .write(true)
             .open(Self::data_path(&dir))
@@ -320,8 +317,7 @@ impl MrbgStore {
         let mut io = IoStats::default();
         if file_len > indexed_end {
             let mut tail = vec![0u8; (file_len - indexed_end) as usize];
-            file.seek(SeekFrom::Start(indexed_end))?;
-            file.read_exact(&mut tail)?;
+            file.read_exact_at(&mut tail, indexed_end)?;
             let keep = valid_frame_prefix(&tail);
             if keep < tail.len() as u64 {
                 salvaged = tail.len() as u64 - keep;
@@ -498,7 +494,7 @@ impl MrbgStore {
         );
         let batch_id = self.index.batches().len() as u32;
         let start = self.file_len;
-        let mut append = AppendBuffer::new(self.config.append_capacity, self.file_len);
+        let mut append = AppendBuffer::new(DEFAULT_APPEND_CAPACITY, self.file_len);
         let mut buf = Vec::with_capacity(4096);
         let mut locs = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
@@ -586,7 +582,7 @@ impl MrbgStore {
         {
             let pending = &self.pending.frames;
             let mut pass = FramePass::new(
-                &mut self.file,
+                &self.file,
                 self.file_len,
                 &mut self.io,
                 self.config.strategy,
@@ -681,7 +677,7 @@ impl MrbgStore {
     ) -> Result<()> {
         let batch_id = self.index.batches().len() as u32;
         let start = self.file_len;
-        let mut append = AppendBuffer::new(self.config.append_capacity, self.file_len);
+        let mut append = AppendBuffer::new(DEFAULT_APPEND_CAPACITY, self.file_len);
         let mut locs = Vec::new();
         for (key, frame) in frames {
             let loc = match frame {
@@ -762,8 +758,9 @@ impl MrbgStore {
             reader.io.record_scratch_reuse();
         }
         reader.scratch.resize(len, 0);
-        reader.file.seek(SeekFrom::Start(loc.offset))?;
-        reader.file.read_exact(&mut reader.scratch[..len])?;
+        reader
+            .file
+            .read_exact_at(&mut reader.scratch[..len], loc.offset)?;
         reader.io.record_read(len as u64);
         decode_checked(&reader.scratch[..len], key).map(Some)
     }
@@ -826,7 +823,7 @@ impl MrbgStore {
             .collect();
         ChunksIter {
             frames: FramePass::new(
-                &mut self.file,
+                &self.file,
                 self.file_len,
                 &mut self.io,
                 self.config.strategy,
@@ -873,14 +870,14 @@ impl MrbgStore {
             .truncate(true)
             .open(&tmp_path)?;
         let mut write_io = IoStats::default();
-        let mut append = AppendBuffer::new(self.config.append_capacity, 0);
+        let mut append = AppendBuffer::new(DEFAULT_APPEND_CAPACITY, 0);
         let mut live = self.index.sorted_mut();
         let frames: Vec<(&[u8], LiveFrame<'_>)> = live
             .iter()
             .map(|(key, loc)| (*key, LiveFrame::Stored(**loc)))
             .collect();
         copy_live_frames(
-            &mut self.file,
+            &self.file,
             self.file_len,
             &mut self.io,
             self.config,
@@ -968,7 +965,7 @@ impl MrbgStore {
             Vec::with_capacity(varint_len(data_len) + data_len as usize + 16 + live.len() * 32);
         write_varint(data_len, &mut payload);
         copy_live_frames(
-            &mut self.file,
+            &self.file,
             self.file_len,
             &mut self.io,
             self.config,
@@ -1027,13 +1024,13 @@ impl MrbgStore {
     /// return them. The buffer is reused across calls (its capacity only
     /// ever grows), so steady-state point reads allocate nothing.
     fn read_region(&mut self, offset: u64, len: u64) -> Result<&[u8]> {
-        self.file.seek(SeekFrom::Start(offset))?;
         let len = len as usize;
         if self.read_scratch.capacity() >= len {
             self.io.record_scratch_reuse();
         }
         self.read_scratch.resize(len, 0);
-        self.file.read_exact(&mut self.read_scratch[..len])?;
+        self.file
+            .read_exact_at(&mut self.read_scratch[..len], offset)?;
         self.io.record_read(len as u64);
         Ok(&self.read_scratch[..len])
     }
@@ -1073,7 +1070,7 @@ fn decode_checked(mut frame: &[u8], key: &[u8]) -> Result<Chunk> {
 /// verify each raw frame's checksum and key, and hand it — or the pending
 /// frame in its place — to `sink` verbatim.
 fn copy_live_frames(
-    file: &mut File,
+    file: &File,
     file_len: u64,
     io: &mut IoStats,
     config: StoreConfig,
@@ -1115,6 +1112,14 @@ mod tests {
     use crate::merge::DeltaEntry;
     use crate::window::DEFAULT_GAP_THRESHOLD;
     use i2mr_common::hash::MapKey;
+
+    /// XOR the byte at `at` of the file at `path` with `mask`.
+    fn flip_byte(path: &Path, at: u64, mask: u8) {
+        let f = File::options().read(true).write(true).open(path).unwrap();
+        let mut b = [0u8; 1];
+        f.read_exact_at(&mut b, at).unwrap();
+        f.write_all_at(&[b[0] ^ mask], at).unwrap();
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1457,15 +1462,7 @@ mod tests {
         let data = MrbgStore::data_path(&dir);
         let index = MrbgStore::index_path(&dir);
         let loc = s.index.get(b"k07").unwrap();
-        {
-            let mut f = File::options().read(true).write(true).open(&data).unwrap();
-            let at = loc.offset + loc.len as u64 / 2;
-            f.seek(SeekFrom::Start(at)).unwrap();
-            let mut b = [0u8; 1];
-            f.read_exact(&mut b).unwrap();
-            f.seek(SeekFrom::Start(at)).unwrap();
-            std::io::Write::write_all(&mut f, &[b[0] ^ 0x01]).unwrap();
-        }
+        flip_byte(&data, loc.offset + loc.len as u64 / 2, 0x01);
         let data_before = std::fs::read(&data).unwrap();
         let index_before = std::fs::read(&index).unwrap();
         let (len_before, batches_before) = (s.file_len(), s.n_batches());
@@ -1486,19 +1483,11 @@ mod tests {
         let dir = tmpdir("export-corrupt");
         let mut s = churned(&dir);
         let loc = s.index.get(b"k07").unwrap();
-        {
-            let mut f = File::options()
-                .read(true)
-                .write(true)
-                .open(MrbgStore::data_path(&dir))
-                .unwrap();
-            let at = loc.offset + loc.len as u64 / 2;
-            f.seek(SeekFrom::Start(at)).unwrap();
-            let mut b = [0u8; 1];
-            f.read_exact(&mut b).unwrap();
-            f.seek(SeekFrom::Start(at)).unwrap();
-            std::io::Write::write_all(&mut f, &[b[0] ^ 0x01]).unwrap();
-        }
+        flip_byte(
+            &MrbgStore::data_path(&dir),
+            loc.offset + loc.len as u64 / 2,
+            0x01,
+        );
         let err = s.export().unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "got: {err}");
     }
@@ -1678,20 +1667,11 @@ mod tests {
             .unwrap();
         let loc = s.index.get(b"a").unwrap();
         // Flip one payload bit on disk (past the frame header and the key).
-        {
-            let mut f = File::options()
-                .read(true)
-                .write(true)
-                .open(MrbgStore::data_path(dir.as_path()))
-                .unwrap();
-            f.seek(SeekFrom::Start(loc.offset + loc.len as u64 - 3))
-                .unwrap();
-            let mut b = [0u8; 1];
-            f.read_exact(&mut b).unwrap();
-            f.seek(SeekFrom::Start(loc.offset + loc.len as u64 - 3))
-                .unwrap();
-            std::io::Write::write_all(&mut f, &[b[0] ^ 0x20]).unwrap();
-        }
+        flip_byte(
+            &MrbgStore::data_path(&dir),
+            loc.offset + loc.len as u64 - 3,
+            0x20,
+        );
         let err = s.get(b"a").unwrap_err();
         assert!(err.to_string().contains("checksum"), "got: {err}");
         // The split read path detects it too.
@@ -1780,18 +1760,8 @@ mod tests {
             };
             let before = merge_visible_state(&s);
             let loc = s.index.get(b"a").unwrap();
-            let mut f = File::options()
-                .read(true)
-                .write(true)
-                .open(MrbgStore::data_path(&dir))
-                .unwrap();
-            let mut flip = |at: u64, bit: u32| {
-                let mut b = [0u8; 1];
-                f.seek(SeekFrom::Start(at)).unwrap();
-                f.read_exact(&mut b).unwrap();
-                f.seek(SeekFrom::Start(at)).unwrap();
-                std::io::Write::write_all(&mut f, &[b[0] ^ (1 << bit)]).unwrap();
-            };
+            let data = MrbgStore::data_path(&dir);
+            let flip = |at: u64, bit: u32| flip_byte(&data, at, 1 << bit);
             for i in 0..loc.len as u64 {
                 let bit = (i % 8) as u32;
                 flip(loc.offset + i, bit);

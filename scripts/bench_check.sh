@@ -7,7 +7,8 @@
 # *paired-variant speedups* that each bench exists to defend:
 #
 #   baseline -> zerocopy  (micro_shuffle: the zero-copy data plane win)
-#   serial   -> sharded   (micro_store:  the sharded store plane win)
+#   serial   -> sharded   (micro_store:  one worker + stop-the-world compaction
+#                          vs eight workers + policy compaction)
 #   full     -> delta     (micro_delta: the workset-driven delta-iteration win)
 #   idle     -> merging   (micro_serve: bounded serving-tail cost under churn)
 #   off     -> full      (micro_trace: full span tracing must stay within

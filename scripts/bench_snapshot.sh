@@ -7,7 +7,7 @@
 # diffs against:
 #
 #   micro_shuffle -> BENCH_shuffle.json  (shuffle/sort/reduce hot path)
-#   micro_store   -> BENCH_store.json    (MRBG-Store plane: serial vs sharded)
+#   micro_store   -> BENCH_store.json    (MRBG-Store plane: one worker vs sharded)
 #   micro_delta   -> BENCH_delta.json    (full-pass vs workset delta iteration)
 #   micro_serve   -> BENCH_serve.json    (serving p99: idle vs under merge churn)
 #   micro_trace   -> BENCH_trace.json    (telemetry overhead: tracing off vs full)

@@ -1,5 +1,6 @@
 //! Store-plane equivalence: the sharded, policy-compacting store runtime
-//! must be **byte-identical** to the serial plane.
+//! on a many-worker pool must be **byte-identical** to the same runtime on
+//! a one-worker pool that never compacts.
 //!
 //! The store runtime changes *where* and *when* store work happens —
 //! merges as concurrent partition-affine pool tasks, compaction run by
@@ -28,12 +29,16 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// Run the full seeded PageRank lifecycle — preserved initial convergence
-/// plus two incremental delta refreshes — on one store plane. Returns the
-/// final state snapshot, the manager, and the compaction count the
-/// engines recorded along the way.
-fn run_lifecycle(tag: &str, runtime: StoreRuntimeConfig) -> (Vec<(u64, f64)>, StoreManager, u64) {
+/// plus two incremental delta refreshes — on a pool of `workers` threads.
+/// Returns the final state snapshot, the manager, and the compaction count
+/// the engines recorded along the way.
+fn run_lifecycle(
+    tag: &str,
+    workers: usize,
+    runtime: StoreRuntimeConfig,
+) -> (Vec<(u64, f64)>, StoreManager, u64) {
     let cfg = JobConfig::symmetric(N);
-    let pool = WorkerPool::new(N);
+    let pool = WorkerPool::new(workers);
     let spec = PageRank::default();
     let graph = GraphGen::new(300, 2100, 0x5EED).generate();
 
@@ -95,22 +100,30 @@ fn eager_sharded() -> StoreRuntimeConfig {
             min_batches: 3,
             min_file_bytes: 0,
         },
-        parallel: true,
+        ..Default::default()
+    }
+}
+
+/// The reference plane's runtime, run on one worker: no policy-driven
+/// compaction.
+fn never_compacting() -> StoreRuntimeConfig {
+    StoreRuntimeConfig {
+        policy: CompactionPolicy::never(),
         ..Default::default()
     }
 }
 
 #[test]
-fn sharded_background_compaction_plane_is_byte_identical_to_serial() {
+fn sharded_compaction_plane_is_byte_identical_to_one_worker_plane() {
     let (serial_state, serial_mgr, serial_compactions) =
-        run_lifecycle("serial", StoreRuntimeConfig::serial());
+        run_lifecycle("serial", 1, never_compacting());
     let (sharded_state, sharded_mgr, sharded_compactions) =
-        run_lifecycle("sharded", eager_sharded());
+        run_lifecycle("sharded", N, eager_sharded());
 
     // The planes must actually differ in behavior for this test to prove
-    // anything: the serial plane never compacts, the sharded plane's
+    // anything: the one-worker plane never compacts, the sharded plane's
     // policy fires during the run.
-    assert_eq!(serial_compactions, 0, "serial plane must never compact");
+    assert_eq!(serial_compactions, 0, "one-worker plane must never compact");
     assert!(
         sharded_compactions > 0,
         "sharded plane's compaction policy never fired mid-run"
@@ -131,14 +144,14 @@ fn sharded_background_compaction_plane_is_byte_identical_to_serial() {
         assert_eq!(
             serial_mgr.export(p).unwrap(),
             sharded_mgr.export(p).unwrap(),
-            "shard {p}: serial and sharded store contents diverged"
+            "shard {p}: one-worker and sharded store contents diverged"
         );
     }
 }
 
 #[test]
 fn compaction_is_idempotent_on_a_real_run() {
-    let (_, mgr, _) = run_lifecycle("idem", eager_sharded());
+    let (_, mgr, _) = run_lifecycle("idem", N, eager_sharded());
 
     mgr.compact_all(1).unwrap();
     let exports: Vec<Vec<u8>> = (0..N).map(|p| mgr.export(p).unwrap()).collect();

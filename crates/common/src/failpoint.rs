@@ -170,19 +170,9 @@ impl FailpointRegistry {
         self
     }
 
-    /// True when at least one site is armed. One branch on the hot path.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
     /// Total faults injected so far.
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
-    }
-
-    /// Remaining fire budget (0 once exhausted).
-    pub fn budget_left(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed).max(0) as u64
     }
 
     /// Register one hit of `site`; returns the action to perform if the
@@ -230,7 +220,6 @@ mod tests {
     #[test]
     fn disarmed_registry_never_fires() {
         let fp = FailpointRegistry::disarmed();
-        assert!(!fp.is_armed());
         for _ in 0..1000 {
             assert!(fp.hit(FailSite::StoreRead).is_none());
         }
@@ -245,7 +234,6 @@ mod tests {
             .count();
         assert_eq!(fires, 3, "budget bounds total fires");
         assert_eq!(fp.fired(), 3);
-        assert_eq!(fp.budget_left(), 0);
     }
 
     #[test]

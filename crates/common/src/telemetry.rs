@@ -283,8 +283,8 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Nanoseconds since the recorder was created.
     pub at_nanos: u64,
-    /// Emitting slot: worker index, or [`TraceRecorder::driver_slot`] for
-    /// the coordinating thread / helpers / serving front.
+    /// Emitting slot: worker index, or the recorder's last slot (one past
+    /// the workers) for the coordinating thread / helpers / serving front.
     pub worker: u32,
     /// The payload.
     pub kind: EventKind,
@@ -335,13 +335,8 @@ impl TraceRecorder {
         self.mode
     }
 
-    /// Whether full span retention is on (vs. counters only).
-    pub fn is_full(&self) -> bool {
-        self.mode == TelemetryMode::Full
-    }
-
     /// The slot index for non-worker threads (driver, helpers, serving).
-    pub fn driver_slot(&self) -> usize {
+    fn driver_slot(&self) -> usize {
         self.slots.len() - 1
     }
 

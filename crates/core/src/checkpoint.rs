@@ -391,7 +391,13 @@ mod tests {
         // live shard, rebuild from the checkpoint, reads come back.
         let payload = ck.load_store_payload(2, 0).unwrap();
         assert_eq!(payload, stores.export(0).unwrap());
-        stores.quarantine_shard(0);
+        let data = dir.join("orig").join("mrbg.data");
+        let flipped: Vec<u8> = std::fs::read(&data)
+            .unwrap()
+            .iter()
+            .map(|b| b ^ 0xFF)
+            .collect();
+        std::fs::write(&data, flipped).unwrap();
         assert!(stores.get(0, b"k").is_err());
         stores.rebuild_shard(0, &payload).unwrap();
         assert_eq!(stores.get(0, b"k").unwrap().unwrap().entries[0].value, b"v");

@@ -83,7 +83,7 @@ impl Default for IncrParams {
 impl IncrParams {
     /// The threshold CPC actually applies: the filter threshold when set,
     /// otherwise the numerical convergence floor.
-    pub fn effective_threshold(&self) -> f64 {
+    fn effective_threshold(&self) -> f64 {
         self.filter_threshold.unwrap_or(self.convergence_epsilon)
     }
 }

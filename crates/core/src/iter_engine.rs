@@ -121,7 +121,7 @@ where
 
 /// Partition structure records by `hash(project(SK)) mod n`, grouping by DK
 /// (the preprocessing step before an iterative job, paper §4.3).
-pub fn partition_structure<S: IterativeSpec>(
+fn partition_structure<S: IterativeSpec>(
     spec: &S,
     n: usize,
     structure: Vec<(S::SK, S::SV)>,
@@ -151,32 +151,6 @@ pub fn partition_structure<S: IterativeSpec>(
         .collect()
 }
 
-/// Make the state key set equal the structure group key set: new groups get
-/// `init(DK)`, orphaned state entries are dropped (their vertex vanished).
-pub fn sync_state<S: IterativeSpec>(
-    spec: &S,
-    structure: &[Vec<StructGroup<S::SK, S::SV, S::DK>>],
-    prev_state: Vec<Vec<(S::DK, S::DV)>>,
-) -> Vec<Vec<(S::DK, S::DV)>> {
-    structure
-        .iter()
-        .enumerate()
-        .map(|(p, groups)| {
-            let prev = prev_state.get(p).map(|v| v.as_slice()).unwrap_or(&[]);
-            let mut out = Vec::with_capacity(groups.len());
-            for g in groups {
-                let dv = prev
-                    .binary_search_by(|(k, _)| k.cmp(&g.dk))
-                    .ok()
-                    .map(|i| prev[i].1.clone())
-                    .unwrap_or_else(|| spec.init(&g.dk));
-                out.push((g.dk.clone(), dv));
-            }
-            out
-        })
-        .collect()
-}
-
 /// Build co-partitioned data from raw structure records with initial state.
 pub fn build_partitioned<S: IterativeSpec>(
     spec: &S,
@@ -184,7 +158,15 @@ pub fn build_partitioned<S: IterativeSpec>(
     structure: Vec<(S::SK, S::SV)>,
 ) -> PartitionedData<S::SK, S::SV, S::DK, S::DV> {
     let structure = partition_structure(spec, n, structure);
-    let state = sync_state(spec, &structure, Vec::new());
+    let state = structure
+        .iter()
+        .map(|groups| {
+            groups
+                .iter()
+                .map(|g| (g.dk.clone(), spec.init(&g.dk)))
+                .collect()
+        })
+        .collect();
     PartitionedData { structure, state }
 }
 
@@ -217,11 +199,6 @@ impl RunReport {
             total.merge(m);
         }
         total
-    }
-
-    /// Total wall time across iterations.
-    pub fn total_wall(&self) -> std::time::Duration {
-        self.iterations.iter().map(|i| i.wall).sum()
     }
 
     /// Number of iterations executed.
@@ -1073,6 +1050,63 @@ mod tests {
             let mut sorted = dks.clone();
             sorted.sort_unstable();
             assert_eq!(dks, sorted);
+        }
+    }
+
+    /// Matrix blocks `(i, j)` sharing vector block `j` (GIM-V's shape);
+    /// only `project` matters to partitioning.
+    struct Columns;
+
+    impl IterativeSpec for Columns {
+        type SK = (u64, u64);
+        type SV = f64;
+        type DK = u64;
+        type DV = f64;
+        type V2 = f64;
+
+        fn project(&self, sk: &(u64, u64)) -> u64 {
+            sk.1
+        }
+        fn map(&self, _sk: &(u64, u64), sv: &f64, dk: &u64, dv: &f64, out: &mut Emitter<u64, f64>) {
+            out.emit(*dk, sv * dv);
+        }
+        fn reduce(&self, _dk: &u64, _prev: &f64, values: Values<'_, u64, f64>) -> f64 {
+            values.iter().sum()
+        }
+        fn init(&self, _dk: &u64) -> f64 {
+            1.0
+        }
+        fn difference(&self, curr: &f64, prev: &f64) -> f64 {
+            (curr - prev).abs()
+        }
+        fn dependency(&self) -> DependencyKind {
+            DependencyKind::ManyToOne
+        }
+    }
+
+    #[test]
+    fn projected_structure_co_locates_with_its_state() {
+        // Paper Eq. 2: block (i, j) lands in hash(project(i, j)) mod n =
+        // hash(j) mod n, the partition that holds state key j.
+        let blocks = (0..20u64)
+            .flat_map(|i| (0..20u64).map(move |j| ((i, j), 1.0)))
+            .collect();
+        let data = build_partitioned(&Columns, 5, blocks);
+        assert_eq!(data.structure_len(), 400);
+        assert_eq!(data.state_len(), 20);
+        for p in 0..5 {
+            assert_eq!(data.structure[p].len(), data.state[p].len());
+            for (g, (dk, _)) in data.structure[p].iter().zip(&data.state[p]) {
+                assert_eq!(g.dk, *dk);
+                assert_eq!(HashPartitioner.partition(dk, 5), p);
+                assert_eq!(g.records.len(), 20);
+                for ((i, j), _) in &g.records {
+                    assert_eq!(
+                        j, dk,
+                        "block ({i},{j}) must co-locate with vector block {j}"
+                    );
+                }
+            }
         }
     }
 

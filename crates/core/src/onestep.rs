@@ -72,27 +72,12 @@ where
         config: JobConfig,
         store_config: StoreConfig,
     ) -> Result<Self> {
-        Self::create_with_runtime(
-            pool,
-            dir,
-            config,
-            StoreRuntimeConfig {
-                store: store_config,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Create an engine with full control over the store runtime
-    /// (per-shard store config + compaction policy).
-    pub fn create_with_runtime(
-        pool: &WorkerPool,
-        dir: impl AsRef<Path>,
-        config: JobConfig,
-        runtime: StoreRuntimeConfig,
-    ) -> Result<Self> {
         config.validate()?;
         let dir = dir.as_ref().to_path_buf();
+        let runtime = StoreRuntimeConfig {
+            store: store_config,
+            ..Default::default()
+        };
         let stores = StoreManager::create(pool, &dir, config.n_reduce, runtime)?;
         let results = (0..config.n_reduce)
             .map(|_| Mutex::new(ResultStore::new()))
@@ -110,11 +95,6 @@ where
         })
     }
 
-    /// The store runtime owning the preserved MRBGraph shards.
-    pub fn store_manager(&self) -> &StoreManager {
-        &self.stores
-    }
-
     /// The engine's job configuration.
     pub fn config(&self) -> &JobConfig {
         &self.config
@@ -129,11 +109,6 @@ where
     /// Aggregate store I/O counters across partitions.
     pub fn store_io(&self) -> i2mr_common::metrics::IoStats {
         self.stores.io_stats()
-    }
-
-    /// Reset store I/O counters on every partition.
-    pub fn reset_store_io(&self) {
-        self.stores.reset_io_stats();
     }
 
     /// Total MRBGraph file bytes across partitions (live + obsolete).
@@ -302,7 +277,7 @@ where
             ));
         }
         let n_reduce = self.config.n_reduce;
-        self.reset_store_io();
+        self.stores.reset_io_stats();
         let mut metrics = JobMetrics {
             jobs_started: 1,
             ..Default::default()

@@ -129,8 +129,6 @@ enum StorePlan<'s> {
     None,
     /// Create fresh shards under this directory.
     Create(PathBuf),
-    /// Open existing shards under this directory.
-    Open(PathBuf),
     /// Adopt an already-constructed manager.
     Adopt(StoreManager),
     /// Borrow a caller-owned manager (shared with other sessions).
@@ -197,8 +195,8 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         self
     }
 
-    /// Set the store plane tunables (used when the session creates or
-    /// opens its stores; ignored for [`RunBuilder::stores`]).
+    /// Set the store plane tunables (used when the session creates its
+    /// stores; ignored for [`RunBuilder::stores`]).
     pub fn store_runtime(mut self, store: StoreRuntimeConfig) -> Self {
         self.config.store = store;
         self
@@ -241,12 +239,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         self
     }
 
-    /// Checkpoint every `n`-th iteration instead of every iteration.
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.config.checkpoint_every = every;
-        self
-    }
-
     /// Share an executor with other subsystems (cloning is cheap — the
     /// clone is a handle to the same worker threads). Without this, the
     /// session creates its own pool of `job.n_workers` workers.
@@ -258,13 +250,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
     /// Create a fresh store plane under `dir` (one shard per partition).
     pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.store_plan = StorePlan::Create(dir.into());
-        self
-    }
-
-    /// Open an existing store plane under `dir` (a preserved MRBGraph from
-    /// an earlier run).
-    pub fn open_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.store_plan = StorePlan::Open(dir.into());
         self
     }
 
@@ -292,13 +277,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         self
     }
 
-    /// Adopt a pre-built checkpointer (cadence is still applied from
-    /// [`EngineConfig::checkpoint_every`]).
-    pub fn checkpointer(mut self, ck: IterCheckpointer) -> Self {
-        self.checkpointer = Some(MaybeOwned::Owned(ck));
-        self
-    }
-
     /// Borrow a caller-owned checkpointer. Its own partition count and
     /// cadence are trusted as-is — the caller configured it.
     pub fn checkpointer_ref(mut self, ck: &'s IterCheckpointer) -> Self {
@@ -317,12 +295,6 @@ impl<'s, S: IterativeSpec> RunBuilder<'s, S> {
         let stores = match self.store_plan {
             StorePlan::None => None,
             StorePlan::Create(dir) => Some(MaybeOwned::Owned(StoreManager::create(
-                &pool,
-                dir,
-                n,
-                self.config.store,
-            )?)),
-            StorePlan::Open(dir) => Some(MaybeOwned::Owned(StoreManager::open(
                 &pool,
                 dir,
                 n,
@@ -553,7 +525,7 @@ impl<'s, S: IterativeSpec> RunSession<'s, S> {
     fn stores_required(&self, what: &str) -> Result<&StoreManager> {
         self.stores().ok_or_else(|| {
             Error::config(format!(
-                "{what} requires a store plane — configure RunBuilder::store_dir / open_store_dir / stores"
+                "{what} requires a store plane — configure RunBuilder::store_dir / stores"
             ))
         })
     }

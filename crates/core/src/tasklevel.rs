@@ -14,18 +14,8 @@
 //! (sorted) input partition. On refresh, the caller supplies the *complete
 //! new input*; any task whose fingerprint is unchanged reuses its memo, any
 //! other task re-runs in full.
-//!
-//! # Durable memos
-//!
-//! Incoop's memoization server persists task results to stable storage so
-//! reuse survives restarts. [`TaskLevelEngine::attach_store`] reproduces
-//! that through the store runtime: each memo lives as one chunk in a
-//! [`StoreManager`] shard (`m:{task}` / `r:{partition}` keys), loaded over
-//! the split read path on attach and upserted as [`TaskKind::StoreMerge`]
-//! merges after each run — only the memos that actually changed are
-//! rewritten, so persistence cost tracks the delta, not the input.
 
-use i2mr_common::codec::{decode_exact, encode_to, Codec};
+use i2mr_common::codec::{encode_to, Codec};
 use i2mr_common::error::Result;
 use i2mr_common::hash::{stable_hash64, MapKey};
 use i2mr_common::metrics::{JobMetrics, Stage};
@@ -35,9 +25,6 @@ use i2mr_mapred::partition::Partitioner;
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use i2mr_mapred::shuffle::{groups, sort_runs, RunPool, ShuffleRecord};
 use i2mr_mapred::types::{Emitter, KeyData, Mapper, Reducer, ValueData, Values};
-use i2mr_store::merge::{DeltaChunk, DeltaEntry};
-use i2mr_store::runtime::StoreManager;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Memoized task outputs plus reuse counters for the last refresh.
@@ -47,15 +34,11 @@ pub struct TaskLevelEngine<K1, V1, K2, V2, K3, V3> {
     map_memo: Vec<(u64, Vec<(K2, MapKey, V2)>)>,
     /// Per reduce-partition: (input fingerprint, output pairs).
     reduce_memo: Vec<(u64, Vec<(K3, V3)>)>,
-    /// Durable memo store (Incoop's memoization server), when attached.
-    persist: Option<StoreManager>,
     /// Recycler for the per-refresh shuffle runs: buffers are taken per
     /// run and recycled (cleared, capacity kept) once the reduce phase has
     /// consumed them, so repeated refreshes allocate nothing on this path
     /// (the same take/recycle discipline the other engines use).
     shuffle_pool: RunPool<K2, V2>,
-    /// Memo counts currently persisted (for deleting stale tail entries).
-    persisted: (usize, usize),
     /// Statistics of the last run.
     pub last_stats: ReuseStats,
     _types: std::marker::PhantomData<fn(K1, V1)>,
@@ -86,115 +69,10 @@ where
             config,
             map_memo: Vec::new(),
             reduce_memo: Vec::new(),
-            persist: None,
             shuffle_pool: RunPool::new(),
-            persisted: (0, 0),
             last_stats: ReuseStats::default(),
             _types: std::marker::PhantomData,
         })
-    }
-
-    /// Attach a durable memo store, loading any memos it already holds.
-    ///
-    /// Memos are read through the manager's split read path (shared locks,
-    /// per-partition readers); after every [`TaskLevelEngine::run`], the
-    /// memos that changed are upserted as per-shard `StoreMerge` merges.
-    pub fn attach_store(&mut self, stores: StoreManager) -> Result<()> {
-        let mut maps: BTreeMap<usize, (u64, Vec<(K2, MapKey, V2)>)> = BTreeMap::new();
-        let mut reduces: BTreeMap<usize, (u64, Vec<(K3, V3)>)> = BTreeMap::new();
-        for p in 0..stores.n_shards() {
-            for key in stores.with_store_ref(p, |s| s.keys()) {
-                let chunk = stores
-                    .get(p, &key)?
-                    .ok_or_else(|| i2mr_common::error::Error::corrupt("memo chunk vanished"))?;
-                let payload = &chunk.entries[0].value;
-                let label = String::from_utf8_lossy(&key).into_owned();
-                if let Some(i) = label.strip_prefix("m:").and_then(|n| n.parse().ok()) {
-                    let (fp, recs): (u64, Vec<(K2, u128, V2)>) = decode_exact(payload)?;
-                    let recs = recs
-                        .into_iter()
-                        .map(|(k2, mk, v2)| (k2, MapKey(mk), v2))
-                        .collect();
-                    maps.insert(i, (fp, recs));
-                } else if let Some(pn) = label.strip_prefix("r:").and_then(|n| n.parse().ok()) {
-                    let memo: (u64, Vec<(K3, V3)>) = decode_exact(payload)?;
-                    reduces.insert(pn, memo);
-                }
-            }
-        }
-        // Memos are only usable as contiguous prefixes (task i's identity
-        // is its position in the deterministic split layout).
-        self.map_memo = (0..maps.len()).map_while(|i| maps.remove(&i)).collect();
-        self.reduce_memo = (0..reduces.len())
-            .map_while(|p| reduces.remove(&p))
-            .collect();
-        self.persisted = (self.map_memo.len(), self.reduce_memo.len());
-        self.persist = Some(stores);
-        Ok(())
-    }
-
-    /// The attached durable memo store, if any.
-    pub fn store_manager(&self) -> Option<&StoreManager> {
-        self.persist.as_ref()
-    }
-
-    /// Upsert changed memos (and delete stale tail entries) into the
-    /// attached store as per-shard StoreMerge merges; the compaction that
-    /// follows is timed into `metrics`' Compact stage.
-    fn persist_memos(
-        &mut self,
-        fresh_map: &[usize],
-        fresh_reduce: &[usize],
-        metrics: &mut JobMetrics,
-    ) -> Result<()> {
-        let Some(stores) = &self.persist else {
-            return Ok(());
-        };
-        let n = stores.n_shards();
-        let mut per_shard: Vec<Vec<DeltaChunk>> = (0..n).map(|_| Vec::new()).collect();
-        let upsert = |key: String, payload: Vec<u8>| DeltaChunk {
-            key: key.into_bytes(),
-            entries: vec![DeltaEntry::Insert(MapKey(0), payload)],
-        };
-        let delete = |key: String| DeltaChunk {
-            key: key.into_bytes(),
-            entries: vec![DeltaEntry::Delete(MapKey(0))],
-        };
-        for &i in fresh_map {
-            let (fp, recs) = &self.map_memo[i];
-            let recs: Vec<(K2, u128, V2)> = recs
-                .iter()
-                .map(|(k2, mk, v2)| (k2.clone(), mk.0, v2.clone()))
-                .collect();
-            per_shard[i % n].push(upsert(format!("m:{i:08}"), encode_to(&(*fp, recs))));
-        }
-        for i in self.map_memo.len()..self.persisted.0 {
-            per_shard[i % n].push(delete(format!("m:{i:08}")));
-        }
-        for &p in fresh_reduce {
-            per_shard[p % n].push(upsert(format!("r:{p:08}"), encode_to(&self.reduce_memo[p])));
-        }
-        for p in self.reduce_memo.len()..self.persisted.1 {
-            per_shard[p % n].push(delete(format!("r:{p:08}")));
-        }
-        // Hand each shard's delta list to its merge task by take, not by
-        // clone — the encoded payloads were already copied once building
-        // them. A retry after a consumed first attempt merges nothing
-        // (same contract as StoreManager::append_batch_all; injected
-        // fault retries fire before the first execution and are fine).
-        let cells: Vec<parking_lot::Mutex<Option<Vec<DeltaChunk>>>> = per_shard
-            .into_iter()
-            .map(|d| parking_lot::Mutex::new(Some(d)))
-            .collect();
-        stores.merge_apply_all(0, |p| Ok(cells[p].lock().take().unwrap_or_default()))?;
-        let t = Instant::now();
-        stores.maybe_compact(0)?;
-        metrics.stages.add(Stage::Compact, t.elapsed());
-        // Memos must survive a restart once `run` returns: commit the
-        // (deferred) merges a compaction did not already commit.
-        stores.flush_indexes()?;
-        self.persisted = (self.map_memo.len(), self.reduce_memo.len());
-        Ok(())
     }
 
     /// Run the computation over the *complete* input, reusing memoized
@@ -269,13 +147,11 @@ where
         metrics.stages.add(Stage::Map, t.elapsed());
 
         // Update memos and gather all (memoized + fresh) map outputs.
-        let mut fresh_map: Vec<usize> = Vec::new();
         self.map_memo.truncate(splits.len());
         for (i, result) in map_results.into_iter().enumerate() {
             match result {
                 Some((emitted, invocations)) => {
                     metrics.map_invocations += invocations;
-                    fresh_map.push(i);
                     if i < self.map_memo.len() {
                         self.map_memo[i] = (fingerprints[i], emitted);
                     } else {
@@ -344,13 +220,11 @@ where
         let reduce_results = pool.run_tasks(reduce_tasks)?;
         metrics.stages.add(Stage::Reduce, t.elapsed());
 
-        let mut fresh_reduce: Vec<usize> = Vec::new();
         self.reduce_memo.truncate(n_reduce);
         for (p, result) in reduce_results.into_iter().enumerate() {
             match result {
                 Some((pairs, invocations)) => {
                     metrics.reduce_invocations += invocations;
-                    fresh_reduce.push(p);
                     if p < self.reduce_memo.len() {
                         self.reduce_memo[p] = (reduce_fps[p], pairs);
                     } else {
@@ -363,7 +237,6 @@ where
         // Reduce (and its fingerprints) are done with the sorted runs:
         // park the buffers for the next refresh.
         self.shuffle_pool.recycle_all(runs);
-        self.persist_memos(&fresh_map, &fresh_reduce, &mut metrics)?;
 
         self.last_stats = stats;
         let mut output: Vec<(K3, V3)> = self
@@ -488,55 +361,6 @@ mod tests {
             .unwrap();
         assert_eq!(eng.last_stats.map_tasks_reused, 0);
         assert_eq!(m.map_invocations, 64, "every task re-ran in full");
-    }
-
-    #[test]
-    fn memos_survive_restart_through_the_store_plane() {
-        use i2mr_store::runtime::{StoreManager, StoreRuntimeConfig};
-        let dir = std::env::temp_dir().join(format!(
-            "i2mr-tasklevel-persist-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let input: Vec<(u64, String)> =
-            (0..64).map(|i| (i, format!("w{} common", i % 9))).collect();
-        let pool = WorkerPool::new(4);
-
-        let mut eng = engine();
-        eng.attach_store(
-            StoreManager::create(&pool, &dir, 4, StoreRuntimeConfig::default()).unwrap(),
-        )
-        .unwrap();
-        let (out1, m1) = eng
-            .run(&pool, &input, &wc_mapper, &HashPartitioner, &wc_reducer)
-            .unwrap();
-        assert_eq!(m1.map_invocations, 64);
-        drop(eng);
-
-        // A fresh engine (fresh process) reloads the memos from the store
-        // and reuses every task on the identical input.
-        let mut eng2 = engine();
-        eng2.attach_store(
-            StoreManager::open(&pool, &dir, 4, StoreRuntimeConfig::default()).unwrap(),
-        )
-        .unwrap();
-        let (out2, m2) = eng2
-            .run(&pool, &input, &wc_mapper, &HashPartitioner, &wc_reducer)
-            .unwrap();
-        assert_eq!(out1, out2);
-        assert_eq!(m2.map_invocations, 0, "all map tasks reused after restart");
-        assert_eq!(m2.reduce_invocations, 0);
-
-        // A localized change after restart re-runs only one split — and
-        // persists only that split's memo (incremental persistence).
-        let mut changed = input.clone();
-        changed[3].1 = "changed3".to_string();
-        let (_, m3) = eng2
-            .run(&pool, &changed, &wc_mapper, &HashPartitioner, &wc_reducer)
-            .unwrap();
-        assert_eq!(m3.map_invocations, 8, "one split re-mapped");
-        assert!(eng2.store_manager().is_some());
     }
 
     #[test]

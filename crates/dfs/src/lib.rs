@@ -183,7 +183,7 @@ impl MiniDfs {
     }
 
     /// Read a single block's payload.
-    pub fn read_block(&self, id: BlockId) -> Result<Vec<u8>> {
+    fn read_block(&self, id: BlockId) -> Result<Vec<u8>> {
         self.failpoints()
             .check(FailSite::DfsBlockRead, "read-block")?;
         let path = self.block_path(id);
@@ -196,7 +196,7 @@ impl MiniDfs {
     }
 
     /// File metadata, or `None` if the file does not exist.
-    pub fn stat(&self, name: &str) -> Result<Option<FileMeta>> {
+    fn stat(&self, name: &str) -> Result<Option<FileMeta>> {
         Ok(self.inner.namenode.lock().get(name).cloned())
     }
 

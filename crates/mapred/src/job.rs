@@ -44,11 +44,6 @@ impl<K3, V3> JobRun<K3, V3> {
     pub fn flat_output(self) -> Vec<(K3, V3)> {
         self.outputs.into_iter().flatten().collect()
     }
-
-    /// Total number of output pairs.
-    pub fn output_len(&self) -> usize {
-        self.outputs.iter().map(Vec::len).sum()
-    }
 }
 
 /// A configured vanilla MapReduce job (see module docs).
@@ -308,7 +303,7 @@ mod tests {
         let reducer = |_: &u64, _: Values<u64, u64>, _: &mut Emitter<u64, u64>| {};
         let job = MapReduceJob::new(&cfg, &mapper, &reducer, &HashPartitioner);
         let run = job.run(&pool, &[], 0).unwrap();
-        assert_eq!(run.output_len(), 0);
+        assert!(run.outputs.iter().all(Vec::is_empty));
         assert_eq!(run.metrics.map_invocations, 0);
     }
 

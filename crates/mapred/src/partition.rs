@@ -51,28 +51,6 @@ impl HashPartitioner {
     }
 }
 
-/// Partition by a projected key: `hash(project(SK)) mod n` (paper Eq. 2).
-pub struct ProjectPartitioner<F> {
-    project_hash: F,
-}
-
-impl<F> ProjectPartitioner<F> {
-    /// Build from a function that returns the *encoded bytes* of
-    /// `project(SK)` for a given SK.
-    pub fn new(project_hash: F) -> Self {
-        ProjectPartitioner { project_hash }
-    }
-}
-
-impl<K, F> Partitioner<K> for ProjectPartitioner<F>
-where
-    F: Fn(&K) -> Vec<u8> + Send + Sync,
-{
-    fn partition(&self, key: &K, n: usize) -> usize {
-        HashPartitioner::partition_bytes(&(self.project_hash)(key), n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,23 +89,6 @@ mod tests {
         // Each bucket should be within 25% of the mean for a decent hash.
         for &c in &counts {
             assert!((750..=1250).contains(&c), "skewed bucket: {c}");
-        }
-    }
-
-    #[test]
-    fn project_partitioner_collapses_to_state_partition() {
-        // Structure keys (i, j) project to j; state keys are j. The
-        // structure record must land where state j lands.
-        let state = HashPartitioner;
-        let structure = ProjectPartitioner::new(|sk: &(u64, u64)| encode_to(&sk.1));
-        for i in 0u64..20 {
-            for j in 0u64..20 {
-                assert_eq!(
-                    structure.partition(&(i, j), 5),
-                    state.partition(&j, 5),
-                    "block ({i},{j}) must co-locate with vector block {j}"
-                );
-            }
         }
     }
 

@@ -66,11 +66,6 @@ impl MemFlowCtx {
         *self.inner.metrics.lock()
     }
 
-    /// Reset metrics between experiment phases.
-    pub fn reset_metrics(&self) {
-        *self.inner.metrics.lock() = FlowMetrics::default();
-    }
-
     /// Try to reserve `bytes`; returns false when the budget would overflow
     /// (caller must spill instead).
     pub(crate) fn try_reserve(&self, bytes: usize) -> bool {

@@ -50,8 +50,8 @@
 //! through one fan-out: one task per shard, pinned to the shard's
 //! preferred worker, so all of them are scheduled, retried and traced
 //! alike. A one-worker [`WorkerPool`] runs the same plane on the fewest
-//! threads; the equivalence suites and the `micro_store` bench use it as
-//! the reference the many-worker plane must match byte for byte.
+//! threads; the equivalence suites use it as the reference the
+//! many-worker plane must match byte for byte.
 
 use crate::compact::{CompactionPolicy, CompactionStats};
 use crate::format::Chunk;
@@ -65,7 +65,7 @@ use i2mr_mapred::fault::{FailSite, FailpointRegistry, TaskId, TaskKind};
 use i2mr_mapred::pool::{TaskSpec, WorkerPool};
 use parking_lot::{Mutex, RwLock};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,10 +83,6 @@ pub struct StoreRuntimeConfig {
 struct Shard {
     store: RwLock<MrbgStore>,
     reader: Mutex<StoreReader>,
-    /// True when the shard is fenced off after detected corruption or
-    /// retry exhaustion — reads fail fast until
-    /// [`StoreManager::rebuild_shard`] restores it from a checkpoint.
-    quarantined: AtomicBool,
     /// Monotonic content version, bumped whenever live content changes
     /// (merge, append, rebuild). Compaction does **not** bump it —
     /// reconstruction never changes live chunks, so serving-plane cache
@@ -101,7 +97,6 @@ impl Shard {
         Ok(Shard {
             store: RwLock::new(store),
             reader: Mutex::new(reader),
-            quarantined: AtomicBool::new(false),
             data_version: AtomicU64::new(0),
         })
     }
@@ -301,9 +296,6 @@ impl StoreManager {
     /// lookups (same shard or different shards) never take a write lock.
     pub fn get(&self, p: usize, key: &[u8]) -> Result<Option<Chunk>> {
         let shard = &self.shards[p];
-        if shard.quarantined.load(Ordering::Acquire) {
-            return Err(Error::corrupt("shard quarantined pending rebuild"));
-        }
         self.failpoints.check(FailSite::StoreRead, "point-get")?;
         let store = shard.store.read();
         let mut reader = shard.reader.lock();
@@ -326,7 +318,7 @@ impl StoreManager {
     }
 
     /// Point lookup on shard `p` through a caller-owned [`StoreReader`]
-    /// (quarantine check + failpoint + shared store access, like
+    /// (failpoint + shared store access, like
     /// [`StoreManager::get`], but without contending on the shard's
     /// built-in reader lock). The reader transparently reopens if a
     /// compaction replaced the data file since it was created.
@@ -336,39 +328,21 @@ impl StoreManager {
         reader: &mut StoreReader,
         key: &[u8],
     ) -> Result<Option<Chunk>> {
-        let shard = &self.shards[p];
-        if shard.quarantined.load(Ordering::Acquire) {
-            return Err(Error::corrupt("shard quarantined pending rebuild"));
-        }
         self.failpoints.check(FailSite::StoreRead, "serve-get")?;
-        shard.store.read().get_with(reader, key)
+        self.shards[p].store.read().get_with(reader, key)
     }
 
     /// Live keys of shard `p` in `lo..=hi`, canonical order (serving-plane
     /// window lookups resolve their key set through this).
     pub fn keys_in_range(&self, p: usize, lo: &[u8], hi: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let shard = &self.shards[p];
-        if shard.quarantined.load(Ordering::Acquire) {
-            return Err(Error::corrupt("shard quarantined pending rebuild"));
-        }
-        Ok(shard.store.read().keys_in_range(lo, hi))
-    }
-
-    /// Fence shard `p` off after detected corruption or retry exhaustion:
-    /// every read fails fast until [`StoreManager::rebuild_shard`] restores
-    /// it. Idempotent.
-    pub fn quarantine_shard(&self, p: usize) {
-        self.shards[p].quarantined.store(true, Ordering::Release);
-    }
-
-    /// True while shard `p` is fenced off.
-    pub fn is_quarantined(&self, p: usize) -> bool {
-        self.shards[p].quarantined.load(Ordering::Acquire)
+        Ok(self.shards[p].store.read().keys_in_range(lo, hi))
     }
 
     /// Rebuild shard `p` in place from an [`MrbgStore::export`] payload
     /// (the §6.1 checkpoint artifact): reimport into the shard's
-    /// directory, refresh the detached reader, and lift the quarantine.
+    /// directory and refresh the detached reader. A corrupt read returns
+    /// [`Error::Corrupt`]; the iterative driver then rewinds to its latest
+    /// resumable checkpoint and rebuilds every shard through this.
     /// Counts into [`JobMetrics::rebuilt_shards`] at the next drain.
     pub fn rebuild_shard(&self, p: usize, payload: &[u8]) -> Result<()> {
         let t = Instant::now();
@@ -377,7 +351,6 @@ impl StoreManager {
         let dir = store.dir().to_path_buf();
         *store = MrbgStore::import(dir, payload, self.config.store)?;
         *shard.reader.lock() = store.reader()?;
-        shard.quarantined.store(false, Ordering::Release);
         shard.bump_version();
         drop(store);
         self.stats.lock().rebuilt_shards += 1;
@@ -1212,32 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_gates_reads_until_rebuild() {
-        let pool = WorkerPool::new(2);
-        let mgr =
-            StoreManager::create(&pool, scratch("quar"), N, StoreRuntimeConfig::default()).unwrap();
-        seed(&mgr);
-        // Snapshot shard 1, then quarantine it.
-        let payload = mgr.export(1).unwrap();
-        mgr.quarantine_shard(1);
-        assert!(mgr.is_quarantined(1));
-        let err = mgr.get(1, b"k1-3").unwrap_err();
-        assert!(err.to_string().contains("quarantined"), "got: {err}");
-        // Other shards are unaffected.
-        assert!(mgr.get(0, b"k0-3").unwrap().is_some());
-        // Rebuild restores content and lifts the fence.
-        mgr.rebuild_shard(1, &payload).unwrap();
-        assert!(!mgr.is_quarantined(1));
-        assert_eq!(
-            mgr.get(1, b"k1-3").unwrap().unwrap().entries[0].value,
-            b"v0"
-        );
-        let mut m = JobMetrics::default();
-        mgr.drain_metrics(&mut m);
-        assert_eq!(m.rebuilt_shards, 1);
-    }
-
-    #[test]
     fn rebuild_replaces_corrupted_shard_content() {
         let pool = WorkerPool::new(2);
         let dir = scratch("rebuild");
@@ -1251,13 +1198,17 @@ mod tests {
         std::fs::write(&data, flipped).unwrap();
         // The shard's in-memory handle still reads the (now corrupt) file.
         assert!(mgr.get(2, b"k2-0").is_err(), "corruption must be detected");
-        mgr.quarantine_shard(2);
+        // Other shards are unaffected.
+        assert!(mgr.get(0, b"k0-3").unwrap().is_some());
         mgr.rebuild_shard(2, &payload).unwrap();
         assert_eq!(
             mgr.get(2, b"k2-0").unwrap().unwrap().entries[0].value,
             b"v0"
         );
         assert_eq!(mgr.export(2).unwrap(), payload, "rebuild is byte-exact");
+        let mut m = JobMetrics::default();
+        mgr.drain_metrics(&mut m);
+        assert_eq!(m.rebuilt_shards, 1);
     }
 
     #[test]

@@ -56,8 +56,11 @@
 //! mid-refresh resume goes through their own checkpoints.) Every chunk
 //! is a checksummed *frame* ([`crate::format::encode_framed`]) verified on
 //! every read from the file, so corruption inside the committed region is
-//! *detectable* and the runtime can quarantine and rebuild the shard
-//! instead of computing on garbage.
+//! *detectable*: the read returns [`Error::Corrupt`] instead of computing
+//! on garbage. With a checkpointer, the iterative driver then rewinds to
+//! its latest resumable checkpoint and rebuilds every shard from it
+//! ([`crate::runtime::StoreManager::rebuild_shard`]); without one, the
+//! refresh returns the error.
 //!
 //! Compaction is a commit of its own because it *replaces* the data file:
 //! the pending set is written back, the reconstruction is written to a
@@ -67,7 +70,7 @@
 //! synced), so compacting a dirty store commits it. The two renames are
 //! not atomic together: a crash between them leaves the old index over the
 //! new file, which the frame checksums turn into detected corruption
-//! (quarantine and rebuild), never into wrong data.
+//! (an [`Error::Corrupt`] read), never into wrong data.
 //! [`MrbgStore::import`] is *not* a commit — it restores from a
 //! checkpoint, which stays the durable copy — and a store it replaces
 //! takes its pending set with it.
@@ -1883,5 +1886,80 @@ mod tests {
         assert_eq!(s.get(b"k04").unwrap().unwrap().entries[0].value, b"v2");
         assert_eq!(s.get(b"k05").unwrap().unwrap().entries[0].value, b"v3");
         assert_eq!(s.len(), 20);
+    }
+
+    #[test]
+    fn every_truncation_of_a_committed_shard_fails_open_or_reads_exactly() {
+        // Two committed batches: an append, then an eager merge that
+        // supersedes two of its frames (updating "a", removing "b") and adds
+        // "d", leaving obsolete frames in the first batch.
+        let dir = tmpdir("trunc-src");
+        let expected = {
+            let mut s = MrbgStore::create(&dir, StoreConfig::default()).unwrap();
+            s.append_batch(vec![
+                chunk("a", &[(1, "a1"), (2, "a2")]),
+                chunk("b", &[(1, "b1")]),
+                chunk("c", &[(3, "c3")]),
+            ])
+            .unwrap();
+            s.merge_apply(vec![
+                DeltaChunk {
+                    key: b"a".to_vec(),
+                    entries: vec![
+                        DeltaEntry::Delete(MapKey(1)),
+                        DeltaEntry::Insert(MapKey(3), b"a3".to_vec()),
+                    ],
+                },
+                DeltaChunk {
+                    key: b"b".to_vec(),
+                    entries: vec![DeltaEntry::Delete(MapKey(1))],
+                },
+                DeltaChunk {
+                    key: b"d".to_vec(),
+                    entries: vec![DeltaEntry::Insert(MapKey(4), b"d4".to_vec())],
+                },
+            ])
+            .unwrap();
+            assert!(!s.is_dirty(), "both batches are committed");
+            assert_eq!(s.n_batches(), 2);
+            assert!(
+                s.file_len() > s.live_bytes(),
+                "the merge left obsolete frames"
+            );
+            s.all_chunks().unwrap()
+        };
+        assert_eq!(expected.len(), 3);
+        let data = std::fs::read(MrbgStore::data_path(&dir)).unwrap();
+        let index = std::fs::read(MrbgStore::index_path(&dir)).unwrap();
+
+        let cut_dir = tmpdir("trunc-cut");
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        let mut opened = 0;
+        for (name, file_len) in [("data", data.len()), ("index", index.len())] {
+            for cut in 0..file_len {
+                let (d, i) = match name {
+                    "data" => (&data[..cut], &index[..]),
+                    _ => (&data[..], &index[..cut]),
+                };
+                std::fs::write(MrbgStore::data_path(&cut_dir), d).unwrap();
+                std::fs::write(MrbgStore::index_path(&cut_dir), i).unwrap();
+                let Ok(mut s) = MrbgStore::open(&cut_dir, StoreConfig::default()) else {
+                    continue;
+                };
+                opened += 1;
+                assert_eq!(s.len(), expected.len(), "{name} cut at {cut}");
+                for c in &expected {
+                    assert_eq!(
+                        s.get(&c.key).unwrap().as_ref(),
+                        Some(c),
+                        "{name} cut at {cut}: key {:?}",
+                        String::from_utf8_lossy(&c.key)
+                    );
+                }
+                assert!(s.get(b"b").unwrap().is_none(), "{name} cut at {cut}");
+            }
+        }
+        // A cut always loses committed bytes, so no cut opens.
+        assert_eq!(opened, 0);
     }
 }

@@ -7,8 +7,6 @@
 # *paired-variant speedups* that each bench exists to defend:
 #
 #   baseline -> zerocopy  (micro_shuffle: the zero-copy data plane win)
-#   serial   -> sharded   (micro_store:  one worker + stop-the-world compaction
-#                          vs eight workers + policy compaction)
 #   full     -> delta     (micro_delta: the workset-driven delta-iteration win)
 #   idle     -> merging   (micro_serve: bounded serving-tail cost under churn)
 #   off     -> full      (micro_trace: full span tracing must stay within
@@ -18,16 +16,13 @@
 # must stay within TOLERANCE (default 25%) of the committed snapshot's —
 # these ratios are approximately machine-invariant, which is what makes the
 # gate meaningful on a shared runner. Mode note: micro_shuffle's ratios are
-# also size-invariant (gate it in quick mode, as CI does); micro_store's
-# mergephase ratio is size-SENSITIVE — compaction cost scales with the
-# store while scheduling overhead does not — so its gate must run at the
-# same full workload the committed BENCH_store.json was recorded at
-# (I2MR_BENCH_QUICK=0). micro_delta's refresh ratio is
-# size-SENSITIVE (quick mode leaves less full-pass work for the workset
-# engine to skip), so like micro_store it gates at full size
-# (I2MR_BENCH_QUICK=0); its headline churn1pct group carries the delta
-# engine's shipping bar as an absolute floor: delta iteration >= 3x over
-# full-pass incremental at 1% churn. micro_serve's "speedup" is the
+# also size-invariant (gate it in quick mode, as CI does). micro_delta's
+# refresh ratio is size-SENSITIVE (quick mode leaves less full-pass work
+# for the workset engine to skip), so it gates at the full workload the
+# committed BENCH_delta.json was recorded at (I2MR_BENCH_QUICK=0); its
+# headline churn1pct group carries the delta engine's shipping bar as an
+# absolute floor: delta iteration >= 3x over full-pass incremental at 1%
+# churn. micro_serve's "speedup" is the
 # idle/merging p99 ratio (<= 1 by construction); its absolute floor of
 # 0.333 is the serving plane's shipping bar — the point-lookup p99 under
 # an active merge+compact churn must stay within 3x of the idle p99. The
@@ -39,16 +34,15 @@
 # stay >= 0.95x of tracing disabled on the data-plane hot path.
 #
 # Usage:
-#   scripts/bench_check.sh [micro_shuffle] [micro_store] ...
+#   scripts/bench_check.sh [micro_shuffle] [micro_delta] ...
 #   BENCH_TOLERANCE=0.25 I2MR_BENCH_QUICK=1 scripts/bench_check.sh micro_shuffle
-#   I2MR_BENCH_QUICK=0 scripts/bench_check.sh micro_store
+#   I2MR_BENCH_QUICK=0 scripts/bench_check.sh micro_delta
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out_for() {
   case "$1" in
     micro_shuffle) echo "BENCH_shuffle.json" ;;
-    micro_store) echo "BENCH_store.json" ;;
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
@@ -58,7 +52,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_delta micro_serve micro_trace)
+  targets=(micro_shuffle micro_delta micro_serve micro_trace)
 fi
 
 tol="${BENCH_TOLERANCE:-0.25}"
@@ -80,7 +74,6 @@ import json, math, sys
 committed_path, fresh_path, tol = sys.argv[1], sys.argv[2], float(sys.argv[3])
 PAIRS = [
     ("baseline", "zerocopy"),
-    ("serial", "sharded"),
     ("full", "delta"),
     ("idle", "merging"),
     ("off", "full"),

@@ -7,14 +7,13 @@
 # diffs against:
 #
 #   micro_shuffle -> BENCH_shuffle.json  (shuffle/sort/reduce hot path)
-#   micro_store   -> BENCH_store.json    (MRBG-Store plane: one worker vs sharded)
 #   micro_delta   -> BENCH_delta.json    (full-pass vs workset delta iteration)
 #   micro_serve   -> BENCH_serve.json    (serving p99: idle vs under merge churn)
 #   micro_trace   -> BENCH_trace.json    (telemetry overhead: tracing off vs full)
 #
 # Usage:
 #   scripts/bench_snapshot.sh                 # snapshot all targets
-#   scripts/bench_snapshot.sh micro_store     # just one
+#   scripts/bench_snapshot.sh micro_delta     # just one
 #   I2MR_BENCH_QUICK=1 scripts/bench_snapshot.sh   # ~8x smaller workloads
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,7 +21,6 @@ cd "$(dirname "$0")/.."
 out_for() {
   case "$1" in
     micro_shuffle) echo "BENCH_shuffle.json" ;;
-    micro_store) echo "BENCH_store.json" ;;
     micro_delta) echo "BENCH_delta.json" ;;
     micro_serve) echo "BENCH_serve.json" ;;
     micro_trace) echo "BENCH_trace.json" ;;
@@ -32,7 +30,7 @@ out_for() {
 
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-  targets=(micro_shuffle micro_store micro_delta micro_serve micro_trace)
+  targets=(micro_shuffle micro_delta micro_serve micro_trace)
 fi
 
 for target in "${targets[@]}"; do
@@ -41,5 +39,5 @@ for target in "${targets[@]}"; do
   echo
   echo "== snapshot: $out =="
   # Print the headline comparisons (no jq dependency: plain grep).
-  grep -oE '"id": "[^"]*/(zerocopy|baseline|serial|sharded|full|delta|idle|merging|off|counters)/[^}]*' "$out" || true
+  grep -oE '"id": "[^"]*/(zerocopy|baseline|full|delta|idle|merging|off|counters)/[^}]*' "$out" || true
 done
